@@ -21,6 +21,7 @@ from .mlp import (
 from .fields import (
     ApproximationReport,
     GridInterpolant,
+    GridPayloadError,
     HolderModulus,
     LipschitzModulus,
     SmoothRateModulus,

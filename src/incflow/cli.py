@@ -44,7 +44,7 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str, typ, default=None, required=False):
+def _require(cfg: dict, key: str, typ, default=None, required=False, minimum=None):
     if key not in cfg:
         if required:
             raise ConfigError(f"config key {key!r} is required")
@@ -54,8 +54,8 @@ def _require(cfg: dict, key: str, typ, default=None, required=False):
         val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(f"config key {key!r} must be {typ}, got {type(val).__name__}")
-    if key == "seed" and val < 0:
-        raise ConfigError("'seed' must be a nonnegative integer")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{key!r} must be >= {minimum}")
     return val
 
 
@@ -110,10 +110,8 @@ def _eval_lattice(n_axis: int, dim: int) -> np.ndarray:
 
 def cmd_approx_flow(cfg: dict) -> int:
     stages = _resolve_stages(cfg)
-    n = _require(cfg, "n", int, required=True)
-    if n < 1:
-        raise ConfigError("'n' must be >= 1")
-    steps = _require(cfg, "steps", int, 256)
+    n = _require(cfg, "n", int, required=True, minimum=1)
+    steps = _require(cfg, "steps", int, 256, minimum=1)
     eval_grid = _require(cfg, "eval_grid", int, 33)
     out_dir = _require(cfg, "out_dir", str, required=True)
     T_budget = _require(cfg, "T_budget", int, FL.DEFAULT_T_BUDGET)
@@ -158,9 +156,7 @@ def cmd_approx_flow(cfg: dict) -> int:
 
 def cmd_lift_approx(cfg: dict) -> int:
     fn_cfg = _require(cfg, "function", dict, required=True)
-    n = _require(cfg, "n", int, required=True)
-    if n < 1:
-        raise ConfigError("'n' must be >= 1")
+    n = _require(cfg, "n", int, required=True, minimum=1)
     collapse_y = _require(cfg, "collapse_y", bool, False)
     mode = _require(cfg, "mode", str, "componentwise")
     test_points = _require(cfg, "test_points", int, 1001)
@@ -240,10 +236,10 @@ def _sampler_from_cfg(cfg: dict, key: str, dim_default=2):
 def cmd_generate(cfg: dict) -> int:
     gen_cfg = _require(cfg, "generator", dict, required=True)
     N_list = _require(cfg, "N_list", list, [16, 64, 256])
-    trials = _require(cfg, "trials", int, 32)
+    trials = _require(cfg, "trials", int, 32, minimum=1)
     delta = _require(cfg, "delta", float, 0.1)
-    seed = _require(cfg, "seed", int, required=True)
-    M = _require(cfg, "M", int, 4096)
+    seed = _require(cfg, "seed", int, required=True, minimum=0)
+    M = _require(cfg, "M", int, 4096, minimum=1)
     C = _require(cfg, "C", float, 1.0)
     out_dir = _require(cfg, "out_dir", str, required=True)
 
@@ -312,10 +308,10 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def cmd_probe(cfg: dict) -> int:
-    seed = _require(cfg, "seed", int, 0)
-    steps = _require(cfg, "steps", int, PR.PROBE_STEPS)
-    grid_n = _require(cfg, "grid_n", int, 33)
-    k_max = _require(cfg, "k_max", int, 4)
+    seed = _require(cfg, "seed", int, 0, minimum=0)
+    steps = _require(cfg, "steps", int, PR.PROBE_STEPS, minimum=1)
+    grid_n = _require(cfg, "grid_n", int, 33, minimum=2)
+    k_max = _require(cfg, "k_max", int, 4, minimum=1)
     radius = _require(cfg, "contraction_radius", float, 0.01)
     out_dir = _require(cfg, "out_dir", str, required=True)
     fit_cfg = _require(cfg, "fit", dict, {"enabled": False})
@@ -420,12 +416,14 @@ def cmd_verify(manifest_path: str) -> int:
         raise ConfigError(f"manifest not found: {manifest_path}")
     try:
         with open(manifest_path) as fh:
-            kind = json.load(fh).get("kind")
-        if kind in ("lifted_approximator", "joint_lifted_approximator"):
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigError("manifest malformed: not a JSON object")
+        if doc.get("kind") in ("lifted_approximator", "joint_lifted_approximator"):
             checks = LI.verify_lifted_manifest(manifest_path)
         else:
             checks = FL.verify_manifest(manifest_path)
-    except (json.JSONDecodeError, KeyError) as e:
+    except (json.JSONDecodeError, KeyError, F.GridPayloadError) as e:
         raise ConfigError(f"manifest malformed: {e}") from e
     print(json.dumps(checks, sort_keys=True, indent=2))
     return 0 if checks["ok"] else 4

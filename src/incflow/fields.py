@@ -32,6 +32,7 @@ __all__ = [
     "SmoothRateModulus",
     "modulus_bound_eval",
     "GridInterpolant",
+    "GridPayloadError",
     "VectorField",
     "ApproximationReport",
     "zero_field",
@@ -64,17 +65,6 @@ class Modulus:
 
     def to_dict(self) -> dict:
         raise NotImplementedError
-
-    @staticmethod
-    def from_dict(d: dict) -> "Modulus":
-        kind = d["kind"]
-        if kind == "lipschitz":
-            return LipschitzModulus(np.array(d["L"]))
-        if kind == "holder":
-            return HolderModulus(np.array(d["C"]), d["alpha"])
-        if kind == "smooth_rate":
-            return SmoothRateModulus(d["s"], d["dim"], np.array(d["cs_norms"]))
-        raise ValueError(f"unknown modulus kind {kind!r}")
 
 
 class LipschitzModulus(Modulus):
@@ -158,6 +148,10 @@ def modulus_bound_eval(modulus: Modulus, t):
 
 # ---------------------------------------------------------------------------
 # Kuhn-grid interpolant
+
+
+class GridPayloadError(ValueError):
+    """A grid payload file that is missing, unreadable or disagrees with its header."""
 
 
 class GridInterpolant:
@@ -269,11 +263,17 @@ class GridInterpolant:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GridInterpolant":
-        (dim,) = struct.unpack_from("<q", raw, 0)
-        ns = struct.unpack_from(f"<{dim}q", raw, 8)
-        (out_dim,) = struct.unpack_from("<q", raw, 8 + 8 * dim)
-        payload = np.frombuffer(raw, dtype="<f8", offset=16 + 8 * dim)
+        try:
+            (dim,) = struct.unpack_from("<q", raw, 0)
+            ns = struct.unpack_from(f"<{dim}q", raw, 8)
+            (out_dim,) = struct.unpack_from("<q", raw, 8 + 8 * dim)
+        except struct.error as e:
+            raise GridPayloadError(f"grid payload header is truncated: {e}") from e
         nverts = int(np.prod([n + 1 for n in ns]))
+        expected = 16 + 8 * dim + 8 * nverts * out_dim
+        if len(raw) != expected:
+            raise GridPayloadError(f"grid payload holds {len(raw)} bytes, header says {expected}")
+        payload = np.frombuffer(raw, dtype="<f8", offset=16 + 8 * dim)
         return cls(ns, payload.reshape(nverts, out_dim).copy())
 
     def sidecar(self) -> dict:
@@ -294,8 +294,12 @@ class GridInterpolant:
 
     @classmethod
     def load(cls, path) -> "GridInterpolant":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as e:
+            raise GridPayloadError(f"cannot read grid payload: {e}") from e
+        return cls.from_bytes(raw)
 
 
 # ---------------------------------------------------------------------------

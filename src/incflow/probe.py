@@ -35,6 +35,8 @@ __all__ = [
 PROBE_STEPS = 512  # finer than the default integrator: orbit tolerances are 1e-6
 TOL_CLOSE = 1e-6
 TOL_SEPARATE = 1e-2
+_EDGE_TOL = 1e-12  # stopping width of a refined edge bracket
+_EDGE_MAX_ROUNDS = 45  # ends brackets that float spacing keeps wider than _EDGE_TOL
 
 
 def build_counterexample(steps: int = PROBE_STEPS) -> IncrementalGenerator:
@@ -111,10 +113,10 @@ def detect_periodic(
 ) -> list[OrbitRecord]:
     """Scan a seed lattice, classify orbits, refine periodic candidates.
 
-    Refinement bisects, along lattice edges where a component of
-    F^k - id changes sign, to a bracket below 1e-12, then classifies the
-    refined point from its own iterates. Deterministic for fixed grid and
-    tolerances; an empty result is allowed.
+    Refinement shrinks, by the batched secant rounds of ``_bisect_edges``,
+    brackets on lattice edges where a component of F^k - id changes sign to
+    below 1e-12, then classifies the refined point from its own iterates.
+    Deterministic for fixed grid and tolerances; an empty result is allowed.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -134,19 +136,12 @@ def detect_periodic(
     if not refine:
         return records
 
-    shape = (grid_n,) * d
-    edges_a, edges_b, edge_axis, edge_k = [], [], [], []
+    edges = []
     for k in range(2, k_max + 1):
-        G = (its[k] - seeds).reshape(shape + (d,))
+        G = (its[k] - seeds).reshape((grid_n,) * d + (d,))
         for axis in range(d):
-            comp = G[..., axis]
-            sl_a = tuple(
-                slice(0, grid_n - 1) if i == axis else slice(None) for i in range(d)
-            )
-            sl_b = tuple(
-                slice(1, grid_n) if i == axis else slice(None) for i in range(d)
-            )
-            ca, cb = comp[sl_a], comp[sl_b]
+            ca = np.take(G[..., axis], np.arange(grid_n - 1), axis=axis)
+            cb = np.take(G[..., axis], np.arange(1, grid_n), axis=axis)
             # refine only genuine crossings, not sign noise around zero
             flips = np.argwhere(
                 (np.sign(ca) * np.sign(cb) < 0)
@@ -156,16 +151,11 @@ def detect_periodic(
                 a = np.array([axes[i][idx[i]] for i in range(d)])
                 b = a.copy()
                 b[axis] = axes[axis][idx[axis] + 1]
-                edges_a.append(a)
-                edges_b.append(b)
-                edge_axis.append(axis)
-                edge_k.append(k)
+                edges.append((a, b, axis, k, ca[tuple(idx)], cb[tuple(idx)]))
 
-    if edges_a:
-        pts = _bisect_edges(
-            apply, np.array(edges_a), np.array(edges_b),
-            np.array(edge_axis), np.array(edge_k), k_max
-        )
+    if edges:
+        edges = [np.array(col) for col in zip(*edges)]
+        pts = 0.5 * np.add(*_bisect_edges(apply, *edges))
         its_ref = _iterate(apply, pts, k_max)
         seen = set()
         for m in range(pts.shape[0]):
@@ -175,35 +165,52 @@ def detect_periodic(
             seen.add(key)
             cls, period, data = classify_orbit(its_ref[:, m], tol_close, tol_separate)
             if cls == "periodic":
-                data = dict(data, refined=True, edge_axis=int(edge_axis[m]))
+                data = dict(data, refined=True, edge_axis=int(edges[2][m]))
                 records.append(OrbitRecord(pts[m], its_ref[:, m], cls, period, data))
     return records
 
 
-def _bisect_edges(apply, a, b, axis, k, k_max, iters: int = 45):
-    """Vectorized sign bisection of (F^k - id)[axis] along lattice edges."""
+def _bisect_edges(apply, a, b, axis, k, g_a, g_b):
+    """Shrink the sign-change brackets [a, b] of g = (F^k - id)[axis],
+    given the nonzero, opposite-signed values g_a and g_b at their ends.
+
+    Each round maps, in one batch, four points per edge still wider than
+    ``_EDGE_TOL``: the midpoint, the secant point s and s +- ratio * width.
+    The first sign-change interval of the sorted points is the new bracket,
+    at most half as wide. ``ratio`` starts at 1/4, squares while the bracket
+    lands inside s +- ratio * width and resets otherwise. After
+    ``_EDGE_MAX_ROUNDS`` rounds the loop ends even for brackets stuck at
+    the float spacing.
+    """
     rows = np.arange(a.shape[0])
-    k_top = int(k.max())
-
-    def g_component(x):
-        snaps = []
-        y = x
-        for _ in range(k_top):
-            y = np.atleast_2d(apply(y))
-            snaps.append(y)
-        stacked = np.stack(snaps, axis=0)  # (k_top, m, d)
-        sel = stacked[k - 1, rows]  # per-edge iterate F^k(x)
-        return sel[rows, axis] - x[rows, axis]
-
-    ga = g_component(a)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        gm = g_component(mid)
-        same = np.sign(gm) == np.sign(ga)
-        a = np.where(same[:, None], mid, a)
-        ga = np.where(same, gm, ga)
-        b = np.where(same[:, None], b, mid)
-    return 0.5 * (a + b)
+    x = np.stack([a[rows, axis], b[rows, axis]], axis=1)
+    g = np.stack([g_a, g_b], axis=1).astype(float)
+    ratio = np.full(rows.size, 0.25)
+    for _ in range(_EDGE_MAX_ROUNDS):
+        op = np.flatnonzero(x[:, 1] - x[:, 0] >= _EDGE_TOL)
+        if op.size == 0:
+            break
+        (x0, x1), (g0, g1) = x[op].T, g[op].T
+        # g0 is never 0: a probe with g = 0 can only become the upper end
+        sec, off = x0 + g0 / (g0 - g1) * (x1 - x0), ratio[op] * (x1 - x0)
+        probes = np.clip(np.stack([0.5 * (x0 + x1), sec, sec - off, sec + off], axis=1),
+                         x0[:, None], x1[:, None])
+        r4, ax4, k4 = np.arange(4 * op.size), np.repeat(axis[op], 4), np.repeat(k[op], 4)
+        X = np.repeat(a[op], 4, axis=0)
+        X[r4, ax4] = probes.ravel()
+        g_p = (_iterate(apply, X, k4.max())[k4, r4, ax4] - X[r4, ax4]).reshape(-1, 4)
+        xs = np.concatenate([x[op], probes], axis=1)
+        order = np.argsort(xs, axis=1, kind="stable")
+        xs = np.take_along_axis(xs, order, axis=1)
+        gs = np.take_along_axis(np.concatenate([g[op], g_p], axis=1), order, axis=1)
+        j = np.argmax(np.sign(gs[:, :-1]) * np.sign(gs[:, 1:]) <= 0, axis=1)[:, None]
+        x[op] = np.take_along_axis(xs, np.hstack([j, j + 1]), axis=1)
+        g[op] = np.take_along_axis(gs, np.hstack([j, j + 1]), axis=1)
+        hit = (x[op, 0] >= probes[:, 2]) & (x[op, 1] <= probes[:, 3])
+        ratio[op] = np.where(hit, ratio[op] ** 2, 0.25)
+    a, b = a.astype(float), b.astype(float)
+    a[rows, axis], b[rows, axis] = x[:, 0], x[:, 1]
+    return a, b
 
 
 def contraction_audit(
@@ -218,8 +225,8 @@ def contraction_audit(
 
     Probes are placed off the invariant (vertical) line: the fan spans
     ``max_angle_deg`` degrees either side of the two horizontal
-    directions. For each probe the audit applies the map period-many
-    times per double-iteration and records r_{m+1} / r_m with
+    directions. The probes go through the map as one batch, period-many
+    times per double-iteration, and each records r_{m+1} / r_m with
     r_m = |F^{mk}(c) - q|_2; the worst ratio over probes and audited
     double-iterations is reported.
     """
@@ -235,19 +242,17 @@ def contraction_audit(
     half = max(1, n_probes // 2)
     base = np.linspace(-np.deg2rad(max_angle_deg), np.deg2rad(max_angle_deg), half)
     angles = np.concatenate([base, base + np.pi])[:n_probes]
-    rows = []
-    worst = 0.0
-    for ang in angles:
-        c = q + radius * np.array([np.cos(ang), np.sin(ang)])
-        radii = [float(np.linalg.norm(c - q))]
-        x = c
-        for _ in range(n_iters):
-            for _ in range(k):
-                x = apply(x)
-            radii.append(float(np.linalg.norm(x - q)))
-        ratios = [radii[m + 1] / radii[m] for m in range(len(radii) - 1)]
-        worst = max(worst, max(ratios))
-        rows.append({"angle_rad": float(ang), "radii": radii, "ratios": ratios})
+    X = np.array([q + radius * np.array([np.cos(ang), np.sin(ang)]) for ang in angles])
+    radii = [[float(np.linalg.norm(c - q))] for c in X]
+    for _ in range(n_iters):
+        for _ in range(k):
+            X = apply(X)
+        for r, x in zip(radii, X):
+            r.append(float(np.linalg.norm(x - q)))
+    rows = [{"angle_rad": float(ang), "radii": r,
+             "ratios": [r1 / r0 for r0, r1 in zip(r, r[1:])]}
+            for ang, r in zip(angles, radii)]
+    worst = max(max(p["ratios"]) for p in rows)
     return {"probes": rows, "max_ratio": worst, "radius": radius, "period": k}
 
 

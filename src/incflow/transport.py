@@ -66,10 +66,6 @@ class EmpiricalMeasure:
     def uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-14))
 
-    @classmethod
-    def from_points(cls, points) -> "EmpiricalMeasure":
-        return cls(points)
-
     # CSV: d coordinate columns, optional trailing weight column
     def to_csv(self, path, include_weights: bool = False) -> None:
         header = ",".join(f"x{i}" for i in range(self.dim))
@@ -96,20 +92,15 @@ class EmpiricalMeasure:
 
 
 class TransportReport:
-    """Outcome of an exact W1 solve, optionally annotated with the
-    concentration bound terms for experiment rows."""
+    """Outcome of an exact W1 solve."""
 
     def __init__(self, w1, coupling_i, coupling_j, coupling_mass,
-                 marginal_residual, bound_rhs=None, bound_terms=None,
-                 success_probability_lhs=None):
+                 marginal_residual):
         self.w1 = float(w1)
         self.coupling_i = np.asarray(coupling_i, dtype=np.int64)
         self.coupling_j = np.asarray(coupling_j, dtype=np.int64)
         self.coupling_mass = np.asarray(coupling_mass, dtype=float)
         self.marginal_residual = float(marginal_residual)
-        self.bound_rhs = bound_rhs
-        self.bound_terms = bound_terms
-        self.success_probability_lhs = success_probability_lhs
 
     @property
     def coupling(self):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from incflow.cli import main
 
@@ -52,6 +53,23 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 0}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "trials": 0}),
+    ("probe-flowability", {"steps": 0}),
+    ("probe-flowability", {"k_max": 0}),
+    ("probe-flowability", {"grid_n": 1}),
+    ("approx-flow", {"field": {"id": "zero"}, "n": 4, "steps": 0}),
+])
+def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir=str(out)))
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_artifacts_are_byte_deterministic(tmp_path):
     cfgs = []
     for k in (1, 2):
@@ -82,6 +100,28 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     manifest.write_text(json.dumps(doc))
     assert main(["verify", str(manifest)]) == 4
     assert main(["verify", str(tmp_path / "none.json")]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[]")
+    assert main(["verify", str(not_object)]) == 2
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "header_only"])
+def test_verify_bad_grid_payload_exits_2(tmp_path, capsys, damage):
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "field": {"id": "squeeze_clipped"}, "n": 4, "eval_grid": 5,
+        "seed": 0, "out_dir": str(out),
+    })
+    assert main(["approx-flow", cfg]) == 0
+    payload = out / "stage0_grid.bin"
+    raw = payload.read_bytes()
+    if damage == "missing":
+        payload.unlink()
+    else:
+        payload.write_bytes(raw[:-8] if damage == "truncated" else raw[:12])
+    assert main(["verify", str(out / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
 
 
 def test_lift_approx_happy_and_csv(tmp_path):

@@ -228,6 +228,10 @@ def test_binary_roundtrip_exact(tmp_path):
     assert back.ns == gi.ns
     assert np.array_equal(back.values, gi.values)
     assert (tmp_path / "grid.bin.json").exists()
+    raw = gi.to_bytes()
+    for bad in (raw[:-8], raw + bytes(8), raw[:12]):
+        with pytest.raises(ValueError):
+            GridInterpolant.from_bytes(bad)
 
 
 def test_grid_validation():

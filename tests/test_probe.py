@@ -5,8 +5,10 @@ import pytest
 
 from incflow.fields import builtin_field
 from incflow.flow import FlowMap, builtin_generator
+import incflow.probe as probe
 from incflow.probe import (
     OrbitRecord,
+    _bisect_edges,
     build_counterexample,
     classify_orbit,
     contraction_audit,
@@ -71,8 +73,103 @@ def test_detect_periodic_identity_map():
     assert all(r.classification == "fixed" for r in records)
 
 
-def test_detect_periodic_finds_line(composite):
-    records = detect_periodic(composite, grid_n=17, k_max=2)
+class CountingMap:
+    def __init__(self, apply):
+        self.apply_fn = apply
+        self.calls = 0
+
+    def __call__(self, X):
+        self.calls += 1
+        return self.apply_fn(X)
+
+
+def reference_bisection(apply, a, b, axis, k, iters=38):
+    """Fixed-round midpoint bisection of (F^k - id)[axis] along the edges.
+
+    38 rounds take a 1/32 lattice edge to a width of 1.1e-13, a few times
+    below the 1e-12 the refinement is compared at."""
+    rows = np.arange(a.shape[0])
+
+    def g(x):
+        snaps, y = [], x
+        for _ in range(int(k.max())):
+            y = np.atleast_2d(apply(y))
+            snaps.append(y)
+        return np.stack(snaps)[k - 1, rows, axis] - x[rows, axis]
+
+    ga = g(a)
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        gm = g(mid)
+        same = np.sign(gm) == np.sign(ga)
+        a = np.where(same[:, None], mid, a)
+        ga = np.where(same, gm, ga)
+        b = np.where(same[:, None], b, mid)
+    return 0.5 * (a + b)
+
+
+@pytest.fixture(scope="module")
+def lattice_run():
+    """detect_periodic(grid_n=17, k_max=2) once per generator, with its map
+    applies counted and the arguments and result of its refinement call."""
+    runs = {}
+
+    def run(gen_id):
+        if gen_id not in runs:
+            counted = CountingMap(builtin_generator(gen_id, steps=512).apply)
+            seen = []
+
+            def spy(*args):
+                seen.append((args, _bisect_edges(*args)))
+                return seen[-1][1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(probe, "_bisect_edges", spy)
+                records = detect_periodic(counted, grid_n=17, k_max=2)
+            runs[gen_id] = records, counted.calls, seen
+        return runs[gen_id]
+
+    return run
+
+
+@pytest.mark.parametrize("gen_id", ["counterexample", "rotation_only"])
+def test_edge_refinement_matches_reference_bisection(gen_id, lattice_run):
+    apply = builtin_generator(gen_id, steps=512).apply
+    [((_, a_edge, b_edge, axis, k, _, _), (a, b))] = lattice_run(gen_id)[2]
+    rows = np.arange(a.shape[0])
+    assert np.all(b[rows, axis] - a[rows, axis] < 1e-12)
+    ref = reference_bisection(apply, a_edge, b_edge, axis, k)
+    assert np.abs(0.5 * (a + b) - ref).max() <= 1e-12
+    # every returned bracket keeps its sign change
+    ga = (apply(apply(a)) - a)[rows, axis]
+    gb = (apply(apply(b)) - b)[rows, axis]
+    assert np.all(np.sign(ga) * np.sign(gb) <= 0)
+
+
+def test_edge_refinement_stops_at_float_spacing():
+    # near 1e5 the float spacing (1.5e-11) exceeds the 1e-12 stopping width,
+    # so the bracket cannot close and the round cap must end the loop
+    c = 1e5 + 0.3
+
+    def expand(X):
+        Y = np.array(X, dtype=float)
+        Y[:, 0] = c - 2.0 * (Y[:, 0] - c)
+        return Y
+
+    counted = CountingMap(expand)
+    a = np.array([[1e5, 0.0]])
+    b = np.array([[1e5 + 1.0, 0.0]])
+    a, b = _bisect_edges(counted, a, b, np.array([0]), np.array([2]),
+                         np.array([-0.9]), np.array([2.1]))
+    assert counted.calls <= 2 * probe._EDGE_MAX_ROUNDS
+    assert 0.0 < b[0, 0] - a[0, 0] <= 2 * np.spacing(c)
+    assert a[0, 0] <= c <= b[0, 0]
+
+
+def test_detect_periodic_finds_line(lattice_run):
+    records, applies, _ = lattice_run("counterexample")
+    # lattice (2) + refinement rounds + refined iterates (2)
+    assert applies <= 26
     periodic = [r for r in records if r.classification == "periodic"]
     assert periodic
     assert all(r.period == 2 for r in periodic)
@@ -87,9 +184,8 @@ def test_detect_periodic_finds_line(composite):
     )
 
 
-def test_pure_rotation_has_circle_family():
-    gen = builtin_generator("rotation_only", steps=512)
-    records = detect_periodic(gen, grid_n=17, k_max=2)
+def test_pure_rotation_has_circle_family(lattice_run):
+    records = lattice_run("rotation_only")[0]
     periodic = [r for r in records if r.classification == "periodic"]
     assert periodic
     # the half-turn's period-2 set is a disc-full of circles, so periodic
@@ -112,6 +208,28 @@ def test_contraction_audit_counterexample(composite):
             math.cos(th) ** 2 * math.exp(-4.0) + math.sin(th) ** 2
         )
         assert p["ratios"][0] == pytest.approx(predicted, rel=1e-3)
+
+
+def test_contraction_audit_batch_matches_per_probe_loop():
+    # batching is what is checked, so a coarse integrator is enough
+    composite = build_counterexample(steps=64)
+    q = np.array([0.5, 0.5 + 1.0 / 16])
+    radius, k, n_iters = 0.01, 2, 2
+    audit = contraction_audit(composite, q, radius=radius, n_iters=n_iters)
+    base = np.linspace(-np.deg2rad(45.0), np.deg2rad(45.0), 4)
+    rows, worst = [], 0.0
+    for ang in np.concatenate([base, base + np.pi]):
+        c = q + radius * np.array([np.cos(ang), np.sin(ang)])
+        radii = [float(np.linalg.norm(c - q))]
+        x = c
+        for _ in range(n_iters):
+            for _ in range(k):
+                x = composite.apply(x)
+            radii.append(float(np.linalg.norm(x - q)))
+        ratios = [radii[m + 1] / radii[m] for m in range(len(radii) - 1)]
+        worst = max(worst, max(ratios))
+        rows.append({"angle_rad": float(ang), "radii": radii, "ratios": ratios})
+    assert audit == {"probes": rows, "max_ratio": worst, "radius": radius, "period": k}
 
 
 def test_contraction_audit_radius_range(composite):
