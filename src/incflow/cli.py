@@ -50,9 +50,9 @@ def _require(cfg: dict, key: str, typ, default=None, required=False, minimum=Non
             raise ConfigError(f"config key {key!r} is required")
         return default
     val = cfg[key]
-    if typ is float and isinstance(val, int):
+    if typ is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or (typ is not bool and isinstance(val, bool)):
         raise ConfigError(f"config key {key!r} must be {typ}, got {type(val).__name__}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key!r} must be >= {minimum}")
@@ -112,7 +112,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     stages = _resolve_stages(cfg)
     n = _require(cfg, "n", int, required=True, minimum=1)
     steps = _require(cfg, "steps", int, 256, minimum=1)
-    eval_grid = _require(cfg, "eval_grid", int, 33)
+    eval_grid = _require(cfg, "eval_grid", int, 33, minimum=1)
     out_dir = _require(cfg, "out_dir", str, required=True)
     T_budget = _require(cfg, "T_budget", int, FL.DEFAULT_T_BUDGET)
     if len(stages) > T_budget:
@@ -314,7 +314,10 @@ def cmd_probe(cfg: dict) -> int:
     k_max = _require(cfg, "k_max", int, 4, minimum=1)
     radius = _require(cfg, "contraction_radius", float, 0.01)
     out_dir = _require(cfg, "out_dir", str, required=True)
-    fit_cfg = _require(cfg, "fit", dict, {"enabled": False})
+    fit_cfg = _require(cfg, "fit", dict, {})
+    fit_enabled = _require(fit_cfg, "enabled", bool, False)
+    fit_budget = _require(fit_cfg, "budget", int, 20_000, minimum=1)
+    fit_n_grid = _require(fit_cfg, "n_grid", int, 4, minimum=1)
 
     gen = PR.build_counterexample(steps=steps)
     records = PR.detect_periodic(gen, grid_n=grid_n, k_max=k_max)
@@ -349,12 +352,8 @@ def cmd_probe(cfg: dict) -> int:
         )
 
     fit_summary = None
-    if fit_cfg.get("enabled", False):
-        fit_summary = PR.fit_gap_experiment(
-            seed=seed,
-            budget=fit_cfg.get("budget", 20_000),
-            n_grid=fit_cfg.get("n_grid", 4),
-        )
+    if fit_enabled:
+        fit_summary = PR.fit_gap_experiment(seed=seed, budget=fit_budget, n_grid=fit_n_grid)
         _write_json(os.path.join(out_dir, "fitgap.json"), fit_summary)
         if not fit_summary["margin_10x"]:
             print(
@@ -378,7 +377,7 @@ def cmd_probe(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
-    repeats = _require(cfg, "repeats", int, 3)
+    repeats = _require(cfg, "repeats", int, 3, minimum=1)
     out_dir = _require(cfg, "out_dir", str, required=True)
 
     def timed(fn):

@@ -167,8 +167,13 @@ class GridInterpolant:
     ----------
     ns : tuple of int
         Per-axis subdivision counts (the uniform case is ``(n,) * d``).
-    values : ndarray, shape (prod(ns_i + 1), out_dim)
-        Vertex samples in lexicographic vertex order (axis 0 slowest).
+    values : ndarray, shape (prod(ns_i + 1), out_dim) or (B, prod(ns_i + 1), out_dim)
+        Vertex samples in lexicographic vertex order (axis 0 slowest). A
+        batch of B sample arrays makes B interpolants on one grid: the
+        points passed to a call are then split into B equal blocks of
+        consecutive rows, block k evaluated with ``values[k]``. A batch is
+        for evaluation only; the Lipschitz constant and the payload
+        methods take a single sample array.
     """
 
     def __init__(self, ns, values):
@@ -178,14 +183,23 @@ class GridInterpolant:
         self.dim = len(self.ns)
         values = np.asarray(values, dtype=float)
         nverts = int(np.prod([n + 1 for n in self.ns]))
-        if values.ndim != 2 or values.shape[0] != nverts:
+        if values.ndim not in (2, 3) or values.shape[-2] != nverts:
             raise ValueError(
-                f"values must have shape ({nverts}, out_dim), got {values.shape}"
+                f"values must have shape ([B,] {nverts}, out_dim), got {values.shape}"
             )
         self.values = values
-        self.out_dim = values.shape[1]
+        self.out_dim = values.shape[-1]
         self._shape = tuple(n + 1 for n in self.ns)
         self._nvec = np.array(self.ns, dtype=float)
+        self._strides = np.cumprod((1,) + self._shape[:0:-1])[::-1].astype(np.int64)
+        # (per-axis offsets, flat index offset) of the 2^d cell corners
+        self._corners = [
+            (offs, int(np.dot(offs, self._strides)))
+            for offs in itertools.product((0, 1), repeat=self.dim)
+        ]
+        self._table = values.reshape(-1, self.out_dim)
+        self._blocks = values.shape[0] if values.ndim == 3 else 1
+        self._block_base = (np.arange(self._blocks, dtype=np.int64) * nverts)[:, None]
 
     @classmethod
     def from_callable(cls, fn, ns, out_dim=None) -> "GridInterpolant":
@@ -206,32 +220,46 @@ class GridInterpolant:
     def __call__(self, x) -> np.ndarray:
         """Hat-sum evaluation, valid on all of R^d (zero one cell out).
 
-        Non-finite rows evaluate to NaN so a caller integrating a
-        diverging trajectory sees the failure instead of an index crash.
+        The hat of corner v at x is ``relu(1 - max_i relu(t_i - v_i) -
+        max_i relu(v_i - t_i))`` with t = x in grid units; both maxima are
+        running maxima over the coordinate columns. Non-finite rows
+        evaluate to NaN so a caller integrating a diverging trajectory sees
+        the failure instead of an index crash.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x)
         if X.shape[1] != self.dim:
             raise ValueError(f"points have dim {X.shape[1]}, interpolant has {self.dim}")
-        bad = ~np.isfinite(X).all(axis=1)
-        if bad.any():
-            out = np.full((X.shape[0], self.out_dim), np.nan)
-            good = ~bad
-            if good.any():
-                out[good] = self(X[good])
-            return out[0] if single else out
+        if X.shape[0] % self._blocks:
+            raise ValueError(
+                f"{X.shape[0]} points do not split into {self._blocks} equal blocks"
+            )
+        bad = None
+        if not np.isfinite(X).all():
+            bad = ~np.isfinite(X).all(axis=1)
+            X = np.where(bad[:, None], 0.0, X)
         t = X * self._nvec  # grid units per axis
         anchor = np.clip(np.floor(t), 0, self._nvec - 1).astype(np.int64)
+        base = anchor @ self._strides
+        if self._blocks > 1:
+            base = (base.reshape(self._blocks, -1) + self._block_base).ravel()
+        # relu(+-(t_i - v_i)) for the lower (v_i = anchor_i) and upper corner
+        up, down = [], []
+        for i in range(self.dim):
+            diffs = (t[:, i] - anchor[:, i], t[:, i] - (anchor[:, i] + 1))
+            up.append([relu(dv) for dv in diffs])
+            down.append([relu(-dv) for dv in diffs])
         out = np.zeros((X.shape[0], self.out_dim))
-        for offs in itertools.product((0, 1), repeat=self.dim):
-            vidx = anchor + np.array(offs, dtype=np.int64)
-            diff = t - vidx
-            a = relu(diff).max(axis=1)
-            b = relu(-diff).max(axis=1)
+        for offs, flat in self._corners:
+            a, b = up[0][offs[0]], down[0][offs[0]]
+            for i in range(1, self.dim):
+                a = np.maximum(a, up[i][offs[i]])
+                b = np.maximum(b, down[i][offs[i]])
             lam = relu(1.0 - a - b)
-            flat = np.ravel_multi_index(tuple(vidx.T), self._shape)
-            out += lam[:, None] * self.values[flat]
+            out += lam[:, None] * self._table[base + flat]
+        if bad is not None:
+            out[bad] = np.nan
         return out[0] if single else out
 
     def lipschitz_linf(self) -> float:

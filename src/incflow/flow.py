@@ -86,11 +86,31 @@ class FlowMap:
         return self.field.dim
 
     def apply(self, x) -> np.ndarray:
+        """Integrate the rows of ``x`` for unit time.
+
+        Rows outside the field's closed support box are returned as they
+        are: the field is exactly zero there, so every stage point equals
+        the row and each step adds zero. Non-finite rows are integrated
+        and raise :class:`FlowIntegrationError` at step 0.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x).copy()
-        sign = 1.0 if self.direction == "forward" else -1.0
-        h = sign / self.steps
+        box = self.field.support_box
+        if box is None or X.shape[1] != self.dim:  # field.eval rejects a wrong width
+            X = self._integrate(X)
+        else:
+            live = ((X >= box[0]) & (X <= box[1])).all(axis=1) | ~np.isfinite(X).all(axis=1)
+            if live.all():
+                X = self._integrate(X)
+            elif live.any():
+                X[live] = self._integrate(X[live])
+        return X[0] if single else X
+
+    __call__ = apply
+
+    def _integrate(self, X: np.ndarray) -> np.ndarray:
+        h = (1.0 if self.direction == "forward" else -1.0) / self.steps
         f = self.field.eval
         if self.method == "euler":
             for k in range(self.steps):
@@ -106,9 +126,7 @@ class FlowMap:
                 X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.all(np.isfinite(X)):
                     raise FlowIntegrationError(k)
-        return X[0] if single else X
-
-    __call__ = apply
+        return X
 
     def inverse(self) -> "FlowMap":
         flipped = "backward" if self.direction == "forward" else "forward"

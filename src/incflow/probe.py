@@ -289,34 +289,15 @@ def _grid_field_from_theta(theta, n_grid):
 def _flow_theta_batch(thetas, pts, n_grid, steps):
     """Time-1 RK4 flows of a batch of grid fields, one per theta row.
 
-    Same hat-sum interpolation and step rule as the scalar path, fused
-    over candidates so a full pattern-search poll is one integration.
+    One batched interpolant evaluates every candidate's field on its own
+    block of points, and the step rule is that of ``FlowMap``, so a full
+    pattern-search poll is one integration.
     """
     B = thetas.shape[0]
     m = pts.shape[0]
-    values = thetas.reshape(B, -1, 2)
-    blk = np.repeat(np.arange(B), m)
+    rhs = GridInterpolant((n_grid, n_grid), thetas.reshape(B, -1, 2))
     X = np.broadcast_to(pts, (B, m, 2)).reshape(B * m, 2).copy()
-    nf = float(n_grid)
-    stride = n_grid + 1
     h = 1.0 / steps
-
-    def rhs(Y):
-        t = Y * nf
-        anchor = np.clip(np.floor(t), 0, nf - 1.0).astype(np.int64)
-        out = np.zeros_like(Y)
-        for o0 in (0, 1):
-            for o1 in (0, 1):
-                v0 = anchor[:, 0] + o0
-                v1 = anchor[:, 1] + o1
-                d0 = t[:, 0] - v0
-                d1 = t[:, 1] - v1
-                a = np.maximum(np.maximum(d0, d1), 0.0)
-                b = np.maximum(np.maximum(-d0, -d1), 0.0)
-                lam = np.maximum(1.0 - a - b, 0.0)
-                out += lam[:, None] * values[blk, v0 * stride + v1]
-        return out
-
     for _ in range(steps):
         k1 = rhs(X)
         k2 = rhs(X + 0.5 * h * k1)

@@ -60,6 +60,14 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     ("probe-flowability", {"k_max": 0}),
     ("probe-flowability", {"grid_n": 1}),
     ("approx-flow", {"field": {"id": "zero"}, "n": 4, "steps": 0}),
+    ("approx-flow", {"field": {"id": "zero"}, "n": 4, "eval_grid": 0}),
+    ("bench", {"repeats": -1}),
+    # the fit sub-config is checked before the orbit scan starts
+    ("probe-flowability", {"grid_n": 3, "k_max": 1, "steps": 8,
+                           "fit": {"enabled": True, "budget": 0}}),
+    ("probe-flowability", {"fit": {"enabled": True, "n_grid": 0}}),
+    ("probe-flowability", {"fit": {"enabled": 1}}),
+    ("probe-flowability", {"fit": {"enabled": True, "budget": True}}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from incflow.fields import (
     builtin_field,
     builtin_suite,
     field_from_ref,
+    grid_realize,
     grid_relu_approximate,
     grid_to_mlp,
     modulus_bound_eval,
@@ -22,6 +24,10 @@ from incflow.fields import (
     squeeze_field,
     zero_field,
 )
+from incflow.flow import approximate_generator
+from incflow.lift import approximate_lipschitz_function, lift_function
+from incflow.mlp import relu
+from incflow.probe import _grid_field_from_theta
 
 
 def kuhn_oracle(values, ns, X):
@@ -84,6 +90,23 @@ def test_radial_clip_validation():
         radial_bump_clip(rotation_field([0.5, 0.5], 1.0), [0.5, 0.5], 0.3, 0.2)
 
 
+def assert_zero_outside_support(f, seed, n=5000):
+    """``f`` is exactly 0.0 outside its declared support box: at random
+    points up to one box width away and at points one float step outside
+    a random facet. ``FlowMap.apply`` leaves such points unintegrated."""
+    lo, hi = f.support_box
+    rng = np.random.default_rng(seed)
+    far = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, f.dim))
+    near = rng.uniform(lo, hi, size=(n, f.dim))
+    rows, axis = np.arange(n), rng.integers(f.dim, size=n)
+    near[rows, axis] = np.where(rng.random(n) < 0.5, np.nextafter(hi[axis], np.inf),
+                                np.nextafter(lo[axis], -np.inf))
+    pts = np.vstack([far, near])
+    outside = ~np.all((pts >= lo) & (pts <= hi), axis=1)
+    assert outside.sum() > n
+    assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), f.dim)))
+
+
 def test_radial_clip_vanishes_outside_declared_support():
     f = builtin_field("squeeze_clipped")
     rng = np.random.default_rng(0)
@@ -92,6 +115,8 @@ def test_radial_clip_vanishes_outside_declared_support():
     outside = ~np.all((pts >= lo) & (pts <= hi), axis=1)
     assert outside.sum() > 5000
     assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), 2)))
+    for seed, name in enumerate(["squeeze_clipped", "rotation_clipped"]):
+        assert_zero_outside_support(builtin_field(name), seed)
 
 
 def test_field_lipschitz_bounds_dominate_on_pairs():
@@ -139,6 +164,21 @@ def test_box_clip_vanishes_outside_declared_support():
     outside = ~np.all((pts >= lo) & (pts <= hi), axis=1)
     assert outside.sum() > 5000
     assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), 2)))
+    assert_zero_outside_support(f, 4)
+    # the box-clipped grid fields the CLI integrates: approx-flow stages
+    # (clip box [0, 1]) and lift components (clip box padded by a cell)
+    stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped"),
+              builtin_field("sin_bump")]
+    moduli = [LipschitzModulus(np.full(2, g.lipschitz_bound)) for g in stages]
+    gen, _ = approximate_generator(stages, moduli, 4, steps=8)
+    clipped = [stage.field for stage in gen.stages]
+    for fid, mode in [("abs2x1", "componentwise"), ("sin_windowed", "componentwise"),
+                      ("affine_pair", "componentwise"), ("affine_pair", "joint")]:
+        comps, d, D, L = lift_function(fid)
+        approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode, steps=8)
+        clipped += [c.field for c in approx.components]
+    for seed, g in enumerate(clipped, start=5):
+        assert_zero_outside_support(g, seed)
 
 
 def test_box_clip_delta_validation():
@@ -183,6 +223,18 @@ def test_global_continuity_across_facets():
     base = np.array([[0.5 - 1e-10, 0.37], [0.5 + 1e-10, 0.37]])
     v = gi(base)
     assert abs(v[0, 0] - v[1, 0]) <= 1e-8
+
+
+def test_grid_fields_vanish_outside_declared_support():
+    # a bare grid field is declared on [-h, 1 + h]^d, h the widest cell;
+    # the sampled function need not vanish on the cube boundary
+    rng = np.random.default_rng(20)
+    for dim, ns in [(1, None), (2, (3, 5)), (3, None)]:
+        f, _, _ = grid_realize(lambda P: 1.0 + P**2, dim, 4, LipschitzModulus(np.full(dim, 2.0)),
+                               ns=ns)
+        assert_zero_outside_support(f, dim)
+    theta = rng.standard_normal(2 * 5 * 5)
+    assert_zero_outside_support(_grid_field_from_theta(theta, 4), 21)
 
 
 def test_hat_continuation_dies_one_cell_out():
@@ -232,6 +284,68 @@ def test_binary_roundtrip_exact(tmp_path):
     for bad in (raw[:-8], raw + bytes(8), raw[:12]):
         with pytest.raises(ValueError):
             GridInterpolant.from_bytes(bad)
+
+
+def reference_hat_sum(gi, x):
+    """The interpolant's former evaluation, kept as a bit-for-bit reference:
+    per corner, the two hat maxima are row reductions of a relu'd
+    difference matrix and the vertex index comes from ravel_multi_index;
+    non-finite rows are split off and set to NaN."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        out = np.full((X.shape[0], gi.out_dim), np.nan)
+        if (~bad).any():
+            out[~bad] = reference_hat_sum(gi, X[~bad])
+        return out
+    nvec = np.array(gi.ns, dtype=float)
+    shape = tuple(n + 1 for n in gi.ns)
+    t = X * nvec
+    anchor = np.clip(np.floor(t), 0, nvec - 1).astype(np.int64)
+    out = np.zeros((X.shape[0], gi.out_dim))
+    for offs in itertools.product((0, 1), repeat=gi.dim):
+        vidx = anchor + np.array(offs, dtype=np.int64)
+        diff = t - vidx
+        a = relu(diff).max(axis=1)
+        b = relu(-diff).max(axis=1)
+        lam = relu(1.0 - a - b)
+        flat = np.ravel_multi_index(tuple(vidx.T), shape)
+        out += lam[:, None] * gi.values[flat]
+    return out
+
+
+@pytest.mark.parametrize("ns", [(6,), (4, 4), (3, 5), (2, 2, 2), (2, 3, 1, 2)])
+def test_hat_sum_is_bit_identical_to_reference(ns):
+    rng = np.random.default_rng(sum(ns))
+    d = len(ns)
+    nverts = int(np.prod([n + 1 for n in ns]))
+    gi = GridInterpolant(ns, rng.standard_normal((nverts, 3)))
+    n = np.array(ns, dtype=float)
+    inside = rng.random((2000, d))
+    facets = rng.random((2000, d))
+    snap = rng.random((2000, d)) < 0.5  # put coordinates on cell facets
+    facets[snap] = (np.floor(facets * n) / n)[snap]
+    outside = rng.uniform(-1.0 / n, 1.0 + 1.0 / n, size=(2000, d))  # one cell out
+    nan_rows = rng.random((50, d))
+    nan_rows[::2, 0] = np.nan
+    nan_rows[1::4, -1] = np.inf
+    for X in (inside, facets, outside, nan_rows, inside[0]):
+        got, ref = gi(X), reference_hat_sum(gi, X)
+        assert np.array_equal(np.atleast_2d(got), ref, equal_nan=True)
+
+
+def test_batched_values_match_one_interpolant_per_block():
+    rng = np.random.default_rng(22)
+    vals = rng.standard_normal((5, 25, 2))
+    batch = GridInterpolant((4, 4), vals)
+    X = rng.uniform(-0.3, 1.3, size=(5 * 40, 2))
+    X[7, 1] = np.nan
+    got = batch(X)
+    for k in range(5):
+        blk = slice(40 * k, 40 * (k + 1))
+        assert np.array_equal(got[blk], GridInterpolant((4, 4), vals[k])(X[blk]), equal_nan=True)
+    with pytest.raises(ValueError):
+        batch(X[:-1])
 
 
 def test_grid_validation():

@@ -92,6 +92,38 @@ def test_round_trip_exact_outside_support():
     assert np.array_equal(fl.inverse().apply(fl.apply(pts)), pts)
 
 
+def _mixed_batch(box, rng, n=200):
+    """Rows inside, outside, exactly on the faces and corners of ``box``."""
+    lo, hi = box
+    inside = rng.uniform(lo, hi, size=(n, lo.size))
+    outside = rng.uniform(lo - 0.3, hi + 0.3, size=(n, lo.size))
+    on_face = rng.uniform(lo, hi, size=(n, lo.size))
+    axis = rng.integers(lo.size, size=n)
+    on_face[np.arange(n), axis] = np.where(rng.random(n) < 0.5, lo[axis], hi[axis])
+    corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])
+    return np.vstack([inside, outside, on_face, corners])
+
+
+def test_support_skip_matches_full_integration():
+    # rows outside the closed support box are not integrated; the result
+    # must equal integrating every row
+    rng = np.random.default_rng(3)
+    stage = approximate_generator(
+        [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 4, steps=8
+    )[0].stages[0].field
+    for f in (builtin_field("rotation_clipped"), stage):
+        everywhere = VectorField(2, f.eval, f.lipschitz_bound, support_box=None)
+        X = _mixed_batch(f.support_box, rng)
+        for method in ("rk4", "euler"):
+            for direction in ("forward", "backward"):
+                skip = FlowMap(f, direction, steps=32, method=method)
+                full = FlowMap(everywhere, direction, steps=32, method=method)
+                got = skip.apply(X)
+                assert np.array_equal(got, full.apply(X))
+                assert not np.array_equal(got, X)
+                assert np.array_equal(skip.apply(X[0]), full.apply(X[0]))
+
+
 def test_generator_single_stage_reduces_to_flow():
     f = builtin_field("rotation_clipped")
     fl = FlowMap(f, steps=256)
@@ -236,6 +268,14 @@ def test_integration_error_reports_step():
         with np.errstate(over="ignore", invalid="ignore"):
             FlowMap(blow, steps=64).apply(np.array([1.0, 1.0]))
     assert err.value.step >= 0
+    # a non-finite row is integrated even among rows outside the support box
+    f = builtin_field("rotation_clipped")
+    X = np.array([[0.05, 0.05], [np.nan, 0.9], [0.95, 0.5], [2.0, np.inf]])
+    for rows in (X[:2], X[2:], X):
+        with pytest.raises(FlowIntegrationError) as err:
+            with np.errstate(invalid="ignore"):
+                FlowMap(f, steps=16).apply(rows)
+        assert err.value.step == 0
 
 
 def test_flowmap_validation():

@@ -275,6 +275,18 @@ def test_fit_result_recomputable():
     assert again == pytest.approx(res.residual_sup, abs=1e-12)
 
 
+def test_fit_poll_flows_match_flowmap_per_candidate():
+    # the poll's batched integration is bit-for-bit the FlowMap of each
+    # candidate's grid field
+    rng = np.random.default_rng(4)
+    thetas = 0.4 * rng.standard_normal((6, 2 * 5 * 5))
+    pts = rng.random((30, 2))
+    batch = probe._flow_theta_batch(thetas, pts, 4, 16)
+    for theta, got in zip(thetas, batch):
+        flow = FlowMap(probe._grid_field_from_theta(theta, 4), steps=16)
+        assert np.array_equal(got, flow.apply(pts))
+
+
 def test_fit_validation():
     with pytest.raises(ValueError):
         fit_single_flow(lambda X: X, budget=0)
