@@ -159,7 +159,7 @@ def cmd_lift_approx(cfg: dict) -> int:
     n = _require(cfg, "n", int, required=True, minimum=1)
     collapse_y = _require(cfg, "collapse_y", bool, False)
     mode = _require(cfg, "mode", str, "componentwise")
-    test_points = _require(cfg, "test_points", int, 1001)
+    test_points = _require(cfg, "test_points", int, 1001, minimum=1)
     out_dir = _require(cfg, "out_dir", str, required=True)
 
     if "id" in fn_cfg:
@@ -236,6 +236,10 @@ def _sampler_from_cfg(cfg: dict, key: str, dim_default=2):
 def cmd_generate(cfg: dict) -> int:
     gen_cfg = _require(cfg, "generator", dict, required=True)
     N_list = _require(cfg, "N_list", list, [16, 64, 256])
+    if not N_list or any(type(N) is not int or N < 1 for N in N_list) or any(
+        a >= b for a, b in zip(N_list, N_list[1:])
+    ):
+        raise ConfigError("'N_list' must be a nonempty, strictly increasing list of ints >= 1")
     trials = _require(cfg, "trials", int, 32, minimum=1)
     delta = _require(cfg, "delta", float, 0.1)
     seed = _require(cfg, "seed", int, required=True, minimum=0)

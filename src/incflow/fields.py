@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy import sparse
 
 from .mlp import MLP, BumpSpec, affine_mlp, build_bump, bump_support, bump_values, compose, relu
 
@@ -361,13 +362,26 @@ def _wire_sub(w0, w1):
     return coeffs, w0[1] - w1[1]
 
 
+def _csr(entries, shape):
+    """CSR matrix from ``(row, col, value)`` triplets.
+
+    A unit's coefficients are keyed by distinct wires, so no position
+    repeats, and ``_wire_sub`` drops zero coefficients, so every stored
+    value is a nonzero.
+    """
+    rows, cols, vals = zip(*entries)
+    return sparse.csr_array((np.array(vals, dtype=float), (rows, cols)), shape=shape)
+
+
 def grid_to_mlp(gi: GridInterpolant) -> MLP:
     """ReLU network computing the interpolant exactly on all of R^d.
 
     Layers: shared per-axis leaves relu(+-(n_i x_i - k)); a pairwise max
     tree per vertex (ceil(log2 d) levels, carries shared where wires
     coincide); one hat unit per vertex; an affine output combining hats
-    with the vertex samples.
+    with the vertex samples. The max-tree and hat layers are CSR: each of
+    their units reads at most four wires, so a dense matrix would be
+    almost all zeros.
     """
     d, ns = gi.dim, gi.ns
 
@@ -409,29 +423,26 @@ def grid_to_mlp(gi: GridInterpolant) -> MLP:
         for v in vertices:
             a_wires[v] = _max_tree_level(a_wires[v], new_units, get_unit)
             b_wires[v] = _max_tree_level(b_wires[v], new_units, get_unit)
-        W = np.zeros((len(new_units), layers[-1][0].shape[0]))
+        entries = []
         bvec = np.zeros(len(new_units))
         new_index = {}
         for j, (key, (coeffs, bias)) in enumerate(new_units.items()):
-            for ck, cv in coeffs.items():
-                W[j, key_index[ck]] += cv
+            entries.extend((j, key_index[ck], cv) for ck, cv in coeffs.items())
             bvec[j] = bias
             new_index[key] = j
-        layers.append((W, bvec))
+        layers.append((_csr(entries, (len(new_units), layers[-1][0].shape[0])), bvec))
         key_index = new_index
 
     # hat layer: one unit per vertex, relu(1 - A_v - B_v)
-    W = np.zeros((len(vertices), layers[-1][0].shape[0]))
+    entries = []
     bvec = np.ones(len(vertices))
     for j, v in enumerate(vertices):
         (ca, ba, _), = a_wires[v]
         (cb, bb, _), = b_wires[v]
-        for ck, cv in ca.items():
-            W[j, key_index[ck]] -= cv
-        for ck, cv in cb.items():
-            W[j, key_index[ck]] -= cv
+        for ck, cv in itertools.chain(ca.items(), cb.items()):
+            entries.append((j, key_index[ck], -cv))
         bvec[j] -= ba + bb
-    layers.append((W, bvec))
+    layers.append((_csr(entries, (len(vertices), layers[-1][0].shape[0])), bvec))
 
     # output affine: weight hats by vertex samples
     layers.append((gi.values.T.copy(), np.zeros(gi.out_dim)))

@@ -5,6 +5,12 @@ applied to every layer except the last. All algebra (composition,
 parallelization, depth padding) is exact — the returned network evaluates
 to the same piecewise-linear function as the operands, up to float
 rounding, never up to an approximation.
+
+A layer's weight matrix is either a dense ndarray or a
+``scipy.sparse.csr_array``; the exact grid realization builds sparse
+layers, hand-built networks are dense. Every place where the two forms
+differ goes through the helpers below, so sizes, serialization and
+Lipschitz bounds read the same for both.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+from scipy import sparse
 
 __all__ = [
     "MLP",
@@ -34,6 +42,57 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
+# -- dense/sparse layer helpers --------------------------------------------
+
+
+def _as_weights(W):
+    """Float copy of a dense ``W``; a sparse ``W`` as float CSR."""
+    if sparse.issparse(W):
+        return sparse.csr_array(W, dtype=float)
+    return np.array(W, dtype=float)
+
+
+def _dense(W) -> np.ndarray:
+    return W.toarray() if sparse.issparse(W) else W
+
+
+def _nonzeros(W) -> int:
+    """Nonzero entries; explicitly stored zeros of a sparse ``W`` do not count."""
+    return int(np.count_nonzero(W.data if sparse.issparse(W) else W))
+
+
+def _affine(W, b, X) -> np.ndarray:
+    """``X @ W.T + b`` for a batch ``X`` of rows, as an ndarray."""
+    if sparse.issparse(W):
+        return (W @ X.T).T + b
+    return X @ W.T + b
+
+
+def _matmul(A, B):
+    """``A @ B``, kept as CSR when either operand is sparse."""
+    if sparse.issparse(A) or sparse.issparse(B):
+        return sparse.csr_array(A) @ sparse.csr_array(B)
+    return A @ B
+
+
+def _vstack(blocks):
+    if any(sparse.issparse(B) for B in blocks):
+        return sparse.vstack(blocks, format="csr")
+    return np.vstack(blocks)
+
+
+def _hstack(blocks):
+    if any(sparse.issparse(B) for B in blocks):
+        return sparse.hstack(blocks, format="csr")
+    return np.hstack(blocks)
+
+
+def _block_diag(blocks):
+    if any(sparse.issparse(B) for B in blocks):
+        return sparse.block_diag(blocks, format="csr")
+    return scipy.linalg.block_diag(*blocks)
+
+
 class MLP:
     """Layered affine network; ReLU on all layers except the last.
 
@@ -42,7 +101,8 @@ class MLP:
     layers : sequence of (W, b)
         ``W`` has shape ``(out, in)``, ``b`` shape ``(out,)``. Consecutive
         layer dimensions must chain. A single layer is the affine map
-        itself (zero hidden layers).
+        itself (zero hidden layers). ``W`` may be dense or a scipy sparse
+        matrix; sparse weights are stored as CSR, dense ones as ndarrays.
     """
 
     def __init__(self, layers):
@@ -50,7 +110,7 @@ class MLP:
             raise ValueError("an MLP needs at least one affine layer")
         clean = []
         for W, b in layers:
-            W = np.array(W, dtype=float)
+            W = _as_weights(W)
             b = np.array(b, dtype=float)
             if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
                 raise ValueError(
@@ -84,9 +144,7 @@ class MLP:
 
     @property
     def nonzeros(self) -> int:
-        return int(
-            sum(np.count_nonzero(W) + np.count_nonzero(b) for W, b in self.layers)
-        )
+        return sum(_nonzeros(W) + _nonzeros(b) for W, b in self.layers)
 
     def eval(self, x, activation=relu):
         """Forward pass. ``x`` is one point ``(d,)`` or a batch ``(m, d)``.
@@ -105,9 +163,9 @@ class MLP:
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite input")
         for W, b in self.layers[:-1]:
-            X = activation(X @ W.T + b)
+            X = activation(_affine(W, b, X))
         W, b = self.layers[-1]
-        X = X @ W.T + b
+        X = _affine(W, b, X)
         return X[0] if single else X
 
     __call__ = eval
@@ -126,7 +184,7 @@ class MLP:
                 {
                     "rows": W.shape[0],
                     "cols": W.shape[1],
-                    "weights": W.ravel().tolist(),
+                    "weights": _dense(W).ravel().tolist(),
                     "bias": b.tolist(),
                 }
                 for W, b in self.layers
@@ -243,7 +301,7 @@ def compose(outer: MLP, inner: MLP) -> MLP:
         )
     Wi, bi = inner.layers[-1]
     Wo, bo = outer.layers[0]
-    merged = (Wo @ Wi, Wo @ bi + bo)
+    merged = (_matmul(Wo, Wi), Wo @ bi + bo)
     return MLP(inner.layers[:-1] + [merged] + outer.layers[1:])
 
 
@@ -258,8 +316,9 @@ def pad_to_depth(net: MLP, depth: int) -> MLP:
     while net.depth < depth:
         W, b = net.layers[-1]
         m = W.shape[0]
-        hidden = (np.vstack([W, -W]), np.concatenate([b, -b]))
-        out = (np.hstack([np.eye(m), -np.eye(m)]), np.zeros(m))
+        hidden = (_vstack([W, -W]), np.concatenate([b, -b]))
+        eye = sparse.eye_array(m) if sparse.issparse(W) else np.eye(m)
+        out = (_hstack([eye, -eye]), np.zeros(m))
         net = MLP(net.layers[:-1] + [hidden, out])
     return net
 
@@ -281,17 +340,10 @@ def parallelize(parts: list[MLP]) -> MLP:
     layers = []
     for k in range(depth):
         blocks = [p.layers[k] for p in parts]
-        rows = sum(W.shape[0] for W, _ in blocks)
-        cols = sum(W.shape[1] for W, _ in blocks)
-        W = np.zeros((rows, cols))
-        b = np.zeros(rows)
-        r = c = 0
-        for Wp, bp in blocks:
-            W[r : r + Wp.shape[0], c : c + Wp.shape[1]] = Wp
-            b[r : r + Wp.shape[0]] = bp
-            r += Wp.shape[0]
-            c += Wp.shape[1]
-        layers.append((W, b))
+        layers.append((
+            _block_diag([W for W, _ in blocks]),
+            np.concatenate([b for _, b in blocks]),
+        ))
     return MLP(layers)
 
 
@@ -300,13 +352,15 @@ def lipschitz_upper_bound(net: MLP, norm: str = "l_inf") -> float:
 
     ReLU is 1-Lipschitz componentwise in both supported norms, so the
     product over layers dominates the network's Lipschitz constant.
+    The spectral norm of a sparse layer is taken of its dense form, so
+    the ``l_2`` bound is the same exact-SVD value for both forms.
     """
     prod = 1.0
     for W, _ in net.layers:
         if norm == "l_inf":
-            prod *= float(np.abs(W).sum(axis=1).max())
+            prod *= float(abs(W).sum(axis=1).max())
         elif norm == "l_2":
-            prod *= float(np.linalg.norm(W, 2))
+            prod *= float(np.linalg.norm(_dense(W), 2))
         else:
             raise ValueError(f"unknown norm {norm!r} (use 'l_inf' or 'l_2')")
     return prod

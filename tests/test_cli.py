@@ -68,6 +68,11 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     ("probe-flowability", {"fit": {"enabled": True, "n_grid": 0}}),
     ("probe-flowability", {"fit": {"enabled": 1}}),
     ("probe-flowability", {"fit": {"enabled": True, "budget": True}}),
+    # N_list: a nonempty, strictly increasing list of ints >= 1
+    *[("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8,
+                    "trials": 1, "N_list": N_list})
+      for N_list in ([0], [64, 16], [16, 16], ["a"], [], [True], [16.0])],
+    ("lift-approx", {"function": {"id": "abs2x1"}, "n": 2, "test_points": 0}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"

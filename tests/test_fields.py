@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from incflow.fields import (
     GridInterpolant,
@@ -24,6 +25,7 @@ from incflow.fields import (
     squeeze_field,
     zero_field,
 )
+from incflow.fields import _max_tree_level
 from incflow.flow import approximate_generator
 from incflow.lift import approximate_lipschitz_function, lift_function
 from incflow.mlp import relu
@@ -256,6 +258,105 @@ def test_mlp_realization_agrees_with_interpolant():
         # and on the continuation just outside the cube
         Xo = rng.uniform(-0.2, 1.2, size=(2000, len(ns)))
         assert np.abs(gi(Xo) - net.eval(Xo)).max() <= 1e-9
+
+
+def reference_dense_grid_to_mlp(gi):
+    """The dense-matrix builder the CSR ``grid_to_mlp`` replaced: the same
+    wiring, each layer filled into ``np.zeros((units, prev_units))``."""
+    d, ns = gi.dim, gi.ns
+    leaf_rows = []
+    leaf_keys = []
+    for i in range(d):
+        for k in range(ns[i] + 1):
+            row = np.zeros(d)
+            row[i] = ns[i]
+            leaf_rows.append((row, -float(k)))
+            leaf_keys.append(("p", i, k))
+            leaf_rows.append((-row, float(k)))
+            leaf_keys.append(("m", i, k))
+    layers = [(
+        np.array([r for r, _ in leaf_rows]),
+        np.array([b for _, b in leaf_rows]),
+    )]
+    key_index = {k: j for j, k in enumerate(leaf_keys)}
+    vertices = list(np.ndindex(*gi._shape))
+    a_wires = {
+        v: [({("p", i, v[i]): 1.0}, 0.0, ("p", i, v[i])) for i in range(d)]
+        for v in vertices
+    }
+    b_wires = {
+        v: [({("m", i, v[i]): 1.0}, 0.0, ("m", i, v[i])) for i in range(d)]
+        for v in vertices
+    }
+    while max(len(a_wires[v]) for v in vertices) > 1:
+        new_units = {}
+
+        def get_unit(key, row, _units=new_units):
+            if key not in _units:
+                _units[key] = row
+            return key
+
+        for v in vertices:
+            a_wires[v] = _max_tree_level(a_wires[v], new_units, get_unit)
+            b_wires[v] = _max_tree_level(b_wires[v], new_units, get_unit)
+        W = np.zeros((len(new_units), layers[-1][0].shape[0]))
+        bvec = np.zeros(len(new_units))
+        new_index = {}
+        for j, (key, (coeffs, bias)) in enumerate(new_units.items()):
+            for ck, cv in coeffs.items():
+                W[j, key_index[ck]] += cv
+            bvec[j] = bias
+            new_index[key] = j
+        layers.append((W, bvec))
+        key_index = new_index
+    W = np.zeros((len(vertices), layers[-1][0].shape[0]))
+    bvec = np.ones(len(vertices))
+    for j, v in enumerate(vertices):
+        (ca, ba, _), = a_wires[v]
+        (cb, bb, _), = b_wires[v]
+        for ck, cv in ca.items():
+            W[j, key_index[ck]] -= cv
+        for ck, cv in cb.items():
+            W[j, key_index[ck]] -= cv
+        bvec[j] -= ba + bb
+    layers.append((W, bvec))
+    layers.append((gi.values.T.copy(), np.zeros(gi.out_dim)))
+    return layers
+
+
+def _random_grid(ns, seed):
+    rng = np.random.default_rng(seed)
+    nverts = int(np.prod([n + 1 for n in ns]))
+    return GridInterpolant(ns, rng.standard_normal((nverts, len(ns))))
+
+
+@pytest.mark.parametrize("ns", [(4,), (4, 4), (8, 8), (2, 2, 2), (4, 4, 1), (16, 16, 16)])
+def test_sparse_realization_is_bit_identical_to_dense_reference(ns):
+    gi = _random_grid(ns, seed=sum(ns))
+    net = grid_to_mlp(gi)
+    ref = reference_dense_grid_to_mlp(gi)
+    assert len(net.layers) == len(ref)
+    for (W, b), (W_ref, b_ref) in zip(net.layers, ref):
+        dense = W.toarray() if sparse.issparse(W) else W
+        assert dense.shape == W_ref.shape
+        assert np.array_equal(dense, W_ref)
+        assert np.array_equal(b, b_ref)
+    assert net.width == max(W.shape[0] for W, _ in ref)
+    assert net.depth == len(ref)
+    assert net.nonzeros == sum(
+        np.count_nonzero(W) + np.count_nonzero(b) for W, b in ref
+    )
+
+
+def test_joint_lift_network_stores_no_dense_hidden_layers():
+    # at the joint-lift grid a dense realization stores ~55 M weights for
+    # ~65 k nonzeros; the CSR layers store no zero at all
+    net = grid_to_mlp(_random_grid((16, 16, 16), seed=3))
+    hidden = net.layers[1:-1]
+    assert all(sparse.issparse(W) and W.format == "csr" for W, _ in hidden)
+    assert all(np.all(W.data != 0.0) for W, _ in hidden)
+    stored = sum(W.nnz if sparse.issparse(W) else W.size for W, _ in net.layers)
+    assert stored <= net.nonzeros
 
 
 def test_exact_lipschitz_dominates_sampled_slopes():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from incflow.mlp import (
     MLP,
@@ -283,3 +284,85 @@ def test_json_roundtrip_exact(tmp_path):
     doc = json.loads(path.read_text())
     assert set(doc) == {"input_dim", "output_dim", "layers"}
     assert set(doc["layers"][0]) == {"rows", "cols", "weights", "bias"}
+
+
+def integer_layers(rng, dims, density=0.4):
+    """Random layers with small integer weights, about ``density`` nonzero.
+
+    Integer weights and dyadic inputs keep every product and sum exact,
+    so a sparse network and its dense twin must agree bit for bit.
+    """
+    layers = []
+    for i, o in zip(dims, dims[1:]):
+        W = np.where(rng.random((o, i)) < density,
+                     rng.integers(-2, 3, size=(o, i)), 0).astype(float)
+        layers.append((W, rng.integers(-2, 3, size=o).astype(float)))
+    return layers
+
+
+def sparse_and_dense_twins(seed):
+    rng = np.random.default_rng(seed)
+    layers = integer_layers(rng, [3, 7, 6, 2])
+    hidden = [sparse.csr_array(W) for W, _ in layers[:-1]]
+    hidden[0].data[0] = 0.0  # an explicitly stored zero is not a nonzero
+    sp = MLP([(S, b) for S, (_, b) in zip(hidden, layers)] + layers[-1:])
+    dense = MLP([(S.toarray(), b) for S, (_, b) in zip(hidden, layers)] + layers[-1:])
+    return sp, dense
+
+
+def assert_same_layers(a, b):
+    assert len(a.layers) == len(b.layers)
+    for (Wa, ba), (Wb, bb) in zip(a.layers, b.layers):
+        Wa = Wa.toarray() if sparse.issparse(Wa) else Wa
+        Wb = Wb.toarray() if sparse.issparse(Wb) else Wb
+        assert np.array_equal(Wa, Wb)
+        assert np.array_equal(ba, bb)
+
+
+def test_sparse_layers_stay_csr_and_report_dense_sizes():
+    sp, dense = sparse_and_dense_twins(0)
+    assert [sparse.issparse(W) for W, _ in sp.layers] == [True, True, False]
+    assert all(W.format == "csr" for W, _ in sp.layers[:-1])
+    assert not any(sparse.issparse(W) for W, _ in dense.layers)
+    assert (sp.width, sp.depth, sp.nonzeros) == (dense.width, dense.depth, dense.nonzeros)
+    assert sp.nonzeros < sum(
+        (W.nnz if sparse.issparse(W) else W.size) + b.size for W, b in sp.layers
+    )
+
+
+def test_sparse_and_dense_twins_agree_bit_for_bit(tmp_path):
+    sp, dense = sparse_and_dense_twins(1)
+    rng = np.random.default_rng(2)
+    X = rng.integers(-16, 17, size=(300, 3)) / 8.0
+    out = sp.eval(X)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, dense.eval(X))
+    assert np.array_equal(sp.eval(X[0]), dense.eval(X[0]))
+
+    other = MLP(integer_layers(rng, [2, 4, 3]))
+    pre_layers = integer_layers(rng, [3, 5, 3])
+    pre = MLP(pre_layers)
+    sparse_pre = MLP([(sparse.csr_array(W), b) for W, b in pre_layers])
+    side = MLP(integer_layers(rng, [3, 4, 4, 4, 1]))
+    pairs = [
+        (compose(other, sp), compose(other, dense)),  # sparse inner
+        (compose(sp, pre), compose(dense, pre)),  # sparse outer
+        (compose(sp, sparse_pre), compose(dense, pre)),
+        (parallelize([sp, side]), parallelize([dense, side])),
+        (pad_to_depth(sp, 6), pad_to_depth(dense, 6)),
+    ]
+    for got, want in pairs:
+        assert any(sparse.issparse(W) for W, _ in got.layers)
+        assert not any(sparse.issparse(W) for W, _ in want.layers)
+        assert_same_layers(got, want)
+        Xg = np.hstack([X, X])[:, : got.input_dim]
+        assert np.array_equal(got.eval(Xg), want.eval(Xg))
+    merged = compose(sp, pre).layers[len(pre.layers) - 1][0]
+    assert sparse.issparse(merged) and merged.format == "csr"
+
+    for norm in ("l_inf", "l_2"):
+        assert lipschitz_upper_bound(sp, norm) == lipschitz_upper_bound(dense, norm)
+
+    sp.save_json(tmp_path / "sparse.json")
+    dense.save_json(tmp_path / "dense.json")
+    assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
