@@ -31,7 +31,6 @@ from .fields import (
     builtin_suite,
     grid_relu_approximate,
     grid_to_mlp,
-    modulus_bound_eval,
     radial_bump_clip,
     rotation_field,
     sin_bump_field,
@@ -43,15 +42,13 @@ from .flow import (
     FlowIntegrationError,
     FlowMap,
     IncrementalGenerator,
+    ManifestError,
     approximate_flowable,
     approximate_generator,
     builtin_generator,
     certify,
     certify_smooth,
     empirical_lipschitz,
-    flow_apply,
-    flow_inverse,
-    generator_apply,
     load_generator,
     reference_flow,
     save_generator,
@@ -63,7 +60,6 @@ from .lift import (
     approximate_lipschitz_function,
     exact_lift,
     lift_field,
-    lifted_apply,
 )
 from .transport import (
     EmpiricalMeasure,

@@ -169,15 +169,14 @@ def cmd_lift_approx(cfg: dict) -> int:
             )
         comps, d, D, L = LI.lift_function(fn_cfg["id"])
     elif "csv" in fn_cfg:
-        if "lipschitz" not in fn_cfg:
-            raise ConfigError("CSV-sampled functions need a declared 'lipschitz'")
+        lipschitz = _require(fn_cfg, "lipschitz", float, required=True, minimum=0.0)
         try:
             data = np.loadtxt(fn_cfg["csv"], delimiter=",", skiprows=1, ndmin=2)
-        except OSError as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read samples CSV: {e}") from e
-        comps, d, D, L = LI.function_from_samples(
-            data[:, 0], data[:, 1], float(fn_cfg["lipschitz"])
-        )
+        if data.shape[0] < 2 or data.shape[1] < 2:
+            raise ConfigError("samples CSV needs two columns, x and f(x), and two rows")
+        comps, d, D, L = LI.function_from_samples(data[:, 0], data[:, 1], lipschitz)
     else:
         raise ConfigError("'function' needs an 'id' or a 'csv'")
     if mode not in ("componentwise", "joint"):
@@ -225,7 +224,7 @@ def _sampler_from_cfg(cfg: dict, key: str, dim_default=2):
     sub = cfg.get(key, {"kind": "uniform", "dim": dim_default})
     if not isinstance(sub, dict) or sub.get("kind", "uniform") != "uniform":
         raise ConfigError(f"only uniform samplers are built in (config key {key!r})")
-    dim = sub.get("dim", dim_default)
+    dim = _require(sub, "dim", int, dim_default, minimum=1)
 
     def sampler(rng, k):
         return rng.random((k, dim))
@@ -241,7 +240,7 @@ def cmd_generate(cfg: dict) -> int:
     ):
         raise ConfigError("'N_list' must be a nonempty, strictly increasing list of ints >= 1")
     trials = _require(cfg, "trials", int, 32, minimum=1)
-    delta = _require(cfg, "delta", float, 0.1)
+    delta = _require(cfg, "delta", float, 0.1, minimum=0.0)
     seed = _require(cfg, "seed", int, required=True, minimum=0)
     M = _require(cfg, "M", int, 4096, minimum=1)
     C = _require(cfg, "C", float, 1.0)
@@ -255,10 +254,7 @@ def cmd_generate(cfg: dict) -> int:
             )
         gen = FL.builtin_generator(gen_cfg["builtin"])
     elif "manifest" in gen_cfg:
-        try:
-            gen = FL.load_generator(gen_cfg["manifest"])
-        except (OSError, json.JSONDecodeError, KeyError) as e:
-            raise ConfigError(f"cannot load generator manifest: {e}") from e
+        gen = FL.load_generator(gen_cfg["manifest"])
     else:
         raise ConfigError("'generator' needs 'builtin' or 'manifest'")
 
@@ -415,19 +411,11 @@ def cmd_bench(cfg: dict) -> int:
 
 
 def cmd_verify(manifest_path: str) -> int:
-    if not os.path.exists(manifest_path):
-        raise ConfigError(f"manifest not found: {manifest_path}")
-    try:
-        with open(manifest_path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ConfigError("manifest malformed: not a JSON object")
-        if doc.get("kind") in ("lifted_approximator", "joint_lifted_approximator"):
-            checks = LI.verify_lifted_manifest(manifest_path)
-        else:
-            checks = FL.verify_manifest(manifest_path)
-    except (json.JSONDecodeError, KeyError, F.GridPayloadError) as e:
-        raise ConfigError(f"manifest malformed: {e}") from e
+    kind = FL.read_manifest(manifest_path, lambda doc, base_dir: doc.get("kind"))
+    if kind in ("lifted_approximator", "joint_lifted_approximator"):
+        checks = LI.verify_lifted_manifest(manifest_path)
+    else:
+        checks = FL.verify_manifest(manifest_path)
     print(json.dumps(checks, sort_keys=True, indent=2))
     return 0 if checks["ok"] else 4
 
@@ -474,7 +462,7 @@ def main(argv=None) -> int:
         if args.out_dir:
             cfg["out_dir"] = args.out_dir
         return _COMMANDS[args.command](cfg)
-    except ConfigError as e:
+    except (ConfigError, FL.ManifestError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (FL.FlowIntegrationError, FloatingPointError) as e:

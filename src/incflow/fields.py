@@ -31,7 +31,6 @@ __all__ = [
     "LipschitzModulus",
     "HolderModulus",
     "SmoothRateModulus",
-    "modulus_bound_eval",
     "GridInterpolant",
     "GridPayloadError",
     "VectorField",
@@ -42,6 +41,7 @@ __all__ = [
     "radial_bump_clip",
     "box_bump_clip",
     "sin_bump_field",
+    "grid_field",
     "grid_realize",
     "grid_relu_approximate",
     "grid_to_mlp",
@@ -140,11 +140,6 @@ class SmoothRateModulus(Modulus):
             "dim": self.dim,
             "cs_norms": self.cs_norms.tolist(),
         }
-
-
-def modulus_bound_eval(modulus: Modulus, t):
-    """Componentwise omega(t); t is a scalar, or (N, L) for smooth_rate."""
-    return modulus(t)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +722,25 @@ def size_targets(d: int, n: int) -> tuple[int, int, int]:
     return width, depth, nonzeros
 
 
+def grid_field(gi: GridInterpolant, ref: dict | None = None) -> VectorField:
+    """The field of a grid interpolant, carrying it as ``grid``.
+
+    Its Lipschitz bound is the interpolant's exact slope, and its support
+    box the cube grown by one (largest) cell width, where the hat
+    continuation dies. ``ref`` defaults to the bare grid record.
+    """
+    h = max(1.0 / m for m in gi.ns)
+    vf = VectorField(
+        gi.dim,
+        gi,
+        gi.lipschitz_linf(),
+        support_box=np.array([[-h] * gi.dim, [1.0 + h] * gi.dim]),
+        ref=ref or {"backend": "grid", "n": list(gi.ns)},
+    )
+    vf.grid = gi
+    return vf
+
+
 def grid_realize(
     eval_fn, dim: int, n: int, modulus: Modulus, ns=None
 ) -> tuple[VectorField, MLP, ApproximationReport]:
@@ -745,15 +759,7 @@ def grid_realize(
     if ns is None:
         ns = (n,) * d
     gi = GridInterpolant.from_callable(eval_fn, ns)
-    h = max(1.0 / m for m in ns)
-    vf = VectorField(
-        d,
-        gi,
-        gi.lipschitz_linf(),
-        support_box=np.array([[-h] * d, [1.0 + h] * d]),
-        ref={"backend": "grid", "n": list(ns)},
-    )
-    vf.grid = gi
+    vf = grid_field(gi)
     net = grid_to_mlp(gi)
     vf.mlp = net
 
@@ -872,17 +878,7 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
             )
         else:
             gi = GridInterpolant(ref["n"], np.array(ref["values"]))
-        d = gi.dim
-        h = max(1.0 / m for m in gi.ns)
-        vf = VectorField(
-            d,
-            gi,
-            gi.lipschitz_linf(),
-            support_box=np.array([[-h] * d, [1.0 + h] * d]),
-            ref=ref,
-        )
-        vf.grid = gi
-        return vf
+        return grid_field(gi, ref)
     if backend == "box_clip":
         inner = field_from_ref(ref["inner"], base_dir)
         return box_bump_clip(inner, ref["delta"], tuple(ref["box"]))

@@ -31,9 +31,8 @@ __all__ = [
     "FlowMap",
     "IncrementalGenerator",
     "ErrorCertificate",
-    "flow_apply",
-    "flow_inverse",
-    "generator_apply",
+    "ManifestError",
+    "integrate",
     "certify",
     "certify_smooth",
     "approximate_flowable",
@@ -45,6 +44,7 @@ __all__ = [
     "save_generator",
     "load_generator",
     "verify_manifest",
+    "read_manifest",
 ]
 
 DEFAULT_STEPS = 256
@@ -96,37 +96,19 @@ class FlowMap:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x).copy()
+        sign = 1.0 if self.direction == "forward" else -1.0
+        live = None
         box = self.field.support_box
-        if box is None or X.shape[1] != self.dim:  # field.eval rejects a wrong width
-            X = self._integrate(X)
-        else:
+        if box is not None and X.shape[1] == self.dim:  # field.eval rejects a wrong width
             live = ((X >= box[0]) & (X <= box[1])).all(axis=1) | ~np.isfinite(X).all(axis=1)
-            if live.all():
-                X = self._integrate(X)
-            elif live.any():
-                X[live] = self._integrate(X[live])
+            live = None if live.all() else live
+        if live is None:
+            X = integrate(self.field.eval, X, self.steps, sign, self.method)
+        elif live.any():
+            X[live] = integrate(self.field.eval, X[live], self.steps, sign, self.method)
         return X[0] if single else X
 
     __call__ = apply
-
-    def _integrate(self, X: np.ndarray) -> np.ndarray:
-        h = (1.0 if self.direction == "forward" else -1.0) / self.steps
-        f = self.field.eval
-        if self.method == "euler":
-            for k in range(self.steps):
-                X = X + h * f(X)
-                if not np.all(np.isfinite(X)):
-                    raise FlowIntegrationError(k)
-        else:
-            for k in range(self.steps):
-                k1 = f(X)
-                k2 = f(X + 0.5 * h * k1)
-                k3 = f(X + 0.5 * h * k2)
-                k4 = f(X + h * k3)
-                X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(X)):
-                    raise FlowIntegrationError(k)
-        return X
 
     def inverse(self) -> "FlowMap":
         flipped = "backward" if self.direction == "forward" else "forward"
@@ -139,13 +121,35 @@ class FlowMap:
             "integrator": {"method": self.method, "steps": self.steps},
         }
 
+    @classmethod
+    def from_dict(cls, d: dict, base_dir=None) -> "FlowMap":
+        """Inverse of :meth:`to_dict`; grid payload files resolve against ``base_dir``."""
+        integrator = d["integrator"]
+        return cls(field_from_ref(d["field"], base_dir), d["direction"],
+                   integrator["steps"], integrator["method"])
 
-def flow_apply(flow: FlowMap, x) -> np.ndarray:
-    return flow.apply(x)
 
+def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0, method: str = "rk4") -> np.ndarray:
+    """Fixed-step integration of x' = sign * f(x) over unit time from the rows of ``X``.
 
-def flow_inverse(flow: FlowMap) -> FlowMap:
-    return flow.inverse()
+    The package's one step loop: :meth:`FlowMap.apply` runs it on a
+    field's ``eval``, the fit poll of the probe on a batched grid
+    interpolant. Raises :class:`FlowIntegrationError` at the first step
+    that leaves a non-finite state.
+    """
+    h = sign / steps
+    for k in range(steps):
+        if method == "euler":
+            X = X + h * f(X)
+        else:
+            k1 = f(X)
+            k2 = f(X + 0.5 * h * k1)
+            k3 = f(X + 0.5 * h * k2)
+            k4 = f(X + h * k3)
+            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(X)):
+            raise FlowIntegrationError(k)
+    return X
 
 
 def reference_flow(field: VectorField, steps: int = REFERENCE_STEPS) -> FlowMap:
@@ -167,18 +171,20 @@ class ErrorCertificate:
     n: int
     lipschitz_product: float = 1.0
 
-    @staticmethod
-    def total_from_stages(per_stage) -> float:
-        T = len(per_stage)
-        total = 0.0
-        for t in range(T):
-            omega, _ = per_stage[t]
-            tail = math.prod(math.exp(L) for _, L in per_stage[t:])
-            total += 2.0 * float(np.max(np.abs(omega))) * tail
-        return total
+    @classmethod
+    def from_stages(cls, per_stage, n: int) -> "ErrorCertificate":
+        """The certificate of the stage columns ``[(omega_t, L_t), ...]``:
+        their composition total and the Lipschitz factor prod_t e^{L_t}."""
+        cert = cls(per_stage, 0.0, n, math.prod(math.exp(L) for _, L in per_stage))
+        cert.total_bound = cert.recompute_total()
+        return cert
 
     def recompute_total(self) -> float:
-        return self.total_from_stages(self.per_stage)
+        total = 0.0
+        for t, (omega, _) in enumerate(self.per_stage):
+            tail = math.prod(math.exp(L) for _, L in self.per_stage[t:])
+            total += 2.0 * float(np.max(np.abs(omega))) * tail
+        return total
 
     def to_dict(self) -> dict:
         return {
@@ -257,9 +263,21 @@ class IncrementalGenerator:
             "certificate": self.certificate.to_dict() if self.certificate else None,
         }
 
+    @classmethod
+    def from_dict(cls, doc: dict, base_dir=None) -> "IncrementalGenerator":
+        """Inverse of :meth:`to_dict`; grid payload files resolve against ``base_dir``."""
+        cert = doc.get("certificate")
+        return cls([FlowMap.from_dict(s, base_dir) for s in doc["stages"]],
+                   ErrorCertificate.from_dict(cert) if cert else None)
 
-def generator_apply(gen: IncrementalGenerator, x) -> np.ndarray:
-    return gen.apply(x)
+
+def _stage_certificate(gen: IncrementalGenerator, moduli: list[Modulus], t, n: int):
+    if len(moduli) != gen.incrementality:
+        raise ValueError(
+            f"need one modulus per stage: got {len(moduli)} for T={gen.incrementality}"
+        )
+    per_stage = [(np.asarray(m(t)), s.field.lipschitz_bound) for m, s in zip(moduli, gen.stages)]
+    return ErrorCertificate.from_stages(per_stage, n)
 
 
 def certify(gen: IncrementalGenerator, moduli: list[Modulus], n: int) -> ErrorCertificate:
@@ -269,17 +287,7 @@ def certify(gen: IncrementalGenerator, moduli: list[Modulus], n: int) -> ErrorCe
     field; the certificate also reports the generator's Lipschitz factor
     prod_t e^{L_t}.
     """
-    if len(moduli) != gen.incrementality:
-        raise ValueError(
-            f"need one modulus per stage: got {len(moduli)} for T={gen.incrementality}"
-        )
-    d = gen.dim
-    per_stage = [
-        (np.asarray(m(d / (2.0 * n))), s.field.lipschitz_bound)
-        for m, s in zip(moduli, gen.stages)
-    ]
-    total = ErrorCertificate.total_from_stages(per_stage)
-    return ErrorCertificate(per_stage, total, n, gen.lipschitz_bound)
+    return _stage_certificate(gen, moduli, gen.dim / (2.0 * n), n)
 
 
 def certify_smooth(
@@ -291,16 +299,7 @@ def certify_smooth(
     constructed, so the certificate's n field records N and the grid
     machinery is untouched.
     """
-    if len(moduli) != gen.incrementality:
-        raise ValueError(
-            f"need one modulus per stage: got {len(moduli)} for T={gen.incrementality}"
-        )
-    per_stage = [
-        (np.asarray(m((N, L))), s.field.lipschitz_bound)
-        for m, s in zip(moduli, gen.stages)
-    ]
-    total = ErrorCertificate.total_from_stages(per_stage)
-    return ErrorCertificate(per_stage, total, N, gen.lipschitz_bound)
+    return _stage_certificate(gen, moduli, (N, L), N)
 
 
 def approximate_flowable(
@@ -331,15 +330,9 @@ def approximate_flowable(
         delta = max(delta, 1e-9)
     clipped = box_bump_clip(gridvf, delta, clip_box)
     clipped.report = report
-    flow = FlowMap(clipped, steps=steps)
-    per_stage = [(omega, field.lipschitz_bound)]
-    cert = ErrorCertificate(
-        per_stage,
-        2.0 * omega_sup * math.exp(field.lipschitz_bound),
-        n,
-        math.exp(field.lipschitz_bound),
+    return FlowMap(clipped, steps=steps), ErrorCertificate.from_stages(
+        [(omega, field.lipschitz_bound)], n
     )
-    return flow, cert
 
 
 def approximate_generator(
@@ -355,18 +348,9 @@ def approximate_generator(
     """
     if len(fields) != len(moduli):
         raise ValueError("need one modulus per stage field")
-    stages = []
-    per_stage = []
-    d = fields[0].dim
-    for f, m in zip(fields, moduli):
-        fl, _ = approximate_flowable(f, m, n, steps=steps)
-        stages.append(fl)
-        per_stage.append((np.asarray(m(d / (2.0 * n))), f.lipschitz_bound))
-    total = ErrorCertificate.total_from_stages(per_stage)
-    lip = math.prod(math.exp(L) for _, L in per_stage)
-    cert = ErrorCertificate(per_stage, total, n, lip)
-    gen = IncrementalGenerator(stages, cert)
-    return gen, cert
+    stages = [approximate_flowable(f, m, n, steps=steps) for f, m in zip(fields, moduli)]
+    cert = ErrorCertificate.from_stages([c.per_stage[0] for _, c in stages], n)
+    return IncrementalGenerator([fl for fl, _ in stages], cert), cert
 
 
 def empirical_lipschitz(
@@ -421,35 +405,28 @@ def builtin_generator(gen_id: str, steps: int = DEFAULT_STEPS) -> IncrementalGen
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# manifests: one writer, one reader and one check for generators and lifts
 
 
-def _externalize_grid(ref: dict, field: VectorField, out_dir: str, prefix: str) -> dict:
-    """Attach grid payload files to a field ref, saving them under out_dir."""
-    ref = json.loads(json.dumps(ref))  # deep copy
-
-    def walk(node):
-        if not isinstance(node, dict):
-            return
-        if node.get("backend") == "grid" and "file" not in node:
-            fname = f"{prefix}_grid.bin"
-            field.grid.save(os.path.join(out_dir, fname))
-            node["file"] = fname
-        if "inner" in node:
-            walk(node["inner"])
-
-    walk(ref)
-    return ref
+class ManifestError(ValueError):
+    """A manifest that cannot be read or rebuilt."""
 
 
-def save_generator(gen: IncrementalGenerator, out_dir: str, name: str = "manifest.json") -> str:
+def _write_manifest(doc: dict, key: str, flows, out_dir: str, name: str) -> str:
+    """Write ``doc`` as ``out_dir/name``, first saving the grid payload of
+    each flow listed under ``doc[key]`` next to it (``stage0_grid.bin``
+    for key ``"stages"``, ``component0_grid.bin`` for ``"components"``)."""
     os.makedirs(out_dir, exist_ok=True)
-    doc = gen.to_dict()
-    for k, (stage_doc, stage) in enumerate(zip(doc["stages"], gen.stages)):
-        if stage.field.grid is not None:
-            stage_doc["field"] = _externalize_grid(
-                stage_doc["field"], stage.field, out_dir, f"stage{k}"
-            )
+    for k, (flow_doc, flow) in enumerate(zip(doc[key], flows)):
+        if flow.field.grid is None:
+            continue
+        # a copy, so the field's own ref stays free of payload file names
+        node = flow_doc["field"] = json.loads(json.dumps(flow_doc["field"]))
+        while isinstance(node, dict):
+            if node.get("backend") == "grid" and "file" not in node:
+                node["file"] = f"{key[:-1]}{k}_grid.bin"
+                flow.field.grid.save(os.path.join(out_dir, node["file"]))
+            node = node.get("inner")
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -457,46 +434,53 @@ def save_generator(gen: IncrementalGenerator, out_dir: str, name: str = "manifes
     return path
 
 
+def read_manifest(path: str, build):
+    """``build(doc, base_dir)`` for the JSON object saved at ``path``.
+
+    Everything in a manifest is input, so each error that reading it or
+    rebuilding from it raises on malformed content (a missing or truncated
+    grid payload, an unknown field backend, a wrong type or a missing key
+    anywhere) is raised as :class:`ManifestError`.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        return build(doc, os.path.dirname(path))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as e:
+        raise ManifestError(f"cannot read manifest {path}: {type(e).__name__}: {e}") from e
+
+
+def _check_stated(pairs: dict, rel_tol: float) -> dict:
+    """Compare each ``name -> (stated, recomputed)`` pair to ``rel_tol``;
+    ``ok`` needs at least one pair and every pair to agree."""
+    checks = {
+        name: {"stated": s, "recomputed": r, "ok": abs(s - r) <= rel_tol * max(1.0, abs(s))}
+        for name, (s, r) in pairs.items()
+    }
+    checks["ok"] = bool(pairs) and all(c["ok"] for c in checks.values())
+    return checks
+
+
+def save_generator(gen: IncrementalGenerator, out_dir: str, name: str = "manifest.json") -> str:
+    return _write_manifest(gen.to_dict(), "stages", gen.stages, out_dir, name)
+
+
 def load_generator(path: str) -> IncrementalGenerator:
-    with open(path) as fh:
-        doc = json.load(fh)
-    base = os.path.dirname(path)
-    stages = []
-    for s in doc["stages"]:
-        f = field_from_ref(s["field"], base)
-        stages.append(
-            FlowMap(f, s["direction"], s["integrator"]["steps"], s["integrator"]["method"])
-        )
-    cert = None
-    if doc.get("certificate"):
-        cert = ErrorCertificate.from_dict(doc["certificate"])
-    return IncrementalGenerator(stages, cert)
+    return read_manifest(path, IncrementalGenerator.from_dict)
 
 
 def verify_manifest(path: str, rel_tol: float = 1e-12) -> dict:
     """Recheck that a saved manifest's certificate and Lipschitz product
     are recomputable from the manifest alone."""
-    gen = load_generator(path)
-    checks = {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    lip_stages = math.prod(
-        math.exp(s.field.lipschitz_bound) for s in gen.stages
+    gen, stated = read_manifest(
+        path, lambda doc, base: (IncrementalGenerator.from_dict(doc, base),
+                                 float(doc["lipschitz_bound"]))
     )
-    stated = float(doc["lipschitz_bound"])
-    checks["lipschitz_product"] = {
-        "stated": stated,
-        "recomputed": lip_stages,
-        "ok": abs(stated - lip_stages) <= rel_tol * max(1.0, abs(stated)),
-    }
+    pairs = {"lipschitz_product": (stated, gen.lipschitz_bound)}
     if gen.certificate is not None:
-        recomputed = gen.certificate.recompute_total()
-        stated_total = gen.certificate.total_bound
-        checks["certificate_total"] = {
-            "stated": stated_total,
-            "recomputed": recomputed,
-            "ok": abs(stated_total - recomputed)
-            <= rel_tol * max(1.0, abs(stated_total)),
-        }
-    checks["ok"] = all(v["ok"] for v in checks.values() if isinstance(v, dict))
-    return checks
+        pairs["certificate_total"] = (gen.certificate.total_bound,
+                                      gen.certificate.recompute_total())
+    return _check_stated(pairs, rel_tol)

@@ -14,9 +14,7 @@ answer).
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 import numpy as np
 
@@ -26,13 +24,19 @@ from .fields import (
     box_bump_clip,
     grid_realize,
 )
-from .flow import DEFAULT_STEPS, ErrorCertificate, FlowMap
+from .flow import (
+    DEFAULT_STEPS,
+    ErrorCertificate,
+    FlowMap,
+    _check_stated,
+    _write_manifest,
+    read_manifest,
+)
 
 __all__ = [
     "lift_field",
     "LiftedApproximator",
     "JointLiftedApproximator",
-    "lifted_apply",
     "exact_lift",
     "approximate_lipschitz_function",
     "lift_function",
@@ -40,6 +44,7 @@ __all__ = [
     "function_from_samples",
     "save_lifted",
     "load_lifted",
+    "verify_lifted_manifest",
 ]
 
 
@@ -122,9 +127,16 @@ class LiftedApproximator:
             else None,
         }
 
-
-def lifted_apply(approx: LiftedApproximator, x) -> np.ndarray:
-    return approx.apply(x)
+    @classmethod
+    def from_dict(cls, doc: dict, base_dir=None) -> "LiftedApproximator":
+        """Inverse of :meth:`to_dict` (of either lift); grid payload files
+        resolve against ``base_dir``."""
+        flows = [FlowMap.from_dict(c, base_dir) for c in doc["components"]]
+        certs = doc.get("certificates")
+        certs = [ErrorCertificate.from_dict(c) for c in certs] if certs else None
+        if doc.get("kind") == "joint_lifted_approximator":
+            return JointLiftedApproximator(flows[0], doc["d"], doc["D"], certificates=certs)
+        return LiftedApproximator(flows, doc["d"], certificates=certs)
 
 
 def exact_lift(components, d: int, lipschitz) -> LiftedApproximator:
@@ -166,14 +178,15 @@ def approximate_lipschitz_function(
 ) -> tuple[LiftedApproximator, ErrorCertificate]:
     """Grid-approximate each lifted component field and wrap as flows.
 
-    Componentwise mode lifts each f_i into d+1 dimensions (the default;
-    the joint (d+D)-dimensional lift is available as ``mode='joint'`` but
-    scales poorly in D). ``collapse_y`` reduces the dummy axis to a single
-    cell: the lifted field is constant in y, so linear reproduction keeps
-    this exact while shrinking the network.
+    Componentwise mode lifts each f_i into d+1 dimensions (the default):
+    it is the joint lift with D=1, once per component. The joint
+    (d+D)-dimensional lift is available as ``mode='joint'`` but scales
+    poorly in D. ``collapse_y`` reduces each dummy axis to a single cell:
+    the lifted field is constant in y, so linear reproduction keeps this
+    exact while shrinking the network.
 
     The cutoff is scaled to an enlarged box so that its identity region
-    covers [0,1]^(d+1): on the cube the approximator's error is then pure
+    covers [0,1]^(d+D): on the cube the approximator's error is then pure
     interpolation error, which is what the certified rate describes, and
     the field is still compactly supported just outside the cube.
 
@@ -189,48 +202,47 @@ def approximate_lipschitz_function(
     comps = _component_callables(f, d, D)
 
     if mode == "joint":
-        return _approximate_joint(comps, n, d, D, lipschitz, collapse_y, steps, delta)
-
-    flows = []
-    certs = []
-    for gi_fn, L in zip(comps, lipschitz):
-        field = lift_field(gi_fn, d, L)
-        ns = (n,) * d + ((1,) if collapse_y else (n,))
-        omega_vec = np.zeros(d + 1)
-        omega_vec[-1] = L
-        modulus = LipschitzModulus(omega_vec)
-        gridvf, net, report = grid_realize(field.eval, d + 1, n, modulus, ns=ns)
-        dlt = _auto_delta(delta, modulus, d + 1, n, gridvf)
-        # pad >= delta keeps the cutoff's identity region over [0,1]^(d+1);
-        # pad >= cell width makes exterior folds land where the hat
-        # continuation is exactly zero (lifted fields do not vanish on the
-        # cube boundary, so folding into the continuation shell would leak)
-        pad = max(dlt, *(1.0 / m for m in ns))
-        clipped = box_bump_clip(gridvf, dlt, box=(-pad, 1.0 + pad))
-        clipped.report = report
-        flows.append(FlowMap(clipped, steps=steps))
-        Lbar = max(1.0, float(L))
-        omega = modulus((d + 1) / (2.0 * n))
-        certs.append(
-            ErrorCertificate(
-                [(omega, Lbar)],
-                2.0 * float(np.max(omega)) * math.exp(Lbar),
-                n,
-                math.exp(Lbar),
-            )
-        )
-    worst = max(range(D), key=lambda i: certs[i].total_bound)
-    approx = LiftedApproximator(flows, d, certificates=certs)
-    return approx, certs[worst]
+        flow, cert = _lift_flow(comps, n, d, D, lipschitz, collapse_y, steps, delta)
+        return JointLiftedApproximator(flow, d, D, certificates=[cert]), cert
+    flows, certs = zip(*(
+        _lift_flow([g], n, d, 1, [L], collapse_y, steps, delta) for g, L in zip(comps, lipschitz)
+    ))
+    worst = max(certs, key=lambda c: c.total_bound)
+    return LiftedApproximator(list(flows), d, certificates=list(certs)), worst
 
 
-def _auto_delta(delta, modulus, dim, n, gridvf):
-    if delta is not None:
-        return delta
-    omega_sup = float(np.max(modulus(dim / (2.0 * n))))
-    big = 2.0 * float(np.abs(gridvf.grid.values).max())
-    d = min(0.2, omega_sup / big) if big > 0 else 0.2
-    return max(d, 1e-9)
+def _lift_flow(comps, n, d, D, lipschitz, collapse_y, steps, delta):
+    """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) on
+    R^(d+D), with its one-stage certificate 2 ||omega((d+D)/(2n))||
+    e^{max(1, L_i)}."""
+
+    def joint_g(Z):
+        X = Z[:, :d]
+        out = np.zeros((Z.shape[0], Z.shape[1]))
+        for i, g in enumerate(comps):
+            out[:, d + i] = np.asarray(g(X), dtype=float).reshape(-1)
+        return out
+
+    dim = d + D
+    omega_vec = np.zeros(dim)
+    omega_vec[d:] = lipschitz
+    modulus = LipschitzModulus(omega_vec)
+    omega = modulus(dim / (2.0 * n))
+    ns = (n,) * d + ((1,) if collapse_y else (n,)) * D
+    gridvf, _, report = grid_realize(joint_g, dim, n, modulus, ns=ns)
+    if delta is None:
+        big = 2.0 * float(np.abs(gridvf.grid.values).max())
+        delta = min(0.2, float(np.max(omega)) / big) if big > 0 else 0.2
+        delta = max(delta, 1e-9)
+    # pad >= delta keeps the cutoff's identity region over [0,1]^(d+D);
+    # pad >= cell width makes exterior folds land where the hat
+    # continuation is exactly zero (lifted fields do not vanish on the
+    # cube boundary, so folding into the continuation shell would leak)
+    pad = max(delta, *(1.0 / m for m in ns))
+    clipped = box_bump_clip(gridvf, delta, box=(-pad, 1.0 + pad))
+    clipped.report = report
+    cert = ErrorCertificate.from_stages([(omega, max(1.0, float(np.max(lipschitz))))], n)
+    return FlowMap(clipped, steps=steps), cert
 
 
 class JointLiftedApproximator(LiftedApproximator):
@@ -268,33 +280,6 @@ class JointLiftedApproximator(LiftedApproximator):
         doc = super().to_dict()
         doc["kind"] = "joint_lifted_approximator"
         return doc
-
-
-def _approximate_joint(comps, n, d, D, lipschitz, collapse_y, steps, delta):
-    def joint_g(Z):
-        X = Z[:, :d]
-        out = np.zeros((Z.shape[0], Z.shape[1]))
-        for i, g in enumerate(comps):
-            out[:, d + i] = np.asarray(g(X), dtype=float).reshape(-1)
-        return out
-
-    dim = d + D
-    omega_vec = np.zeros(dim)
-    omega_vec[d:] = lipschitz
-    modulus = LipschitzModulus(omega_vec)
-    ns = (n,) * d + ((1,) if collapse_y else (n,)) * D
-    gridvf, net, report = grid_realize(joint_g, dim, n, modulus, ns=ns)
-    dlt = _auto_delta(delta, modulus, dim, n, gridvf)
-    pad = max(dlt, *(1.0 / m for m in ns))
-    clipped = box_bump_clip(gridvf, dlt, box=(-pad, 1.0 + pad))
-    clipped.report = report
-    flow = FlowMap(clipped, steps=steps)
-    Lbar = max(1.0, float(np.max(lipschitz)))
-    omega = modulus(dim / (2.0 * n))
-    cert = ErrorCertificate(
-        [(omega, Lbar)], 2.0 * float(np.max(omega)) * math.exp(Lbar), n, math.exp(Lbar)
-    )
-    return JointLiftedApproximator(flow, d, D, certificates=[cert]), cert
 
 
 # ---------------------------------------------------------------------------
@@ -362,56 +347,18 @@ def function_from_samples(xs, ys, lipschitz: float):
 
 
 def save_lifted(approx: LiftedApproximator, out_dir: str, name: str = "manifest.json") -> str:
-    from .flow import _externalize_grid
+    return _write_manifest(approx.to_dict(), "components", approx.components, out_dir, name)
 
-    os.makedirs(out_dir, exist_ok=True)
-    doc = approx.to_dict()
-    for k, (comp_doc, comp) in enumerate(zip(doc["components"], approx.components)):
-        if comp.field.grid is not None:
-            comp_doc["field"] = _externalize_grid(
-                comp_doc["field"], comp.field, out_dir, f"component{k}"
-            )
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+
+def load_lifted(path: str) -> LiftedApproximator:
+    return read_manifest(path, LiftedApproximator.from_dict)
 
 
 def verify_lifted_manifest(path: str, rel_tol: float = 1e-12) -> dict:
     """Recheck that a lifted manifest's certificates are recomputable."""
-    approx = load_lifted(path)
-    checks = {}
-    certs = approx.certificates or []
-    for i, cert in enumerate(certs):
-        recomputed = cert.recompute_total()
-        checks[f"component{i}_certificate"] = {
-            "stated": cert.total_bound,
-            "recomputed": recomputed,
-            "ok": abs(cert.total_bound - recomputed)
-            <= rel_tol * max(1.0, abs(cert.total_bound)),
-        }
-    checks["ok"] = bool(certs) and all(
-        v["ok"] for v in checks.values() if isinstance(v, dict)
+    certs = load_lifted(path).certificates or []
+    return _check_stated(
+        {f"component{i}_certificate": (c.total_bound, c.recompute_total())
+         for i, c in enumerate(certs)},
+        rel_tol,
     )
-    return checks
-
-
-def load_lifted(path: str) -> LiftedApproximator:
-    from .fields import field_from_ref
-
-    with open(path) as fh:
-        doc = json.load(fh)
-    base = os.path.dirname(path)
-    comps = []
-    for s in doc["components"]:
-        f = field_from_ref(s["field"], base)
-        comps.append(
-            FlowMap(f, s["direction"], s["integrator"]["steps"], s["integrator"]["method"])
-        )
-    certs = None
-    if doc.get("certificates"):
-        certs = [ErrorCertificate.from_dict(c) for c in doc["certificates"]]
-    if doc.get("kind") == "joint_lifted_approximator":
-        return JointLiftedApproximator(comps[0], doc["d"], doc["D"], certificates=certs)
-    return LiftedApproximator(comps, doc["d"], certificates=certs)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import GridInterpolant, VectorField
-from .flow import FlowMap, IncrementalGenerator, builtin_generator
+from .fields import GridInterpolant, VectorField, grid_field
+from .flow import FlowMap, IncrementalGenerator, builtin_generator, integrate
 
 __all__ = [
     "OrbitRecord",
@@ -273,38 +273,21 @@ class FitResult:
 
 
 def _grid_field_from_theta(theta, n_grid):
-    gi = GridInterpolant((n_grid, n_grid), theta.reshape(-1, 2))
-    h = 1.0 / n_grid
-    vf = VectorField(
-        2,
-        gi,
-        gi.lipschitz_linf(),
-        support_box=np.array([[-h, -h], [1 + h, 1 + h]]),
-        ref={"backend": "grid", "n": [n_grid, n_grid]},
-    )
-    vf.grid = gi
-    return vf
+    return grid_field(GridInterpolant((n_grid, n_grid), theta.reshape(-1, 2)))
 
 
 def _flow_theta_batch(thetas, pts, n_grid, steps):
     """Time-1 RK4 flows of a batch of grid fields, one per theta row.
 
     One batched interpolant evaluates every candidate's field on its own
-    block of points, and the step rule is that of ``FlowMap``, so a full
-    pattern-search poll is one integration.
+    block of points and goes straight into ``FlowMap``'s step loop, so a
+    full pattern-search poll is one integration.
     """
     B = thetas.shape[0]
     m = pts.shape[0]
     rhs = GridInterpolant((n_grid, n_grid), thetas.reshape(B, -1, 2))
-    X = np.broadcast_to(pts, (B, m, 2)).reshape(B * m, 2).copy()
-    h = 1.0 / steps
-    for _ in range(steps):
-        k1 = rhs(X)
-        k2 = rhs(X + 0.5 * h * k1)
-        k3 = rhs(X + 0.5 * h * k2)
-        k4 = rhs(X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return X.reshape(B, m, 2)
+    X = np.broadcast_to(pts, (B, m, 2)).reshape(B * m, 2)
+    return integrate(rhs, X, steps).reshape(B, m, 2)
 
 
 def _poll_search(poll, x0, budget, rng, step0=0.2, shrink=0.5, min_step=1e-9,

@@ -73,6 +73,11 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                     "trials": 1, "N_list": N_list})
       for N_list in ([0], [64, 16], [16, 16], ["a"], [], [True], [16.0])],
     ("lift-approx", {"function": {"id": "abs2x1"}, "n": 2, "test_points": 0}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "delta": -1.0}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0,
+                  "noise": {"kind": "uniform", "dim": 2.0}}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0,
+                  "target": {"kind": "uniform", "dim": 0}}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -184,6 +189,66 @@ def test_lift_approx_config_errors(tmp_path):
         "function": {"id": "abs2x1"}, "n": 8, "mode": "weird",
         "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2
+
+
+@pytest.mark.parametrize("lipschitz,rows", [
+    ("abc", "x,f\n0.0,1.0\n1.0,0.0\n"),
+    (-2.0, "x,f\n0.0,1.0\n1.0,0.0\n"),
+    (2.0, "x\n0.0\n0.5\n1.0\n"),
+    (2.0, "x,f\n0.5,0.2\n"),
+    (2.0, "x,f\n0.0,a\n1.0,b\n"),
+], ids=["lipschitz_not_a_number", "lipschitz_negative", "one_column", "one_row", "not_numbers"])
+def test_lift_approx_bad_samples_csv_exits_2(tmp_path, capsys, lipschitz, rows):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(rows)
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path, "cfg.json", {
+        "function": {"csv": str(samples), "lipschitz": lipschitz}, "n": 4,
+        "out_dir": str(out)})
+    assert main(["lift-approx", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
+
+
+def _damage_manifest(run, defect):
+    manifest = run / "manifest.json"
+    if defect == "truncated_payload":
+        payload = run / "stage0_grid.bin"
+        payload.write_bytes(payload.read_bytes()[:-8])
+    elif defect == "not_an_object":
+        manifest.write_text("[]")
+    else:
+        doc = json.loads(manifest.read_text())
+        if defect == "unknown_backend":
+            doc["stages"][0]["field"]["backend"] = "bogus"
+        else:
+            doc["stages"] = 5
+        manifest.write_text(json.dumps(doc))
+    return manifest
+
+
+@pytest.mark.parametrize("command", ["verify", "generate"])
+@pytest.mark.parametrize("defect", [
+    "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object"])
+def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
+    run = tmp_path / "run"
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "field": {"id": "squeeze_clipped"}, "n": 4, "eval_grid": 5, "out_dir": str(run)})
+    assert main(["approx-flow", cfg]) == 0
+    manifest = _damage_manifest(run, defect)
+    capsys.readouterr()
+    out = tmp_path / "gen"
+    if command == "verify":
+        argv = ["verify", str(manifest)]
+    else:
+        argv = ["generate", write_cfg(tmp_path, "gen.json", {
+            "generator": {"manifest": str(manifest)}, "seed": 0, "M": 8, "trials": 1,
+            "N_list": [4], "out_dir": str(out)})]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_generate_run(tmp_path):

@@ -18,7 +18,6 @@ from incflow.fields import (
     grid_realize,
     grid_relu_approximate,
     grid_to_mlp,
-    modulus_bound_eval,
     radial_bump_clip,
     rotation_field,
     sin_bump_field,
@@ -462,8 +461,8 @@ def test_grid_validation():
 
 def test_lipschitz_modulus_values():
     m = LipschitzModulus([2.0])
-    assert modulus_bound_eval(m, 0.25)[0] == pytest.approx(0.5)
-    assert modulus_bound_eval(m, 0.0)[0] == 0.0
+    assert m(0.25)[0] == pytest.approx(0.5)
+    assert m(0.0)[0] == 0.0
     with pytest.raises(ValueError):
         m(-0.1)
 

@@ -23,9 +23,6 @@ from incflow.flow import (
     builtin_generator,
     certify,
     empirical_lipschitz,
-    flow_apply,
-    flow_inverse,
-    generator_apply,
     load_generator,
     reference_flow,
     save_generator,
@@ -72,7 +69,7 @@ def test_squeeze_flow_matches_closed_form():
 def test_flow_inverse_round_trip_zero_field():
     fl = FlowMap(zero_field(2))
     x = np.array([0.3, 0.4])
-    assert np.array_equal(flow_inverse(fl).apply(flow_apply(fl, x)), x)
+    assert np.array_equal(fl.inverse().apply(fl.apply(x)), x)
 
 
 def test_flow_round_trip_builtin_suite():
@@ -129,7 +126,7 @@ def test_generator_single_stage_reduces_to_flow():
     fl = FlowMap(f, steps=256)
     gen = IncrementalGenerator([fl])
     x = np.array([0.55, 0.6])
-    assert np.array_equal(generator_apply(gen, x), fl.apply(x))
+    assert np.array_equal(gen.apply(x), fl.apply(x))
 
 
 def test_generator_stage_order_is_first_to_last():
@@ -185,6 +182,23 @@ def test_certificate_total_recomputable():
     assert cert.total_bound == pytest.approx(cert.recompute_total(), rel=1e-12)
     back = ErrorCertificate.from_dict(cert.to_dict())
     assert back.recompute_total() == pytest.approx(cert.total_bound, rel=1e-12)
+
+
+def test_one_stage_certificate_is_the_hand_formula():
+    # the shared constructor keeps the former one-stage arithmetic bit for bit
+    rng = np.random.default_rng(4)
+    for omega, L in [(np.array([0.125, 0.75]), 1.7), (np.zeros(3), 0.0),
+                     (rng.random(2), 9.5), (np.array([2.5]), math.pi)]:
+        cert = ErrorCertificate.from_stages([(omega, L)], 8)
+        assert cert.total_bound == 2.0 * float(np.max(np.abs(omega))) * math.exp(L)
+        assert cert.lipschitz_product == math.exp(L)
+        assert cert.recompute_total() == cert.total_bound
+    for f in builtin_suite().values():
+        modulus = LipschitzModulus(np.full(2, f.lipschitz_bound))
+        _, cert = approximate_flowable(f, modulus, 4, steps=4)
+        omega_sup = float(np.max(np.abs(modulus(2 / 8.0))))
+        assert cert.total_bound == 2.0 * omega_sup * math.exp(f.lipschitz_bound)
+        assert cert.lipschitz_product == math.exp(f.lipschitz_bound)
 
 
 def test_certify_smooth_rate_calculator():

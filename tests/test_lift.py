@@ -5,13 +5,13 @@ import pytest
 
 from incflow.flow import FlowMap
 from incflow.lift import (
+    LIFT_FUNCTIONS,
     LiftedApproximator,
     approximate_lipschitz_function,
     exact_lift,
     function_from_samples,
     lift_field,
     lift_function,
-    lifted_apply,
     load_lifted,
     save_lifted,
 )
@@ -41,7 +41,7 @@ def test_exact_flow_lands_on_graph():
 
 def test_exact_lift_values():
     la = exact_lift([lambda X: X[:, 0] ** 2], 1, 2.0)
-    assert abs(lifted_apply(la, np.array([0.5]))[0] - 0.25) <= 1e-12
+    assert abs(la.apply(np.array([0.5]))[0] - 0.25) <= 1e-12
     pair = exact_lift([lambda X: X[:, 0], lambda X: 1 - X[:, 0]], 1, [1.0, 1.0])
     out = pair.apply(np.array([0.3]))
     assert np.allclose(out, [0.3, 0.7], atol=1e-12)
@@ -148,6 +148,27 @@ def test_joint_mode_matches_componentwise():
     jt, _ = approximate_lipschitz_function(comps, 8, d, D, L, mode="joint")
     xs = np.linspace(0, 1, 301)[:, None]
     assert np.abs(cw.apply(xs) - jt.apply(xs)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("collapse_y", [False, True])
+def test_componentwise_lift_equals_joint_lift_per_component(collapse_y):
+    # componentwise mode is the joint lift with D=1, once per component
+    xs = np.linspace(-0.1, 1.1, 241)[:, None]
+    for fid in LIFT_FUNCTIONS:
+        comps, d, D, L = lift_function(fid)
+        cw, _ = approximate_lipschitz_function(comps, 8, d, D, L, collapse_y=collapse_y)
+        got = cw.apply(xs)
+        for i in range(D):
+            jt, _ = approximate_lipschitz_function(
+                [comps[i]], 8, d, 1, [L[i]], mode="joint", collapse_y=collapse_y)
+            cf, jf = cw.components[i].field, jt.components[0].field
+            assert np.array_equal(cf.grid.values, jf.grid.values), fid
+            assert cf.ref == jf.ref
+            assert cf.lipschitz_bound == jf.lipschitz_bound
+            assert np.array_equal(cf.support_box, jf.support_box)
+            assert cw.components[i].to_dict() == jt.components[0].to_dict()
+            assert cw.certificates[i].to_dict() == jt.certificates[0].to_dict()
+            assert np.array_equal(got[:, i], jt.apply(xs)[:, 0]), fid
 
 
 def test_joint_mode_multi_output_roundtrip(tmp_path):
