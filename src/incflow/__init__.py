@@ -55,7 +55,6 @@ from .flow import (
     verify_manifest,
 )
 from .lift import (
-    JointLiftedApproximator,
     LiftedApproximator,
     approximate_lipschitz_function,
     exact_lift,

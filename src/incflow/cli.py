@@ -313,6 +313,8 @@ def cmd_probe(cfg: dict) -> int:
     grid_n = _require(cfg, "grid_n", int, 33, minimum=2)
     k_max = _require(cfg, "k_max", int, 4, minimum=1)
     radius = _require(cfg, "contraction_radius", float, 0.01)
+    if not radius > 0:  # also rejects NaN, which JSON parsing accepts
+        raise ConfigError("'contraction_radius' must be > 0")
     out_dir = _require(cfg, "out_dir", str, required=True)
     fit_cfg = _require(cfg, "fit", dict, {})
     fit_enabled = _require(fit_cfg, "enabled", bool, False)

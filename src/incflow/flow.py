@@ -248,11 +248,6 @@ class IncrementalGenerator:
 
     __call__ = apply
 
-    def inverse_apply(self, x) -> np.ndarray:
-        for stage in reversed(self.stages):
-            x = stage.inverse().apply(x)
-        return x
-
     def to_dict(self) -> dict:
         return {
             "kind": "incremental_generator",
@@ -361,7 +356,6 @@ def empirical_lipschitz(
     Deterministic given the seed; used to audit certified upper bounds,
     never to replace them.
     """
-    apply = mapping.apply if hasattr(mapping, "apply") else mapping
     if dim is None:
         dim = mapping.dim
     rng = np.random.default_rng(seed)
@@ -374,7 +368,7 @@ def empirical_lipschitz(
     gap = np.abs(X - Y).max(axis=1)
     keep = gap > 1e-12
     X, Y, gap = X[keep], Y[keep], gap[keep]
-    num = np.abs(apply(X) - apply(Y)).max(axis=1)
+    num = np.abs(mapping(X) - mapping(Y)).max(axis=1)
     return float((num / gap).max())
 
 

@@ -1,5 +1,5 @@
 """One-extra-dimension lifting: realize Lipschitz maps R^d -> R^D as
-time-1 flows, one flow per output component.
+time-1 flows.
 
 A scalar g on [0,1]^d induces the (d+1)-dimensional field
 V(x, y) = (0, ..., 0, g(x)). Its exact time-1 flow sends (x, y) to
@@ -10,6 +10,10 @@ approximation scheme whose error is pure field-approximation error: the
 first d components of the lifted field are identically zero, so the
 integration itself is exact (a single Euler step already lands on the
 answer).
+
+Both lift modes are one class, :class:`LiftedApproximator`, whose flows'
+outputs are concatenated: componentwise mode (the default) has D flows
+on R^(d+1), one per output component, joint mode one flow on R^(d+D).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 from .fields import (
     LipschitzModulus,
     VectorField,
+    _plateau,
     box_bump_clip,
     grid_realize,
 )
@@ -36,7 +41,6 @@ from .flow import (
 __all__ = [
     "lift_field",
     "LiftedApproximator",
-    "JointLiftedApproximator",
     "exact_lift",
     "approximate_lipschitz_function",
     "lift_function",
@@ -71,54 +75,58 @@ def lift_field(g, d: int, lipschitz: float, ref: dict | None = None) -> VectorFi
     )
 
 
-class LiftedApproximator:
-    """Concatenation of per-component lifted flows.
+_KINDS = {"componentwise": "lifted_approximator", "joint": "joint_lifted_approximator"}
 
-    Evaluation embeds x at (x, 0), applies component i's (d+1)-dimensional
-    flow, and projects off the last coordinate; the D component outputs
-    are assembled in index order.
+
+class LiftedApproximator:
+    """Concatenation of lifted flows.
+
+    Component i is a flow on R^(d+D_i) with D_i >= 1. Evaluation embeds x
+    at (x, 0) with D_i zeros, applies the flow and keeps its last D_i
+    coordinates; the outputs are concatenated in component order, so
+    D = sum D_i. ``mode`` names the construction in the manifest's
+    ``kind`` only: a joint lift with D = 1 builds the same flow as a
+    componentwise one.
     """
 
     def __init__(self, components: list[FlowMap], d: int,
-                 certificates: list[ErrorCertificate] | None = None):
+                 certificates: list[ErrorCertificate] | None = None,
+                 mode: str = "componentwise"):
         if not components:
             raise ValueError("need at least one component flow")
+        if mode not in _KINDS:
+            raise ValueError("mode must be 'componentwise' or 'joint'")
         for c in components:
-            if c.dim != d + 1:
+            if c.dim <= d:
                 raise ValueError(
-                    f"component flows must live in {d + 1} dimensions, got {c.dim}"
+                    f"component flows must live in more than {d} dimensions, got {c.dim}"
                 )
         self.components = list(components)
         self.d = int(d)
-        self.D = len(components)
+        self.D = sum(c.dim - self.d for c in components)
         self.certificates = certificates
+        self.mode = mode
 
     @property
     def dim(self) -> int:
         """Input dimension (measure pushforward treats this as the domain)."""
         return self.d
 
-    def embed(self, x) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.hstack([X, np.zeros((X.shape[0], 1))])
-
-    @staticmethod
-    def project(z) -> np.ndarray:
-        return np.atleast_2d(np.asarray(z, dtype=float))[:, -1]
-
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        Z = self.embed(x)
-        cols = [self.project(c.apply(Z)) for c in self.components]
-        out = np.stack(cols, axis=1)
+        X = np.atleast_2d(x)
+        out = np.hstack([
+            c.apply(np.hstack([X, np.zeros((X.shape[0], c.dim - self.d))]))[:, self.d:]
+            for c in self.components
+        ])
         return out[0] if single else out
 
     __call__ = apply
 
     def to_dict(self) -> dict:
         return {
-            "kind": "lifted_approximator",
+            "kind": _KINDS[self.mode],
             "d": self.d,
             "D": self.D,
             "components": [c.to_dict() for c in self.components],
@@ -129,14 +137,21 @@ class LiftedApproximator:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=None) -> "LiftedApproximator":
-        """Inverse of :meth:`to_dict` (of either lift); grid payload files
-        resolve against ``base_dir``."""
+        """Inverse of :meth:`to_dict`; grid payload files resolve against
+        ``base_dir``. The stated ``D`` must match the flows' dimensions."""
         flows = [FlowMap.from_dict(c, base_dir) for c in doc["components"]]
         certs = doc.get("certificates")
         certs = [ErrorCertificate.from_dict(c) for c in certs] if certs else None
-        if doc.get("kind") == "joint_lifted_approximator":
-            return JointLiftedApproximator(flows[0], doc["d"], doc["D"], certificates=certs)
-        return LiftedApproximator(flows, doc["d"], certificates=certs)
+        mode = "joint" if doc.get("kind") == _KINDS["joint"] else "componentwise"
+        approx = cls(flows, doc["d"], certificates=certs, mode=mode)
+        if approx.D != doc["D"]:
+            raise ValueError(f"manifest states D={doc['D']}, its flows carry {approx.D} outputs")
+        return approx
+
+
+# The old joint class name, kept only for the "JointLiftedApproximator.apply"
+# line of TARGETS in perfbench/tracing.py; it goes with that line.
+JointLiftedApproximator = LiftedApproximator
 
 
 def exact_lift(components, d: int, lipschitz) -> LiftedApproximator:
@@ -196,25 +211,25 @@ def approximate_lipschitz_function(
     """
     if n < 1:
         raise ValueError("grid parameter n must be >= 1")
-    if mode not in ("componentwise", "joint"):
+    if mode not in _KINDS:
         raise ValueError("mode must be 'componentwise' or 'joint'")
     lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (D,)).copy()
     comps = _component_callables(f, d, D)
-
-    if mode == "joint":
-        flow, cert = _lift_flow(comps, n, d, D, lipschitz, collapse_y, steps, delta)
-        return JointLiftedApproximator(flow, d, D, certificates=[cert]), cert
+    groups = [(comps, lipschitz)] if mode == "joint" else [
+        ([g], [L]) for g, L in zip(comps, lipschitz)
+    ]
     flows, certs = zip(*(
-        _lift_flow([g], n, d, 1, [L], collapse_y, steps, delta) for g, L in zip(comps, lipschitz)
+        _lift_flow(g, n, d, L, collapse_y, steps, delta) for g, L in groups
     ))
     worst = max(certs, key=lambda c: c.total_bound)
-    return LiftedApproximator(list(flows), d, certificates=list(certs)), worst
+    return LiftedApproximator(list(flows), d, list(certs), mode), worst
 
 
-def _lift_flow(comps, n, d, D, lipschitz, collapse_y, steps, delta):
-    """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) on
-    R^(d+D), with its one-stage certificate 2 ||omega((d+D)/(2n))||
-    e^{max(1, L_i)}."""
+def _lift_flow(comps, n, d, lipschitz, collapse_y, steps, delta):
+    """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) of the
+    D = len(comps) components on R^(d+D), with its one-stage certificate
+    2 ||omega((d+D)/(2n))|| e^{max(1, L_i)}."""
+    D = len(comps)
 
     def joint_g(Z):
         X = Z[:, :d]
@@ -245,43 +260,6 @@ def _lift_flow(comps, n, d, D, lipschitz, collapse_y, steps, delta):
     return FlowMap(clipped, steps=steps), cert
 
 
-class JointLiftedApproximator(LiftedApproximator):
-    """Single (d+D)-dimensional lift: one flow carries all D outputs.
-
-    Scales poorly in D compared with the componentwise default and is
-    kept for comparison experiments.
-    """
-
-    def __init__(self, flow: FlowMap, d: int, D: int,
-                 certificates: list[ErrorCertificate] | None = None):
-        if flow.dim != d + D:
-            raise ValueError(
-                f"joint lift flow must live in {d + D} dimensions, got {flow.dim}"
-            )
-        self.components = [flow]
-        self.d = int(d)
-        self.D = int(D)
-        self.certificates = certificates
-
-    def embed(self, x) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.hstack([X, np.zeros((X.shape[0], self.D))])
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        Z = self.components[0].apply(self.embed(x))
-        out = Z[:, self.d:]
-        return out[0] if single else out
-
-    __call__ = apply
-
-    def to_dict(self) -> dict:
-        doc = super().to_dict()
-        doc["kind"] = "joint_lifted_approximator"
-        return doc
-
-
 # ---------------------------------------------------------------------------
 # target-function registry
 
@@ -298,15 +276,11 @@ def _sin01(X):
     return 0.5 + 0.5 * np.sin(2.0 * np.pi * X[:, 0])
 
 
-def _plateau1d(t):
-    return np.clip(np.minimum((t - 0.125) * 4.0, (0.875 - t) * 4.0), 0.0, 1.0)
-
-
 def _sin_windowed(X):
     # signed target: its lifted trajectories exit the grid cube below
     # y = 0 wherever it is negative, so only the certificate bound (not
     # the clean 1/n rate) applies to it
-    return np.sin(2.0 * np.pi * X[:, 0]) * _plateau1d(X[:, 0])
+    return np.sin(2.0 * np.pi * X[:, 0]) * _plateau(X[:, 0])
 
 
 LIFT_FUNCTIONS = {

@@ -91,10 +91,6 @@ def classify_orbit(iterates, tol_close=TOL_CLOSE, tol_separate=TOL_SEPARATE):
     return "unclassified", None, {}
 
 
-def _as_apply(mapping):
-    return mapping.apply if hasattr(mapping, "apply") else mapping
-
-
 def _iterate(apply, seeds, k_max):
     its = [np.atleast_2d(np.asarray(seeds, dtype=float))]
     for _ in range(k_max):
@@ -120,13 +116,12 @@ def detect_periodic(
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    apply = _as_apply(mapping)
     lo = np.asarray(region[0], dtype=float)
     hi = np.asarray(region[1], dtype=float)
     d = lo.size
     axes = [np.linspace(lo[i], hi[i], grid_n) for i in range(d)]
     seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    its = _iterate(apply, seeds, k_max)
+    its = _iterate(mapping, seeds, k_max)
 
     records = []
     for m in range(seeds.shape[0]):
@@ -155,8 +150,8 @@ def detect_periodic(
 
     if edges:
         edges = [np.array(col) for col in zip(*edges)]
-        pts = 0.5 * np.add(*_bisect_edges(apply, *edges))
-        its_ref = _iterate(apply, pts, k_max)
+        pts = 0.5 * np.add(*_bisect_edges(mapping, *edges))
+        its_ref = _iterate(mapping, pts, k_max)
         seen = set()
         for m in range(pts.shape[0]):
             key = tuple(np.round(pts[m], 6))
@@ -238,7 +233,6 @@ def contraction_audit(
     else:
         q = np.asarray(center_orbit, dtype=float)
         k = 2
-    apply = _as_apply(mapping)
     half = max(1, n_probes // 2)
     base = np.linspace(-np.deg2rad(max_angle_deg), np.deg2rad(max_angle_deg), half)
     angles = np.concatenate([base, base + np.pi])[:n_probes]
@@ -246,7 +240,7 @@ def contraction_audit(
     radii = [[float(np.linalg.norm(c - q))] for c in X]
     for _ in range(n_iters):
         for _ in range(k):
-            X = apply(X)
+            X = mapping(X)
         for r, x in zip(radii, X):
             r.append(float(np.linalg.norm(x - q)))
     rows = [{"angle_rad": float(ang), "radii": r,
@@ -353,10 +347,9 @@ def fit_single_flow(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    apply = _as_apply(target)
     axes = np.linspace(0.0, 1.0, eval_grid_n)
     pts = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    target_vals = np.atleast_2d(apply(pts))
+    target_vals = np.atleast_2d(target(pts))
 
     def poll(thetas):
         out = _flow_theta_batch(thetas, pts, n_grid, flow_steps)
@@ -365,7 +358,7 @@ def fit_single_flow(
     nverts = (n_grid + 1) ** 2
     vaxes = np.linspace(0.0, 1.0, n_grid + 1)
     vpts = np.stack(np.meshgrid(vaxes, vaxes, indexing="ij"), axis=-1).reshape(-1, 2)
-    chord = (np.atleast_2d(apply(vpts)) - vpts).ravel()
+    chord = (np.atleast_2d(target(vpts)) - vpts).ravel()
     inits = [("zero", np.zeros(2 * nverts)), ("chord", chord)]
 
     best = None

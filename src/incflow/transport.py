@@ -1,12 +1,12 @@
 """Empirical measures, pushforward through generators, and exact
 Wasserstein-1 scoring with Euclidean ground cost.
 
-The solver is exact: equal-size uniform measures reduce to an assignment
-problem (Hungarian); uniform measures whose sizes divide evenly reduce to
-an assignment after exact atom replication (the transportation polytope
-has integral vertices, so replication loses nothing); everything else is
-solved as the transportation LP with HiGHS at tight feasibility
-tolerances. Entropic approximations are out of scope.
+The solver is exact: uniform measures whose sizes divide evenly (equal
+sizes included) reduce to an assignment problem (Hungarian) after exact
+atom replication (the transportation polytope has integral vertices, so
+replication loses nothing); everything else is solved as the
+transportation LP with HiGHS at tight feasibility tolerances. Entropic
+approximations are out of scope.
 """
 
 from __future__ import annotations
@@ -110,11 +110,10 @@ class TransportReport:
 
 def pushforward(mapping, mu: EmpiricalMeasure) -> EmpiricalMeasure:
     """Apply a map to every support point; weights are untouched."""
-    apply = mapping.apply if hasattr(mapping, "apply") else mapping
     dim = getattr(mapping, "dim", None)
     if dim is not None and dim != mu.dim:
         raise ValueError(f"map expects dimension {dim}, measure has {mu.dim}")
-    return EmpiricalMeasure(np.atleast_2d(apply(mu.points)), mu.weights.copy())
+    return EmpiricalMeasure(np.atleast_2d(mapping(mu.points)), mu.weights.copy())
 
 
 def _marginal_residual(i, j, mass, wa, wb):
@@ -123,12 +122,6 @@ def _marginal_residual(i, j, mass, wa, wb):
     rb = np.zeros_like(wb)
     np.add.at(rb, j, mass)
     return max(np.abs(ra - wa).max(), np.abs(rb - wb).max())
-
-
-def _solve_assignment(cost, n):
-    ri, ci = linear_sum_assignment(cost)
-    mass = np.full(n, 1.0 / n)
-    return ri, ci, mass
 
 
 def _solve_lp(cost, wa, wb):
@@ -169,26 +162,17 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("total masses differ beyond 1e-9")
 
-    if mu.uniform and nu.uniform and mu.n == nu.n:
-        cost = cdist(mu.points, nu.points)
-        i, j, mass = _solve_assignment(cost, mu.n)
-        w1 = float((cost[i, j] * mass).sum())
-    elif mu.uniform and nu.uniform and (mu.n % nu.n == 0 or nu.n % mu.n == 0):
+    if mu.uniform and nu.uniform and (mu.n % nu.n == 0 or nu.n % mu.n == 0):
+        # each atom of the smaller measure replicated k times makes the
+        # problem a square assignment; it returns each atom of the larger
+        # measure once, in ascending order, so its pairs are already sorted
         big, small, flip = (mu, nu, False) if mu.n >= nu.n else (nu, mu, True)
-        k = big.n // small.n
-        rep = np.repeat(np.arange(small.n), k)
+        rep = np.repeat(np.arange(small.n), big.n // small.n)
         cost = cdist(big.points, small.points[rep])
-        ib, ic, mass = _solve_assignment(cost, big.n)
-        w1 = float((cost[ib, ic] * mass).sum())
-        i, j = ib, rep[ic]
-        # aggregate replicated atoms back to their source index
-        agg = {}
-        for a, b, m_ in zip(i, j, mass):
-            agg[(a, b)] = agg.get((a, b), 0.0) + m_
-        pairs = sorted(agg)
-        i = np.array([p[0] for p in pairs], dtype=np.int64)
-        j = np.array([p[1] for p in pairs], dtype=np.int64)
-        mass = np.array([agg[p] for p in pairs])
+        i, c = linear_sum_assignment(cost)
+        mass = np.full(big.n, 1.0 / big.n)
+        w1 = float((cost[i, c] * mass).sum())
+        j = rep[c]
         if flip:
             i, j = j, i
             order = np.lexsort((j, i))
@@ -196,7 +180,7 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
     else:
         cost = cdist(mu.points, nu.points)
         i, j, mass = _solve_lp(cost, mu.weights, nu.weights)
-        w1 = float((cdist(mu.points, nu.points)[i, j] * mass).sum())
+        w1 = float((cost[i, j] * mass).sum())
 
     resid = _marginal_residual(i, j, mass, mu.weights, nu.weights)
     return TransportReport(w1, i, j, mass, resid)

@@ -78,6 +78,8 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                   "noise": {"kind": "uniform", "dim": 2.0}}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0,
                   "target": {"kind": "uniform", "dim": 0}}),
+    ("probe-flowability", {"contraction_radius": 0.0}),
+    ("probe-flowability", {"contraction_radius": -0.01}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -179,6 +181,23 @@ def test_verify_lift_manifest(tmp_path):
     doc["certificates"][0]["total_bound"] *= 3
     (out / "manifest.json").write_text(json.dumps(doc))
     assert main(["verify", str(out / "manifest.json")]) == 4
+
+
+@pytest.mark.parametrize("mode", ["componentwise", "joint"])
+def test_verify_lift_manifest_with_edited_D_exits_2(tmp_path, capsys, mode):
+    out = tmp_path / "runlift"
+    cfg = write_cfg(tmp_path, "cfg.json", {
+        "function": {"id": "affine_pair"}, "n": 2, "test_points": 11, "mode": mode,
+        "out_dir": str(out),
+    })
+    assert main(["lift-approx", cfg]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    doc["D"] = 3
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "Traceback" not in err
 
 
 def test_lift_approx_config_errors(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -72,8 +73,8 @@ def test_concatenation_equals_per_component_assembly():
     rng = np.random.default_rng(3)
     X = rng.random((100, 1))
     joint = approx.apply(X)
-    per = np.stack(
-        [approx.project(c.apply(approx.embed(X))) for c in approx.components], axis=1
+    per = np.hstack(
+        [c.apply(np.hstack([X, np.zeros((100, c.dim - d))]))[:, d:] for c in approx.components]
     )
     assert np.array_equal(joint, per)
 
@@ -180,6 +181,23 @@ def test_joint_mode_multi_output_roundtrip(tmp_path):
     path = save_lifted(jt, str(tmp_path))
     back = load_lifted(path)
     assert np.array_equal(back.apply(xs), jt.apply(xs))
+
+
+def test_mode_survives_a_manifest_round_trip_at_D1(tmp_path):
+    # a joint lift with D = 1 builds the componentwise flow, so only the
+    # stored mode tells the two manifests apart
+    comps, d, D, L = lift_function("square")
+    for mode, kind in [("componentwise", "lifted_approximator"),
+                       ("joint", "joint_lifted_approximator")]:
+        approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode)
+        first = tmp_path / mode / "first"
+        second = tmp_path / mode / "second"
+        back = load_lifted(save_lifted(approx, str(first)))
+        assert back.mode == mode
+        save_lifted(back, str(second))
+        doc = (first / "manifest.json").read_bytes()
+        assert json.loads(doc)["kind"] == kind
+        assert (second / "manifest.json").read_bytes() == doc
 
 
 def test_function_from_samples():

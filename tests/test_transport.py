@@ -132,6 +132,19 @@ def test_coupling_marginals_all_paths():
     assert rep.w1 == pytest.approx(recomputed, abs=1e-10)
 
 
+@pytest.mark.parametrize("m,n", [(8, 8), (24, 6), (6, 24), (1, 3), (3, 1)])
+def test_assignment_coupling_order(m, n):
+    # uniform measures whose sizes divide: the coupling lists one pair per
+    # atom of the larger measure, sorted by (i, j), each of mass 1/max(m, n)
+    rng = np.random.default_rng([5, m, n])
+    rep = w1_exact(EmpiricalMeasure(rng.random((m, 2))), EmpiricalMeasure(rng.random((n, 2))))
+    i, j = rep.coupling_i, rep.coupling_j
+    assert np.all(np.lexsort((j, i)) == np.arange(i.size))
+    larger = i if m >= n else j
+    assert np.array_equal(np.sort(larger), np.arange(max(m, n)))
+    assert np.all(rep.coupling_mass == 1.0 / max(m, n))
+
+
 def test_replication_path_agrees_with_lp():
     rng = np.random.default_rng(4)
     big = EmpiricalMeasure(rng.random((12, 2)))
