@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -54,6 +54,8 @@ def _require(cfg: dict, key: str, typ, default=None, required=False, minimum=Non
         val = float(val)
     if not isinstance(val, typ) or (typ is not bool and isinstance(val, bool)):
         raise ConfigError(f"config key {key!r} must be {typ}, got {type(val).__name__}")
+    if typ is float and not math.isfinite(val):  # JSON parsing accepts NaN and Infinity
+        raise ConfigError(f"{key!r} must be finite")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key!r} must be >= {minimum}")
     return val
@@ -99,11 +101,6 @@ def _resolve_stages(cfg: dict) -> list[dict]:
     return out
 
 
-def _eval_lattice(n_axis: int, dim: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, n_axis) for _ in range(dim)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -124,7 +121,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
     gen, cert = FL.approximate_generator(flds, moduli, n, steps=steps)
 
-    pts = _eval_lattice(eval_grid, flds[0].dim)
+    pts = F.lattice([eval_grid] * flds[0].dim)
     ref = pts
     for f in flds:
         ref = FL.reference_flow(f).apply(ref)
@@ -185,9 +182,7 @@ def cmd_lift_approx(cfg: dict) -> int:
     approx, cert = LI.approximate_lipschitz_function(
         comps, n, d, D, L, mode=mode, collapse_y=collapse_y
     )
-    pts = _eval_lattice(test_points, d) if d == 1 else _eval_lattice(
-        int(round(test_points ** (1.0 / d))), d
-    )
+    pts = F.lattice([round(test_points ** (1.0 / d))] * d)
     truth = np.stack([np.asarray(g(pts), dtype=float).reshape(-1) for g in comps], axis=1)
     got = np.atleast_2d(approx.apply(pts))
     err = np.abs(got - truth)
@@ -313,7 +308,7 @@ def cmd_probe(cfg: dict) -> int:
     grid_n = _require(cfg, "grid_n", int, 33, minimum=2)
     k_max = _require(cfg, "k_max", int, 4, minimum=1)
     radius = _require(cfg, "contraction_radius", float, 0.01)
-    if not radius > 0:  # also rejects NaN, which JSON parsing accepts
+    if not radius > 0:
         raise ConfigError("'contraction_radius' must be > 0")
     out_dir = _require(cfg, "out_dir", str, required=True)
     fit_cfg = _require(cfg, "fit", dict, {})
@@ -378,40 +373,6 @@ def cmd_probe(cfg: dict) -> int:
     return 0 if (near_line and contraction_ok) else 4
 
 
-def cmd_bench(cfg: dict) -> int:
-    repeats = _require(cfg, "repeats", int, 3, minimum=1)
-    out_dir = _require(cfg, "out_dir", str, required=True)
-
-    def timed(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    from .mlp import BumpSpec, build_bump
-
-    bump = build_bump(BumpSpec(0.4, 2))
-    X = np.random.default_rng(0).random((100_000, 2))
-    fld = F.builtin_field("rotation_clipped")
-    mod = F.LipschitzModulus(np.full(2, fld.lipschitz_bound))
-    pts = _eval_lattice(33, 2)
-    mu = TR.EmpiricalMeasure(np.random.default_rng(1).random((64, 2)))
-    nu = TR.EmpiricalMeasure(np.random.default_rng(2).random((64, 2)))
-
-    ops = {
-        "bump_eval_100k": lambda: bump.eval(X),
-        "grid_approx_n8": lambda: F.grid_relu_approximate(fld, 8, mod),
-        "flow_256_1089pts": lambda: FL.FlowMap(fld).apply(pts),
-        "w1_assignment_64": lambda: TR.w1_exact(mu, nu),
-    }
-    rows = []
-    for name, fn in ops.items():
-        for r in range(repeats):
-            rows.append([name, r, timed(fn)])
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "timings.csv"), ["op", "repeat", "seconds"], rows)
-    return 0
-
-
 def cmd_verify(manifest_path: str) -> int:
     kind = FL.read_manifest(manifest_path, lambda doc, base_dir: doc.get("kind"))
     if kind in ("lifted_approximator", "joint_lifted_approximator"):
@@ -436,13 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
         ("lift-approx", "approximate a Lipschitz function by lifted flows"),
         ("generate", "pushforward sampling with exact W1 scoring"),
         ("probe-flowability", "two-stage counterexample dynamics and fit gap"),
-        ("bench", "timing table for core operations"),
     ]:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="path to the JSON config document")
         sp.add_argument("--out-dir", help="override the config's out_dir")
     sv = sub.add_parser("verify", help="recheck a manifest's certificate")
-    sv.add_argument("manifest", help="path to a generator manifest")
+    sv.add_argument("manifest", help="path to a generator or lift manifest")
     return p
 
 
@@ -451,7 +411,6 @@ _COMMANDS = {
     "lift-approx": cmd_lift_approx,
     "generate": cmd_generate,
     "probe-flowability": cmd_probe,
-    "bench": cmd_bench,
 }
 
 

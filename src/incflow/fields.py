@@ -33,6 +33,7 @@ __all__ = [
     "SmoothRateModulus",
     "GridInterpolant",
     "GridPayloadError",
+    "lattice",
     "VectorField",
     "ApproximationReport",
     "zero_field",
@@ -146,6 +147,17 @@ class SmoothRateModulus(Modulus):
 # Kuhn-grid interpolant
 
 
+def lattice(counts, lo=0.0, hi=1.0) -> np.ndarray:
+    """Rows of the tensor lattice with ``counts[i]`` evenly spaced points
+    from ``lo`` to ``hi`` on axis i (scalars or per-axis arrays), in the
+    grid's vertex order: lexicographic, axis 0 slowest."""
+    d = len(counts)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
+    axes = [np.linspace(lo[i], hi[i], m) for i, m in enumerate(counts)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+
 class GridPayloadError(ValueError):
     """A grid payload file that is missing, unreadable or disagrees with its header."""
 
@@ -198,20 +210,15 @@ class GridInterpolant:
         self._block_base = (np.arange(self._blocks, dtype=np.int64) * nverts)[:, None]
 
     @classmethod
-    def from_callable(cls, fn, ns, out_dim=None) -> "GridInterpolant":
+    def from_callable(cls, fn, ns) -> "GridInterpolant":
         ns = tuple(int(n) for n in ns)
-        axes = [np.linspace(0.0, 1.0, n + 1) for n in ns]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(ns))
+        pts = lattice([n + 1 for n in ns])
         vals = np.asarray(fn(pts), dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
         if vals.shape[0] != pts.shape[0]:
             raise ValueError("sampler returned wrong number of vertex values")
         return cls(ns, vals)
-
-    def vertex_points(self) -> np.ndarray:
-        axes = [np.linspace(0.0, 1.0, n + 1) for n in self.ns]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
 
     def __call__(self, x) -> np.ndarray:
         """Hat-sum evaluation, valid on all of R^d (zero one cell out).
@@ -479,13 +486,11 @@ class VectorField:
 
     __call__ = eval
 
-    def max_abs_on_box(self, per_axis: int = 101) -> float:
+    def max_abs_on_box(self, per_axis: int) -> float:
         """Deterministic dense-grid estimate of sup |V| over the support box."""
         if self.support_box is None:
             raise ValueError("field has unbounded support")
-        lo, hi = self.support_box
-        axes = [np.linspace(lo[i], hi[i], per_axis) for i in range(self.dim)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        pts = lattice([per_axis] * self.dim, *self.support_box)
         return float(np.abs(self.eval(pts)).max())
 
 
@@ -563,8 +568,7 @@ def radial_bump_clip(
 
     box = np.stack([c - r_outer, c + r_outer])
     if max_abs is None:
-        probe = VectorField(field.dim, lambda X: inner.eval(X), 0.0, support_box=box)
-        max_abs = probe.max_abs_on_box()
+        max_abs = float(np.abs(field.eval(lattice([101] * field.dim, *box))).max())
     L = field.lipschitz_bound + max_abs / (r_outer - r_inner)
     return VectorField(
         field.dim,
@@ -763,9 +767,7 @@ def grid_realize(
     net = grid_to_mlp(gi)
     vf.mlp = net
 
-    fine = tuple(4 * m for m in ns)
-    axes = [np.linspace(0.0, 1.0, m + 1) for m in fine]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    pts = lattice([4 * m + 1 for m in ns])
     target = np.asarray(eval_fn(pts), dtype=float)
     if target.ndim == 1:
         target = target[:, None]
@@ -788,7 +790,7 @@ def grid_realize(
 
 
 def grid_relu_approximate(
-    field: VectorField, n: int, modulus: Modulus, ns=None
+    field: VectorField, n: int, modulus: Modulus
 ) -> tuple[VectorField, MLP, ApproximationReport]:
     """Sample a supported field on the (n+1)^d vertex grid and realize the
     Kuhn CPWL interpolant both directly and as an exact ReLU network.
@@ -802,7 +804,7 @@ def grid_relu_approximate(
     lo, hi = field.support_box
     if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
         raise ValueError("field support must be contained in [0,1]^d")
-    return grid_realize(field.eval, field.dim, n, modulus, ns)
+    return grid_realize(field.eval, field.dim, n, modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -302,28 +302,25 @@ def approximate_flowable(
     modulus: Modulus,
     n: int,
     steps: int = DEFAULT_STEPS,
-    delta: float | None = None,
-    clip_box=(0.0, 1.0),
 ) -> tuple[FlowMap, ErrorCertificate]:
-    """Grid-approximate a supported field, clip, and wrap as a flow.
+    """Grid-approximate a supported field, clip to the unit cube, and wrap
+    as a flow.
 
     Returns the flow of the clipped ReLU-realizable approximant together
     with the single-stage certificate 2 ||omega(d/2n)||_inf e^{L}. The
-    cutoff width defaults to delta = min(0.2, ||omega(d/2n)|| / C) with C
-    an estimate of sup|V| + sup|approximant|, so the cutoff's own error
+    cutoff width is delta = min(0.2, ||omega(d/2n)|| / C) with C an
+    estimate of sup|V| + sup|approximant|, so the cutoff's own error
     contribution stays inside the certified bound.
     """
     d = field.dim
     gridvf, net, report = grid_relu_approximate(field, n, modulus)
     omega = np.asarray(modulus(d / (2.0 * n)))
     omega_sup = float(np.max(np.abs(omega)))
-    if delta is None:
-        big = float(np.abs(gridvf.grid.values).max())
-        if field.support_box is not None:
-            big += field.max_abs_on_box(per_axis=33)
-        delta = min(0.2, omega_sup / big) if big > 0 else 0.5
-        delta = max(delta, 1e-9)
-    clipped = box_bump_clip(gridvf, delta, clip_box)
+    big = float(np.abs(gridvf.grid.values).max())
+    if field.support_box is not None:
+        big += field.max_abs_on_box(per_axis=33)
+    delta = max(min(0.2, omega_sup / big) if big > 0 else 0.5, 1e-9)
+    clipped = box_bump_clip(gridvf, delta)
     clipped.report = report
     return FlowMap(clipped, steps=steps), ErrorCertificate.from_stages(
         [(omega, field.lipschitz_bound)], n
@@ -348,21 +345,16 @@ def approximate_generator(
     return IncrementalGenerator([fl for fl, _ in stages], cert), cert
 
 
-def empirical_lipschitz(
-    mapping, samples: int = 10_000, seed: int = 0, dim: int | None = None, box=None
-) -> float:
-    """Sampled lower estimate max |F(x)-F(y)|_inf / |x-y|_inf.
+def empirical_lipschitz(mapping, samples: int = 10_000, seed: int = 0) -> float:
+    """Sampled lower estimate max |F(x)-F(y)|_inf / |x-y|_inf over pairs
+    drawn uniformly from the unit cube in ``mapping.dim`` dimensions.
 
     Deterministic given the seed; used to audit certified upper bounds,
     never to replace them.
     """
-    if dim is None:
-        dim = mapping.dim
+    dim = mapping.dim
     rng = np.random.default_rng(seed)
-    if box is None:
-        lo, hi = np.zeros(dim), np.ones(dim)
-    else:
-        lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    lo, hi = np.zeros(dim), np.ones(dim)
     X = rng.uniform(lo, hi, size=(samples, dim))
     Y = rng.uniform(lo, hi, size=(samples, dim))
     gap = np.abs(X - Y).max(axis=1)
@@ -447,11 +439,14 @@ def read_manifest(path: str, build):
         raise ManifestError(f"cannot read manifest {path}: {type(e).__name__}: {e}") from e
 
 
-def _check_stated(pairs: dict, rel_tol: float) -> dict:
-    """Compare each ``name -> (stated, recomputed)`` pair to ``rel_tol``;
+_REL_TOL = 1e-12
+
+
+def _check_stated(pairs: dict) -> dict:
+    """Compare each ``name -> (stated, recomputed)`` pair to ``_REL_TOL``;
     ``ok`` needs at least one pair and every pair to agree."""
     checks = {
-        name: {"stated": s, "recomputed": r, "ok": abs(s - r) <= rel_tol * max(1.0, abs(s))}
+        name: {"stated": s, "recomputed": r, "ok": abs(s - r) <= _REL_TOL * max(1.0, abs(s))}
         for name, (s, r) in pairs.items()
     }
     checks["ok"] = bool(pairs) and all(c["ok"] for c in checks.values())
@@ -466,7 +461,7 @@ def load_generator(path: str) -> IncrementalGenerator:
     return read_manifest(path, IncrementalGenerator.from_dict)
 
 
-def verify_manifest(path: str, rel_tol: float = 1e-12) -> dict:
+def verify_manifest(path: str) -> dict:
     """Recheck that a saved manifest's certificate and Lipschitz product
     are recomputable from the manifest alone."""
     gen, stated = read_manifest(
@@ -477,4 +472,4 @@ def verify_manifest(path: str, rel_tol: float = 1e-12) -> dict:
     if gen.certificate is not None:
         pairs["certificate_total"] = (gen.certificate.total_bound,
                                       gen.certificate.recompute_total())
-    return _check_stated(pairs, rel_tol)
+    return _check_stated(pairs)

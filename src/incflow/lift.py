@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-def lift_field(g, d: int, lipschitz: float, ref: dict | None = None) -> VectorField:
+def lift_field(g, d: int, lipschitz: float) -> VectorField:
     """Field (x, y) -> (0, ..., 0, g(x)) on R^(d+1).
 
     The declared Lipschitz bound is max(1, L_g). Lifted fields are not
@@ -71,7 +71,7 @@ def lift_field(g, d: int, lipschitz: float, ref: dict | None = None) -> VectorFi
         ev,
         max(1.0, float(lipschitz)),
         support_box=None,
-        ref=ref or {"backend": "lifted", "function": "opaque", "d": d},
+        ref={"backend": "lifted", "function": "opaque", "d": d},
     )
 
 
@@ -189,7 +189,6 @@ def approximate_lipschitz_function(
     mode: str = "componentwise",
     collapse_y: bool = False,
     steps: int = DEFAULT_STEPS,
-    delta: float | None = None,
 ) -> tuple[LiftedApproximator, ErrorCertificate]:
     """Grid-approximate each lifted component field and wrap as flows.
 
@@ -219,13 +218,13 @@ def approximate_lipschitz_function(
         ([g], [L]) for g, L in zip(comps, lipschitz)
     ]
     flows, certs = zip(*(
-        _lift_flow(g, n, d, L, collapse_y, steps, delta) for g, L in groups
+        _lift_flow(g, n, d, L, collapse_y, steps) for g, L in groups
     ))
     worst = max(certs, key=lambda c: c.total_bound)
     return LiftedApproximator(list(flows), d, list(certs), mode), worst
 
 
-def _lift_flow(comps, n, d, lipschitz, collapse_y, steps, delta):
+def _lift_flow(comps, n, d, lipschitz, collapse_y, steps):
     """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) of the
     D = len(comps) components on R^(d+D), with its one-stage certificate
     2 ||omega((d+D)/(2n))|| e^{max(1, L_i)}."""
@@ -245,10 +244,8 @@ def _lift_flow(comps, n, d, lipschitz, collapse_y, steps, delta):
     omega = modulus(dim / (2.0 * n))
     ns = (n,) * d + ((1,) if collapse_y else (n,)) * D
     gridvf, _, report = grid_realize(joint_g, dim, n, modulus, ns=ns)
-    if delta is None:
-        big = 2.0 * float(np.abs(gridvf.grid.values).max())
-        delta = min(0.2, float(np.max(omega)) / big) if big > 0 else 0.2
-        delta = max(delta, 1e-9)
+    big = 2.0 * float(np.abs(gridvf.grid.values).max())
+    delta = max(min(0.2, float(np.max(omega)) / big) if big > 0 else 0.2, 1e-9)
     # pad >= delta keeps the cutoff's identity region over [0,1]^(d+D);
     # pad >= cell width makes exterior folds land where the hat
     # continuation is exactly zero (lifted fields do not vanish on the
@@ -328,11 +325,10 @@ def load_lifted(path: str) -> LiftedApproximator:
     return read_manifest(path, LiftedApproximator.from_dict)
 
 
-def verify_lifted_manifest(path: str, rel_tol: float = 1e-12) -> dict:
+def verify_lifted_manifest(path: str) -> dict:
     """Recheck that a lifted manifest's certificates are recomputable."""
     certs = load_lifted(path).certificates or []
     return _check_stated(
         {f"component{i}_certificate": (c.total_bound, c.recompute_total())
-         for i, c in enumerate(certs)},
-        rel_tol,
+         for i, c in enumerate(certs)}
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .fields import GridInterpolant, VectorField, grid_field
+from .fields import GridInterpolant, VectorField, grid_field, lattice
 from .flow import FlowMap, IncrementalGenerator, builtin_generator, integrate
 
 __all__ = [
@@ -37,6 +37,8 @@ TOL_CLOSE = 1e-6
 TOL_SEPARATE = 1e-2
 _EDGE_TOL = 1e-12  # stopping width of a refined edge bracket
 _EDGE_MAX_ROUNDS = 45  # ends brackets that float spacing keeps wider than _EDGE_TOL
+FIT_EVAL_GRID_N = 9  # fit lattice points per axis
+FIT_FLOW_STEPS = 16  # RK4 steps of every flow in the fit
 
 
 def build_counterexample(steps: int = PROBE_STEPS) -> IncrementalGenerator:
@@ -56,16 +58,16 @@ class OrbitRecord:
     period: int | None = None
     data: dict = dataclass_field(default_factory=dict)
 
-    def recompute_classification(self, tol_close=TOL_CLOSE, tol_separate=TOL_SEPARATE):
-        return classify_orbit(self.iterates, tol_close, tol_separate)
+    def recompute_classification(self):
+        return classify_orbit(self.iterates)
 
 
-def classify_orbit(iterates, tol_close=TOL_CLOSE, tol_separate=TOL_SEPARATE):
+def classify_orbit(iterates):
     """Classification from the iterate list alone.
 
-    fixed: |F(s) - s| <= tol_close. periodic(k): smallest k >= 2 with
-    |F^k(s) - s| <= tol_close while every earlier return stays
-    >= tol_separate away. contracting_toward: consecutive displacements
+    fixed: |F(s) - s| <= TOL_CLOSE. periodic(k): smallest k >= 2 with
+    |F^k(s) - s| <= TOL_CLOSE while every earlier return stays
+    >= TOL_SEPARATE away. contracting_toward: consecutive displacements
     decay geometrically; the limit estimate and median decay rate ride in
     the data dict. Everything else: unclassified.
     """
@@ -74,10 +76,10 @@ def classify_orbit(iterates, tol_close=TOL_CLOSE, tol_separate=TOL_SEPARATE):
     disp = np.abs(iterates[1:] - start).max(axis=1)
     if disp.size == 0:
         return "unclassified", None, {}
-    if disp[0] <= tol_close:
+    if disp[0] <= TOL_CLOSE:
         return "fixed", 1, {}
     for k in range(2, disp.size + 1):
-        if disp[k - 1] <= tol_close and disp[: k - 1].min() >= tol_separate:
+        if disp[k - 1] <= TOL_CLOSE and disp[: k - 1].min() >= TOL_SEPARATE:
             return "periodic", k, {"separation": float(disp[: k - 1].min())}
     steps = np.abs(np.diff(iterates, axis=0)).max(axis=1)
     if steps.size >= 3 and np.all(steps[1:] > 0):
@@ -100,38 +102,34 @@ def _iterate(apply, seeds, k_max):
 
 def detect_periodic(
     mapping,
-    region=((0.25, 0.25), (0.75, 0.75)),
     k_max: int = 4,
-    tol_close: float = TOL_CLOSE,
-    tol_separate: float = TOL_SEPARATE,
     grid_n: int = 33,
     refine: bool = True,
 ) -> list[OrbitRecord]:
-    """Scan a seed lattice, classify orbits, refine periodic candidates.
+    """Scan a grid_n x grid_n seed lattice on [1/4, 3/4]^2, classify
+    orbits, refine periodic candidates.
 
     Refinement shrinks, by the batched secant rounds of ``_bisect_edges``,
     brackets on lattice edges where a component of F^k - id changes sign to
     below 1e-12, then classifies the refined point from its own iterates.
-    Deterministic for fixed grid and tolerances; an empty result is allowed.
+    Deterministic for a fixed grid; an empty result is allowed.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    lo = np.asarray(region[0], dtype=float)
-    hi = np.asarray(region[1], dtype=float)
-    d = lo.size
-    axes = [np.linspace(lo[i], hi[i], grid_n) for i in range(d)]
-    seeds = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    seeds = lattice((grid_n, grid_n), 0.25, 0.75)
+    d = seeds.shape[1]
     its = _iterate(mapping, seeds, k_max)
 
     records = []
     for m in range(seeds.shape[0]):
-        cls, period, data = classify_orbit(its[:, m], tol_close, tol_separate)
+        cls, period, data = classify_orbit(its[:, m])
         records.append(OrbitRecord(seeds[m], its[:, m], cls, period, data))
 
     if not refine:
         return records
 
     edges = []
+    S = seeds.reshape((grid_n,) * d + (d,))
     for k in range(2, k_max + 1):
         G = (its[k] - seeds).reshape((grid_n,) * d + (d,))
         for axis in range(d):
@@ -140,13 +138,13 @@ def detect_periodic(
             # refine only genuine crossings, not sign noise around zero
             flips = np.argwhere(
                 (np.sign(ca) * np.sign(cb) < 0)
-                & (np.maximum(np.abs(ca), np.abs(cb)) > tol_close)
+                & (np.maximum(np.abs(ca), np.abs(cb)) > TOL_CLOSE)
             )
             for idx in flips[:512]:
-                a = np.array([axes[i][idx[i]] for i in range(d)])
-                b = a.copy()
-                b[axis] = axes[axis][idx[axis] + 1]
-                edges.append((a, b, axis, k, ca[tuple(idx)], cb[tuple(idx)]))
+                nxt = idx.copy()
+                nxt[axis] += 1
+                edges.append((S[tuple(idx)], S[tuple(nxt)], axis, k,
+                              ca[tuple(idx)], cb[tuple(idx)]))
 
     if edges:
         edges = [np.array(col) for col in zip(*edges)]
@@ -158,7 +156,7 @@ def detect_periodic(
             if key in seen:
                 continue
             seen.add(key)
-            cls, period, data = classify_orbit(its_ref[:, m], tol_close, tol_separate)
+            cls, period, data = classify_orbit(its_ref[:, m])
             if cls == "periodic":
                 data = dict(data, refined=True, edge_axis=int(edges[2][m]))
                 records.append(OrbitRecord(pts[m], its_ref[:, m], cls, period, data))
@@ -212,18 +210,16 @@ def contraction_audit(
     mapping,
     center_orbit,
     radius: float = 0.01,
-    n_probes: int = 8,
     n_iters: int = 1,
-    max_angle_deg: float = 45.0,
 ) -> dict:
     """Radius ratios around a periodic point for transverse probes.
 
-    Probes are placed off the invariant (vertical) line: the fan spans
-    ``max_angle_deg`` degrees either side of the two horizontal
-    directions. The probes go through the map as one batch, period-many
-    times per double-iteration, and each records r_{m+1} / r_m with
-    r_m = |F^{mk}(c) - q|_2; the worst ratio over probes and audited
-    double-iterations is reported.
+    Eight probes are placed off the invariant (vertical) line: four
+    evenly spread over 45 degrees either side of each of the two
+    horizontal directions. The probes go through the map as one batch,
+    period-many times per double-iteration, and each records
+    r_{m+1} / r_m with r_m = |F^{mk}(c) - q|_2; the worst ratio over
+    probes and audited double-iterations is reported.
     """
     if isinstance(center_orbit, OrbitRecord):
         if center_orbit.classification != "periodic":
@@ -233,9 +229,8 @@ def contraction_audit(
     else:
         q = np.asarray(center_orbit, dtype=float)
         k = 2
-    half = max(1, n_probes // 2)
-    base = np.linspace(-np.deg2rad(max_angle_deg), np.deg2rad(max_angle_deg), half)
-    angles = np.concatenate([base, base + np.pi])[:n_probes]
+    base = np.linspace(-np.deg2rad(45.0), np.deg2rad(45.0), 4)
+    angles = np.concatenate([base, base + np.pi])
     X = np.array([q + radius * np.array([np.cos(ang), np.sin(ang)]) for ang in angles])
     radii = [[float(np.linalg.norm(c - q))] for c in X]
     for _ in range(n_iters):
@@ -284,24 +279,24 @@ def _flow_theta_batch(thetas, pts, n_grid, steps):
     return integrate(rhs, X, steps).reshape(B, m, 2)
 
 
-def _poll_search(poll, x0, budget, rng, step0=0.2, shrink=0.5, min_step=1e-9,
-                 n_rand=16):
+def _poll_search(poll, x0, budget, rng):
     """Pattern search with shrinking step and full batched polls.
 
-    Each poll evaluates every +-step coordinate move plus a few seeded
+    Each poll evaluates every +-step coordinate move plus 16 seeded
     random l_inf-unit directions (these get the search off the corners of
     the sup-norm objective), takes the best improving candidate (or the
     sum of all improving moves when that is better), and halves the step
-    after a failed poll.
+    after a failed poll. The step starts at 0.2; the search ends when the
+    budget is spent or the step falls to 1e-9.
     """
     x = x0.copy()
     fx = float(poll(x[None])[0])
     evals = 1
-    step = step0
+    step = 0.2
     P = x.size
     coord = np.vstack([np.eye(P), -np.eye(P)])
-    while evals < budget and step > min_step:
-        R = rng.standard_normal((n_rand, P))
+    while evals < budget and step > 1e-9:
+        R = rng.standard_normal((16, P))
         R /= np.abs(R).max(axis=1, keepdims=True)
         dirs = np.vstack([coord, R])
         cands = x[None] + step * dirs
@@ -323,7 +318,7 @@ def _poll_search(poll, x0, budget, rng, step0=0.2, shrink=0.5, min_step=1e-9,
                     best_x, best_f = combo, fc
             x, fx = best_x, best_f
         else:
-            step *= shrink
+            step *= 0.5
     return x, fx, evals
 
 
@@ -332,14 +327,13 @@ def fit_single_flow(
     n_grid: int = 4,
     budget: int = 20_000,
     seed: int = 0,
-    eval_grid_n: int = 9,
-    flow_steps: int = 16,
 ) -> FitResult:
     """Best single time-1 flow over grid-valued fields, derivative-free.
 
     Parameters are the 2 (n_grid+1)^2 vertex values of a planar grid
-    field. The objective is the sup over an evaluation lattice of
-    |Flow(candidate) - target|_inf, minimized by full-poll compass search
+    field. The objective is the sup over the FIT_EVAL_GRID_N^2 evaluation
+    lattice of |Flow(candidate) - target|_inf, each candidate flowed with
+    FIT_FLOW_STEPS RK4 steps, minimized by full-poll compass search
     with shrinking steps from two restarts: the zero field and the
     displacement chord x -> target(x) - x sampled at the vertices (a
     crude logarithm guess). Deterministic given the seed, which is pinned
@@ -347,17 +341,15 @@ def fit_single_flow(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    axes = np.linspace(0.0, 1.0, eval_grid_n)
-    pts = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = lattice((FIT_EVAL_GRID_N, FIT_EVAL_GRID_N))
     target_vals = np.atleast_2d(target(pts))
 
     def poll(thetas):
-        out = _flow_theta_batch(thetas, pts, n_grid, flow_steps)
+        out = _flow_theta_batch(thetas, pts, n_grid, FIT_FLOW_STEPS)
         return np.abs(out - target_vals[None]).max(axis=(1, 2))
 
     nverts = (n_grid + 1) ** 2
-    vaxes = np.linspace(0.0, 1.0, n_grid + 1)
-    vpts = np.stack(np.meshgrid(vaxes, vaxes, indexing="ij"), axis=-1).reshape(-1, 2)
+    vpts = lattice((n_grid + 1, n_grid + 1))
     chord = (np.atleast_2d(target(vpts)) - vpts).ravel()
     inits = [("zero", np.zeros(2 * nverts)), ("chord", chord)]
 
@@ -379,8 +371,8 @@ def fit_single_flow(
         budget=budget,
         seed=seed,
         init_label=label,
-        eval_grid_n=eval_grid_n,
-        flow_steps=flow_steps,
+        eval_grid_n=FIT_EVAL_GRID_N,
+        flow_steps=FIT_FLOW_STEPS,
     )
 
 
@@ -388,8 +380,6 @@ def fit_gap_experiment(
     seed: int = 0,
     budget: int = 20_000,
     n_grid: int = 4,
-    eval_grid_n: int = 9,
-    flow_steps: int = 16,
 ) -> dict:
     """Self-recovery vs composite-map fitting at equal budget and seeds.
 
@@ -407,24 +397,22 @@ def fit_gap_experiment(
         rotation_field([0.5, 0.5], np.pi), [0.5, 0.5], 0.2, 0.45,
         max_abs=np.pi * 0.45,
     )
-    vaxes = np.linspace(0.0, 1.0, n_grid + 1)
-    vpts = np.stack(np.meshgrid(vaxes, vaxes, indexing="ij"), axis=-1).reshape(-1, 2)
-    theta_star = 0.2 * rot.eval(vpts)
+    theta_star = 0.2 * rot.eval(lattice((n_grid + 1, n_grid + 1)))
     in_class = _grid_field_from_theta(theta_star.ravel(), n_grid)
-    self_target = FlowMap(in_class, steps=flow_steps)
+    self_target = FlowMap(in_class, steps=FIT_FLOW_STEPS)
 
     composite = build_counterexample(steps=256)
 
-    fit_self = fit_single_flow(self_target, n_grid, budget, seed, eval_grid_n, flow_steps)
-    fit_comp = fit_single_flow(composite, n_grid, budget, seed, eval_grid_n, flow_steps)
+    fit_self = fit_single_flow(self_target, n_grid, budget, seed)
+    fit_comp = fit_single_flow(composite, n_grid, budget, seed)
     denom = max(fit_self.residual_sup, 1e-12)
     gap = fit_comp.residual_sup / denom
     return {
         "seed": seed,
         "budget": budget,
         "n_grid": n_grid,
-        "eval_grid_n": eval_grid_n,
-        "flow_steps": flow_steps,
+        "eval_grid_n": FIT_EVAL_GRID_N,
+        "flow_steps": FIT_FLOW_STEPS,
         "self_recovery_residual": fit_self.residual_sup,
         "self_recovery_init": fit_self.init_label,
         "composite_residual": fit_comp.residual_sup,

@@ -66,30 +66,6 @@ class EmpiricalMeasure:
     def uniform(self) -> bool:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-14))
 
-    # CSV: d coordinate columns, optional trailing weight column
-    def to_csv(self, path, include_weights: bool = False) -> None:
-        header = ",".join(f"x{i}" for i in range(self.dim))
-        rows = []
-        if include_weights:
-            header += ",weight"
-        for k in range(self.n):
-            cells = [repr(float(v)) for v in self.points[k]]
-            if include_weights:
-                cells.append(repr(float(self.weights[k])))
-            rows.append(",".join(cells))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            fh.write("\n".join(rows) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "EmpiricalMeasure":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if header[-1] == "weight":
-            return cls(data[:, :-1], data[:, -1])
-        return cls(data)
-
 
 class TransportReport:
     """Outcome of an exact W1 solve."""
@@ -222,10 +198,12 @@ def concentration_experiment(
     seed: int,
     M: int = 4096,
     C: float = 1.0,
-    epsilon: float | None = None,
 ) -> dict:
     """Push N-sample noise through the generator and score against a fixed
     M-sample proxy of the target, for each N and trial.
+
+    The bound's epsilon is the generator certificate's total bound, or 0
+    when the generator carries no certificate.
 
     The proxy replaces the continuous target (exact continuous W1 is
     unavailable); its own sampling error is estimated from two
@@ -246,9 +224,8 @@ def concentration_experiment(
     proxy_error = w1_exact(proxy, proxy_b).w1
 
     L = getattr(gen, "lipschitz_bound", 1.0)
-    if epsilon is None:
-        cert = getattr(gen, "certificate", None)
-        epsilon = cert.total_bound if cert is not None else 0.0
+    cert = getattr(gen, "certificate", None)
+    epsilon = cert.total_bound if cert is not None else 0.0
 
     d = proxy.dim
     rows = []

@@ -61,7 +61,8 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     ("probe-flowability", {"grid_n": 1}),
     ("approx-flow", {"field": {"id": "zero"}, "n": 4, "steps": 0}),
     ("approx-flow", {"field": {"id": "zero"}, "n": 4, "eval_grid": 0}),
-    ("bench", {"repeats": -1}),
+    # JSON parsing accepts NaN and Infinity; a float key must be finite
+    ("probe-flowability", {"contraction_radius": float("inf")}),
     # the fit sub-config is checked before the orbit scan starts
     ("probe-flowability", {"grid_n": 3, "k_max": 1, "steps": 8,
                            "fit": {"enabled": True, "budget": 0}}),
@@ -80,6 +81,8 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                   "target": {"kind": "uniform", "dim": 0}}),
     ("probe-flowability", {"contraction_radius": 0.0}),
     ("probe-flowability", {"contraction_radius": -0.01}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "C": float("nan")}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "delta": float("inf")}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -216,7 +219,9 @@ def test_lift_approx_config_errors(tmp_path):
     (2.0, "x\n0.0\n0.5\n1.0\n"),
     (2.0, "x,f\n0.5,0.2\n"),
     (2.0, "x,f\n0.0,a\n1.0,b\n"),
-], ids=["lipschitz_not_a_number", "lipschitz_negative", "one_column", "one_row", "not_numbers"])
+    (float("inf"), "x,f\n0.0,1.0\n1.0,0.0\n"),
+], ids=["lipschitz_not_a_number", "lipschitz_negative", "one_column", "one_row", "not_numbers",
+        "lipschitz_infinite"])
 def test_lift_approx_bad_samples_csv_exits_2(tmp_path, capsys, lipschitz, rows):
     samples = tmp_path / "samples.csv"
     samples.write_text(rows)
@@ -299,12 +304,3 @@ def test_probe_flowability_run(tmp_path):
     orbits = (out / "orbits.csv").read_text().splitlines()
     assert orbits[0] == "x0,x1,classification,period"
     assert (out / "contraction.csv").exists()
-
-
-def test_bench_run(tmp_path):
-    out = tmp_path / "runbench"
-    cfg = write_cfg(tmp_path, "cfg.json", {"repeats": 1, "out_dir": str(out)})
-    assert main(["bench", cfg]) == 0
-    rows = (out / "timings.csv").read_text().splitlines()
-    assert rows[0] == "op,repeat,seconds"
-    assert len(rows) > 1

@@ -1,9 +1,10 @@
-"""Every exported name exists, and every name a demo imports from incflow
-resolves. The demos are parsed, not run: running them takes tens of
-seconds."""
+"""Every exported name exists, every name a demo imports from incflow
+resolves, and every demo call to such a name binds to its signature. The
+demos are parsed, not run: running them takes tens of seconds."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -34,3 +35,30 @@ def test_demo_imports_from_incflow_resolve():
                 for alias in node.names:
                     if alias.name.split(".")[0] == "incflow":
                         importlib.import_module(alias.name)
+
+
+def test_demo_calls_bind_to_incflow_signatures():
+    # a demo passing a removed keyword fails here, not only when it is run
+    checked = 0
+    for path in DEMOS:
+        tree = ast.parse(path.read_text(), str(path))
+        names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "incflow":
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    names[alias.asname or alias.name] = getattr(mod, alias.name)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in names):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                continue
+            sig = inspect.signature(names[node.func.id])
+            try:
+                sig.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as e:
+                pytest.fail(f"{path.name}:{node.lineno}: {node.func.id}{sig}: {e}")
+            checked += 1
+    assert checked, "no demo calls to incflow names found"

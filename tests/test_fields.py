@@ -18,6 +18,7 @@ from incflow.fields import (
     grid_realize,
     grid_relu_approximate,
     grid_to_mlp,
+    lattice,
     radial_bump_clip,
     rotation_field,
     sin_bump_field,
@@ -191,11 +192,16 @@ def test_box_clip_delta_validation():
 # grid interpolant
 
 
-def test_vertex_reproduction_exact():
+@pytest.mark.parametrize("ns", [(4, 4), (3,), (2, 4), (2, 3, 4)],
+                         ids=lambda ns: "x".join(map(str, ns)))
+def test_vertex_reproduction_exact(ns):
+    # the lattice is the interpolant's vertex order, on every axis count;
+    # each n here puts the lattice on the vertices exactly (at n = 5,
+    # linspace gives 0.6000000000000001 for 3/5, one ulp off the vertex)
     rng = np.random.default_rng(5)
-    vals = rng.standard_normal((25, 2))
-    gi = GridInterpolant((4, 4), vals)
-    assert np.array_equal(gi(gi.vertex_points()), vals)
+    vals = rng.standard_normal((int(np.prod([n + 1 for n in ns])), 2))
+    gi = GridInterpolant(ns, vals)
+    assert np.array_equal(gi(lattice([n + 1 for n in ns])), vals)
 
 
 def test_matches_simplicial_oracle():

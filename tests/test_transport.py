@@ -239,20 +239,3 @@ def test_concentration_validation():
         concentration_experiment(gen, _uniform, _uniform, [8, 32], 0, 0.1, 0)
     with pytest.raises(ValueError):
         concentration_experiment(gen, _uniform, _uniform, [8, 32], 2, -0.1, 0)
-
-
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    w = rng.random(5)
-    w /= w.sum()
-    mu = EmpiricalMeasure(rng.random((5, 3)), w)
-    path = tmp_path / "measure.csv"
-    mu.to_csv(path, include_weights=True)
-    back = EmpiricalMeasure.from_csv(path)
-    assert np.array_equal(back.points, mu.points)
-    assert np.array_equal(back.weights, mu.weights)
-    # without weights: uniform on reload
-    mu.to_csv(path)
-    back = EmpiricalMeasure.from_csv(path)
-    assert np.array_equal(back.points, mu.points)
-    assert back.uniform
