@@ -872,14 +872,11 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
     if backend == "analytic":
         return builtin_field(ref["id"], ref.get("params", {}))
     if backend == "grid":
-        if "file" in ref:
-            import os
+        import os
 
-            gi = GridInterpolant.load(
-                os.path.join(base_dir, ref["file"]) if base_dir else ref["file"]
-            )
-        else:
-            gi = GridInterpolant(ref["n"], np.array(ref["values"]))
+        gi = GridInterpolant.load(
+            os.path.join(base_dir, ref["file"]) if base_dir else ref["file"]
+        )
         return grid_field(gi, ref)
     if backend == "box_clip":
         inner = field_from_ref(ref["inner"], base_dir)

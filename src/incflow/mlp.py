@@ -6,20 +6,18 @@ parallelization, depth padding) is exact — the returned network evaluates
 to the same piecewise-linear function as the operands, up to float
 rounding, never up to an approximation.
 
-A layer's weight matrix is either a dense ndarray or a
-``scipy.sparse.csr_array``; the exact grid realization builds sparse
-layers, hand-built networks are dense. Every place where the two forms
-differ goes through the helpers below, so sizes, serialization and
-Lipschitz bounds read the same for both.
+Every layer's weight matrix is a ``scipy.sparse.csr_array``. The exact
+constructions are almost all zeros and the builders here store none of
+them; one format means one code path for evaluation, algebra, sizes and
+Lipschitz bounds. Networks are not serialized: a saved artifact stores
+what a network is built from (a grid payload), never its weights.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 
 __all__ = [
@@ -42,55 +40,10 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-# -- dense/sparse layer helpers --------------------------------------------
-
-
-def _as_weights(W):
-    """Float copy of a dense ``W``; a sparse ``W`` as float CSR."""
-    if sparse.issparse(W):
-        return sparse.csr_array(W, dtype=float)
-    return np.array(W, dtype=float)
-
-
-def _dense(W) -> np.ndarray:
-    return W.toarray() if sparse.issparse(W) else W
-
-
-def _nonzeros(W) -> int:
-    """Nonzero entries; explicitly stored zeros of a sparse ``W`` do not count."""
-    return int(np.count_nonzero(W.data if sparse.issparse(W) else W))
-
-
-def _affine(W, b, X) -> np.ndarray:
-    """``X @ W.T + b`` for a batch ``X`` of rows, as an ndarray."""
-    if sparse.issparse(W):
-        return (W @ X.T).T + b
-    return X @ W.T + b
-
-
-def _matmul(A, B):
-    """``A @ B``, kept as CSR when either operand is sparse."""
-    if sparse.issparse(A) or sparse.issparse(B):
-        return sparse.csr_array(A) @ sparse.csr_array(B)
-    return A @ B
-
-
-def _vstack(blocks):
-    if any(sparse.issparse(B) for B in blocks):
-        return sparse.vstack(blocks, format="csr")
-    return np.vstack(blocks)
-
-
-def _hstack(blocks):
-    if any(sparse.issparse(B) for B in blocks):
-        return sparse.hstack(blocks, format="csr")
-    return np.hstack(blocks)
-
-
-def _block_diag(blocks):
-    if any(sparse.issparse(B) for B in blocks):
-        return sparse.block_diag(blocks, format="csr")
-    return scipy.linalg.block_diag(*blocks)
+# Rows per block in ``MLP.eval``. Each row is evaluated independently and
+# CSR products sum each row in the same order whatever the block size, so
+# blocking bounds the hidden activations held at once without changing a bit.
+_EVAL_ROWS = 512
 
 
 class MLP:
@@ -102,7 +55,7 @@ class MLP:
         ``W`` has shape ``(out, in)``, ``b`` shape ``(out,)``. Consecutive
         layer dimensions must chain. A single layer is the affine map
         itself (zero hidden layers). ``W`` may be dense or a scipy sparse
-        matrix; sparse weights are stored as CSR, dense ones as ndarrays.
+        matrix; it is stored as a float CSR array.
     """
 
     def __init__(self, layers):
@@ -110,7 +63,7 @@ class MLP:
             raise ValueError("an MLP needs at least one affine layer")
         clean = []
         for W, b in layers:
-            W = _as_weights(W)
+            W = sparse.csr_array(W, dtype=float)
             b = np.array(b, dtype=float)
             if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
                 raise ValueError(
@@ -144,14 +97,17 @@ class MLP:
 
     @property
     def nonzeros(self) -> int:
-        return sum(_nonzeros(W) + _nonzeros(b) for W, b in self.layers)
+        return sum(int(np.count_nonzero(W.data)) + int(np.count_nonzero(b))
+                   for W, b in self.layers)
 
     def eval(self, x, activation=relu):
         """Forward pass. ``x`` is one point ``(d,)`` or a batch ``(m, d)``.
 
         ``activation`` may be any 1-Lipschitz scalar function applied
         componentwise; the constructive builders in this package assume
-        ReLU, which is the default.
+        ReLU, which is the default. Rows are pushed through in blocks of
+        ``_EVAL_ROWS``, so the hidden activations held at once do not
+        grow with the batch.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -162,60 +118,20 @@ class MLP:
             )
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite input")
-        for W, b in self.layers[:-1]:
-            X = activation(_affine(W, b, X))
-        W, b = self.layers[-1]
-        X = _affine(W, b, X)
-        return X[0] if single else X
+        out = np.empty((X.shape[0], self.output_dim))
+        for start in range(0, X.shape[0], _EVAL_ROWS):
+            Z = X[start:start + _EVAL_ROWS]
+            for W, b in self.layers[:-1]:
+                Z = activation((W @ Z.T).T + b)
+            W, b = self.layers[-1]
+            out[start:start + _EVAL_ROWS] = (W @ Z.T).T + b
+        return out[0] if single else out
 
     __call__ = eval
 
     def __repr__(self):
         dims = [self.input_dim] + [W.shape[0] for W, _ in self.layers]
         return f"MLP({'-'.join(map(str, dims))})"
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "output_dim": self.output_dim,
-            "layers": [
-                {
-                    "rows": W.shape[0],
-                    "cols": W.shape[1],
-                    "weights": _dense(W).ravel().tolist(),
-                    "bias": b.tolist(),
-                }
-                for W, b in self.layers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MLP":
-        layers = [
-            (
-                np.array(spec["weights"], dtype=float).reshape(
-                    spec["rows"], spec["cols"]
-                ),
-                np.array(spec["bias"], dtype=float),
-            )
-            for spec in d["layers"]
-        ]
-        net = cls(layers)
-        if net.input_dim != d["input_dim"] or net.output_dim != d["output_dim"]:
-            raise ValueError("serialized dims inconsistent with layer shapes")
-        return net
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path) -> "MLP":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def identity_mlp(dim: int) -> MLP:
@@ -301,7 +217,7 @@ def compose(outer: MLP, inner: MLP) -> MLP:
         )
     Wi, bi = inner.layers[-1]
     Wo, bo = outer.layers[0]
-    merged = (_matmul(Wo, Wi), Wo @ bi + bo)
+    merged = (Wo @ Wi, Wo @ bi + bo)
     return MLP(inner.layers[:-1] + [merged] + outer.layers[1:])
 
 
@@ -316,9 +232,9 @@ def pad_to_depth(net: MLP, depth: int) -> MLP:
     while net.depth < depth:
         W, b = net.layers[-1]
         m = W.shape[0]
-        hidden = (_vstack([W, -W]), np.concatenate([b, -b]))
-        eye = sparse.eye_array(m) if sparse.issparse(W) else np.eye(m)
-        out = (_hstack([eye, -eye]), np.zeros(m))
+        hidden = (sparse.vstack([W, -W], format="csr"), np.concatenate([b, -b]))
+        eye = sparse.eye_array(m)
+        out = (sparse.hstack([eye, -eye], format="csr"), np.zeros(m))
         net = MLP(net.layers[:-1] + [hidden, out])
     return net
 
@@ -341,7 +257,7 @@ def parallelize(parts: list[MLP]) -> MLP:
     for k in range(depth):
         blocks = [p.layers[k] for p in parts]
         layers.append((
-            _block_diag([W for W, _ in blocks]),
+            sparse.block_diag([W for W, _ in blocks], format="csr"),
             np.concatenate([b for _, b in blocks]),
         ))
     return MLP(layers)
@@ -352,15 +268,14 @@ def lipschitz_upper_bound(net: MLP, norm: str = "l_inf") -> float:
 
     ReLU is 1-Lipschitz componentwise in both supported norms, so the
     product over layers dominates the network's Lipschitz constant.
-    The spectral norm of a sparse layer is taken of its dense form, so
-    the ``l_2`` bound is the same exact-SVD value for both forms.
+    The spectral norm of a layer is the exact SVD value of its dense form.
     """
     prod = 1.0
     for W, _ in net.layers:
         if norm == "l_inf":
             prod *= float(abs(W).sum(axis=1).max())
         elif norm == "l_2":
-            prod *= float(np.linalg.norm(_dense(W), 2))
+            prod *= float(np.linalg.norm(W.toarray(), 2))
         else:
             raise ValueError(f"unknown norm {norm!r} (use 'l_inf' or 'l_2')")
     return prod

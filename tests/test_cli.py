@@ -246,6 +246,8 @@ def _damage_manifest(run, defect):
         doc = json.loads(manifest.read_text())
         if defect == "unknown_backend":
             doc["stages"][0]["field"]["backend"] = "bogus"
+        elif defect == "grid_ref_without_file":
+            del doc["stages"][0]["field"]["inner"]["file"]
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -254,7 +256,8 @@ def _damage_manifest(run, defect):
 
 @pytest.mark.parametrize("command", ["verify", "generate"])
 @pytest.mark.parametrize("defect", [
-    "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object"])
+    "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
+    "grid_ref_without_file"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {

@@ -342,7 +342,7 @@ def test_sparse_realization_is_bit_identical_to_dense_reference(ns):
     ref = reference_dense_grid_to_mlp(gi)
     assert len(net.layers) == len(ref)
     for (W, b), (W_ref, b_ref) in zip(net.layers, ref):
-        dense = W.toarray() if sparse.issparse(W) else W
+        dense = W.toarray()
         assert dense.shape == W_ref.shape
         assert np.array_equal(dense, W_ref)
         assert np.array_equal(b, b_ref)
@@ -360,7 +360,7 @@ def test_joint_lift_network_stores_no_dense_hidden_layers():
     hidden = net.layers[1:-1]
     assert all(sparse.issparse(W) and W.format == "csr" for W, _ in hidden)
     assert all(np.all(W.data != 0.0) for W, _ in hidden)
-    stored = sum(W.nnz if sparse.issparse(W) else W.size for W, _ in net.layers)
+    stored = sum(W.nnz for W, _ in net.layers)
     assert stored <= net.nonzeros
 
 

@@ -1,4 +1,4 @@
-import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from incflow.fields import (
+    GridInterpolant,
+    LipschitzModulus,
+    box_bump_clip,
+    grid_realize,
+    grid_to_mlp,
+)
 from incflow.mlp import (
+    _EVAL_ROWS,
     MLP,
     BumpSpec,
+    affine_mlp,
     build_bump,
     bump_values,
     compose,
@@ -271,26 +280,11 @@ def test_layer_chain_validation():
         MLP([])
 
 
-def test_json_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(7)
-    net = MLP([(rng.standard_normal((4, 2)), rng.standard_normal(4)),
-               (rng.standard_normal((2, 4)), rng.standard_normal(2))])
-    path = tmp_path / "net.json"
-    net.save_json(path)
-    back = MLP.load_json(path)
-    for (W0, b0), (W1, b1) in zip(net.layers, back.layers):
-        assert np.array_equal(W0, W1)
-        assert np.array_equal(b0, b1)
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"input_dim", "output_dim", "layers"}
-    assert set(doc["layers"][0]) == {"rows", "cols", "weights", "bias"}
-
-
 def integer_layers(rng, dims, density=0.4):
     """Random layers with small integer weights, about ``density`` nonzero.
 
     Integer weights and dyadic inputs keep every product and sum exact,
-    so a sparse network and its dense twin must agree bit for bit.
+    so the algebra's results must equal their dense references bit for bit.
     """
     layers = []
     for i, o in zip(dims, dims[1:]):
@@ -300,69 +294,64 @@ def integer_layers(rng, dims, density=0.4):
     return layers
 
 
-def sparse_and_dense_twins(seed):
-    rng = np.random.default_rng(seed)
-    layers = integer_layers(rng, [3, 7, 6, 2])
-    hidden = [sparse.csr_array(W) for W, _ in layers[:-1]]
-    hidden[0].data[0] = 0.0  # an explicitly stored zero is not a nonzero
-    sp = MLP([(S, b) for S, (_, b) in zip(hidden, layers)] + layers[-1:])
-    dense = MLP([(S.toarray(), b) for S, (_, b) in zip(hidden, layers)] + layers[-1:])
-    return sp, dense
-
-
-def assert_same_layers(a, b):
-    assert len(a.layers) == len(b.layers)
-    for (Wa, ba), (Wb, bb) in zip(a.layers, b.layers):
-        Wa = Wa.toarray() if sparse.issparse(Wa) else Wa
-        Wb = Wb.toarray() if sparse.issparse(Wb) else Wb
-        assert np.array_equal(Wa, Wb)
-        assert np.array_equal(ba, bb)
-
-
-def test_sparse_layers_stay_csr_and_report_dense_sizes():
-    sp, dense = sparse_and_dense_twins(0)
-    assert [sparse.issparse(W) for W, _ in sp.layers] == [True, True, False]
-    assert all(W.format == "csr" for W, _ in sp.layers[:-1])
-    assert not any(sparse.issparse(W) for W, _ in dense.layers)
-    assert (sp.width, sp.depth, sp.nonzeros) == (dense.width, dense.depth, dense.nonzeros)
-    assert sp.nonzeros < sum(
-        (W.nnz if sparse.issparse(W) else W.size) + b.size for W, b in sp.layers
-    )
-
-
-def test_sparse_and_dense_twins_agree_bit_for_bit(tmp_path):
-    sp, dense = sparse_and_dense_twins(1)
-    rng = np.random.default_rng(2)
-    X = rng.integers(-16, 17, size=(300, 3)) / 8.0
-    out = sp.eval(X)
-    assert type(out) is np.ndarray
-    assert np.array_equal(out, dense.eval(X))
-    assert np.array_equal(sp.eval(X[0]), dense.eval(X[0]))
-
+def test_every_layer_is_csr_storing_no_zero_and_the_algebra_is_exact():
+    rng = np.random.default_rng(0)
+    net = MLP(integer_layers(rng, [3, 7, 6, 2]))
     other = MLP(integer_layers(rng, [2, 4, 3]))
-    pre_layers = integer_layers(rng, [3, 5, 3])
-    pre = MLP(pre_layers)
-    sparse_pre = MLP([(sparse.csr_array(W), b) for W, b in pre_layers])
     side = MLP(integer_layers(rng, [3, 4, 4, 4, 1]))
-    pairs = [
-        (compose(other, sp), compose(other, dense)),  # sparse inner
-        (compose(sp, pre), compose(dense, pre)),  # sparse outer
-        (compose(sp, sparse_pre), compose(dense, pre)),
-        (parallelize([sp, side]), parallelize([dense, side])),
-        (pad_to_depth(sp, 6), pad_to_depth(dense, 6)),
+    field, grid_net, _ = grid_realize(lambda P: P[:, ::-1] - P, 2, 4, LipschitzModulus([1.0, 1.0]))
+    nets = [
+        identity_mlp(3),
+        affine_mlp([[1.0, 0.0, -2.0], [0.0, 0.0, 0.5]], [0.0, 1.0]),
+        build_bump(BumpSpec(0.4)),
+        build_bump(BumpSpec(0.4, 3)),
+        compose(other, net),
+        compose(affine_mlp([[1.0, 1.0]]), affine_mlp([[1.0], [-1.0]])),  # merged [[1 - 1]]
+        parallelize([net, side]),
+        pad_to_depth(net, 6),
+        grid_net,
+        grid_to_mlp(GridInterpolant((3, 2, 2), rng.standard_normal((36, 3)))),
+        box_bump_clip(field, 0.4).mlp,
     ]
-    for got, want in pairs:
-        assert any(sparse.issparse(W) for W, _ in got.layers)
-        assert not any(sparse.issparse(W) for W, _ in want.layers)
-        assert_same_layers(got, want)
-        Xg = np.hstack([X, X])[:, : got.input_dim]
-        assert np.array_equal(got.eval(Xg), want.eval(Xg))
-    merged = compose(sp, pre).layers[len(pre.layers) - 1][0]
-    assert sparse.issparse(merged) and merged.format == "csr"
+    for got in nets:
+        assert all(type(W) is sparse.csr_array for W, _ in got.layers)
+        assert got.nonzeros == sum(W.nnz + np.count_nonzero(b) for W, b in got.layers)
+    stored_zero = sparse.csr_array(np.eye(2))
+    stored_zero.data[0] = 0.0  # an explicitly stored zero is not a nonzero
+    assert MLP([(stored_zero, np.zeros(2))]).nonzeros == 1
 
-    for norm in ("l_inf", "l_2"):
-        assert lipschitz_upper_bound(sp, norm) == lipschitz_upper_bound(dense, norm)
+    # integer weights and dyadic inputs: the algebra equals its dense
+    # reference bit for bit
+    X = rng.integers(-16, 17, size=(300, 3)) / 8.0
+    Wi, bi = net.layers[-1]
+    Wo, bo = other.layers[0]
+    merged, merged_b = compose(other, net).layers[len(net.layers) - 1]
+    assert np.array_equal(merged.toarray(), Wo.toarray() @ Wi.toarray())
+    assert np.array_equal(merged_b, Wo.toarray() @ bi + bo)
 
-    sp.save_json(tmp_path / "sparse.json")
-    dense.save_json(tmp_path / "dense.json")
-    assert (tmp_path / "sparse.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+    both = parallelize([net, side]).eval(np.hstack([X, X]))
+    assert np.array_equal(both, np.hstack([net.eval(X), side.eval(X)]))
+    assert np.array_equal(pad_to_depth(net, 6).eval(X), net.eval(X))
+
+
+def test_blocked_eval_is_bit_equal_to_row_by_row():
+    rng = np.random.default_rng(5)
+    net = grid_to_mlp(GridInterpolant((4, 3), rng.standard_normal((20, 2))))
+    X = rng.uniform(-0.2, 1.2, size=(2 * _EVAL_ROWS + 1, 2))
+    out = net.eval(X)
+    assert np.array_equal(out, np.array([net.eval(x) for x in X]))
+
+
+def test_eval_memory_is_bounded_by_one_block():
+    rng = np.random.default_rng(6)
+    net = grid_to_mlp(GridInterpolant((8, 8), rng.standard_normal((81, 2))))
+    X = rng.random((8 * _EVAL_ROWS, 2))
+    tracemalloc.start()
+    try:
+        net.eval(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's activations, a few times over; the whole batch at once
+    # holds eight times as many
+    assert peak < 4 * _EVAL_ROWS * net.width * 8
