@@ -294,21 +294,48 @@ def integer_layers(rng, dims, density=0.4):
     return layers
 
 
-def test_every_layer_is_csr_storing_no_zero_and_the_algebra_is_exact():
+def sparse_and_dense_twins(seed):
+    """One network built from CSR weights and its twin built from dense arrays.
+
+    Returns both networks and the dense layers. The CSR twin's first layer
+    holds an explicitly stored zero, which is not a nonzero.
+    """
+    rng = np.random.default_rng(seed)
+    layers = integer_layers(rng, [3, 7, 6, 2])
+    given = [sparse.csr_array(W) for W, _ in layers[:-1]]
+    given[0].data[0] = 0.0
+    dense_layers = [(S.toarray(), b) for S, (_, b) in zip(given, layers)] + layers[-1:]
+    sp = MLP([(S, b) for S, (_, b) in zip(given, layers)] + layers[-1:])
+    return sp, MLP(dense_layers), dense_layers
+
+
+def dense_eval(layers, X):
+    """Dense reference forward pass: ReLU between affine layers."""
+    h = X
+    for k, (W, b) in enumerate(layers):
+        h = h @ W.T + b
+        if k < len(layers) - 1:
+            h = np.maximum(h, 0.0)
+    return h
+
+
+def test_sparse_layers_stay_csr_and_report_dense_sizes():
     rng = np.random.default_rng(0)
-    net = MLP(integer_layers(rng, [3, 7, 6, 2]))
+    sp, dense, dense_layers = sparse_and_dense_twins(0)
     other = MLP(integer_layers(rng, [2, 4, 3]))
     side = MLP(integer_layers(rng, [3, 4, 4, 4, 1]))
     field, grid_net, _ = grid_realize(lambda P: P[:, ::-1] - P, 2, 4, LipschitzModulus([1.0, 1.0]))
+    assert all(type(W) is sparse.csr_array for W, _ in sp.layers)
     nets = [
+        dense,
         identity_mlp(3),
         affine_mlp([[1.0, 0.0, -2.0], [0.0, 0.0, 0.5]], [0.0, 1.0]),
         build_bump(BumpSpec(0.4)),
         build_bump(BumpSpec(0.4, 3)),
-        compose(other, net),
+        compose(other, dense),
         compose(affine_mlp([[1.0, 1.0]]), affine_mlp([[1.0], [-1.0]])),  # merged [[1 - 1]]
-        parallelize([net, side]),
-        pad_to_depth(net, 6),
+        parallelize([dense, side]),
+        pad_to_depth(dense, 6),
         grid_net,
         grid_to_mlp(GridInterpolant((3, 2, 2), rng.standard_normal((36, 3)))),
         box_bump_clip(field, 0.4).mlp,
@@ -316,22 +343,62 @@ def test_every_layer_is_csr_storing_no_zero_and_the_algebra_is_exact():
     for got in nets:
         assert all(type(W) is sparse.csr_array for W, _ in got.layers)
         assert got.nonzeros == sum(W.nnz + np.count_nonzero(b) for W, b in got.layers)
+    # both twins report the sizes of the dense arrays they came from
+    want = (
+        max(W.shape[0] for W, _ in dense_layers),
+        len(dense_layers),
+        sum(np.count_nonzero(W) + np.count_nonzero(b) for W, b in dense_layers),
+    )
+    assert (sp.width, sp.depth, sp.nonzeros) == want
+    assert (dense.width, dense.depth, dense.nonzeros) == want
+    assert sp.nonzeros < sum(W.size + b.size for W, b in dense_layers)
     stored_zero = sparse.csr_array(np.eye(2))
     stored_zero.data[0] = 0.0  # an explicitly stored zero is not a nonzero
     assert MLP([(stored_zero, np.zeros(2))]).nonzeros == 1
 
-    # integer weights and dyadic inputs: the algebra equals its dense
-    # reference bit for bit
-    X = rng.integers(-16, 17, size=(300, 3)) / 8.0
-    Wi, bi = net.layers[-1]
-    Wo, bo = other.layers[0]
-    merged, merged_b = compose(other, net).layers[len(net.layers) - 1]
-    assert np.array_equal(merged.toarray(), Wo.toarray() @ Wi.toarray())
-    assert np.array_equal(merged_b, Wo.toarray() @ bi + bo)
 
-    both = parallelize([net, side]).eval(np.hstack([X, X]))
-    assert np.array_equal(both, np.hstack([net.eval(X), side.eval(X)]))
-    assert np.array_equal(pad_to_depth(net, 6).eval(X), net.eval(X))
+def test_sparse_and_dense_twins_agree_bit_for_bit():
+    sp, dense, dense_layers = sparse_and_dense_twins(1)
+    rng = np.random.default_rng(2)
+    X = rng.integers(-16, 17, size=(300, 3)) / 8.0
+    out = sp.eval(X)
+    assert type(out) is np.ndarray
+    assert np.array_equal(out, dense_eval(dense_layers, X))
+    assert np.array_equal(out, dense.eval(X))
+    assert np.array_equal(sp.eval(X[0]), dense.eval(X[0]))
+
+    other = MLP(integer_layers(rng, [2, 4, 3]))
+    pre_layers = integer_layers(rng, [3, 5, 3])
+    pre = MLP(pre_layers)
+    sparse_pre = MLP([(sparse.csr_array(W), b) for W, b in pre_layers])
+    side = MLP(integer_layers(rng, [3, 4, 4, 4, 1]))
+    pairs = [
+        (compose(other, sp), compose(other, dense)),
+        (compose(sp, pre), compose(dense, pre)),
+        (compose(sp, sparse_pre), compose(dense, pre)),
+        (parallelize([sp, side]), parallelize([dense, side])),
+        (pad_to_depth(sp, 6), pad_to_depth(dense, 6)),
+    ]
+    for got, want in pairs:
+        assert len(got.layers) == len(want.layers)
+        for (Wg, bg), (Ww, bw) in zip(got.layers, want.layers):
+            assert np.array_equal(Wg.toarray(), Ww.toarray())
+            assert np.array_equal(bg, bw)
+        Xg = np.hstack([X, X])[:, : got.input_dim]
+        assert np.array_equal(got.eval(Xg), want.eval(Xg))
+
+    # the algebra equals its dense reference
+    Wi, bi = dense_layers[-1]
+    Wo, bo = other.layers[0]
+    merged, merged_b = compose(other, sp).layers[len(sp.layers) - 1]
+    assert np.array_equal(merged.toarray(), Wo.toarray() @ Wi)
+    assert np.array_equal(merged_b, Wo.toarray() @ bi + bo)
+    both = parallelize([sp, side]).eval(np.hstack([X, X]))
+    assert np.array_equal(both, np.hstack([dense_eval(dense_layers, X), side.eval(X)]))
+    assert np.array_equal(pad_to_depth(sp, 6).eval(X), dense_eval(dense_layers, X))
+
+    for norm in ("l_inf", "l_2"):
+        assert lipschitz_upper_bound(sp, norm) == lipschitz_upper_bound(dense, norm)
 
 
 def test_blocked_eval_is_bit_equal_to_row_by_row():
