@@ -117,7 +117,14 @@ def cmd_approx_flow(cfg: dict) -> int:
             f"{len(stages)} stages exceed the incrementality budget T={T_budget}"
         )
 
-    flds = [F.builtin_field(s["id"], s["params"]) for s in stages]
+    try:
+        flds = [F.builtin_field(s["id"], s["params"]) for s in stages]
+        for f in flds:
+            F.require_cube_support(f)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"stage field: {e}") from e
+    if len({f.dim for f in flds}) > 1:
+        raise ConfigError(f"stage dimensions disagree: {[f.dim for f in flds]}")
     moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
     gen, cert = FL.approximate_generator(flds, moduli, n, steps=steps)
 
@@ -254,9 +261,11 @@ def cmd_generate(cfg: dict) -> int:
         raise ConfigError("'generator' needs 'builtin' or 'manifest'")
 
     noise_sampler, dim = _sampler_from_cfg(cfg, "noise", gen.dim)
-    target_sampler, _ = _sampler_from_cfg(cfg, "target", gen.dim)
+    target_sampler, target_dim = _sampler_from_cfg(cfg, "target", gen.dim)
     if dim != gen.dim:
         raise ConfigError(f"noise dim {dim} != generator dim {gen.dim}")
+    if target_dim != gen.dim:
+        raise ConfigError(f"target dim {target_dim} != generator dim {gen.dim}")
 
     result = TR.concentration_experiment(
         gen, target_sampler, noise_sampler, N_list, trials, delta, seed, M=M, C=C

@@ -337,44 +337,6 @@ class GridInterpolant:
 # exact ReLU realization of the grid interpolant
 
 
-def _max_tree_level(wires, units, get_unit):
-    """One pairwise-max reduction level over nonnegative wires."""
-    out = []
-    for w0, w1 in zip(wires[0::2], wires[1::2]):
-        cmp_key = ("cmp", w0[2], w1[2])
-        get_unit(cmp_key, _wire_sub(w0, w1))
-        cry_key = ("cry", w1[2])
-        get_unit(cry_key, (w1[0], w1[1]))
-        # max(p, q) = q + relu(p - q) for q >= 0
-        out.append(({cmp_key: 1.0, cry_key: 1.0}, 0.0, ("max", w0[2], w1[2])))
-    if len(wires) % 2:
-        w = wires[-1]
-        cry_key = ("cry", w[2])
-        get_unit(cry_key, (w[0], w[1]))
-        out.append(({cry_key: 1.0}, 0.0, ("pass", w[2])))
-    return out
-
-
-def _wire_sub(w0, w1):
-    coeffs = dict(w0[0])
-    for k, v in w1[0].items():
-        coeffs[k] = coeffs.get(k, 0.0) - v
-        if coeffs[k] == 0.0:
-            del coeffs[k]
-    return coeffs, w0[1] - w1[1]
-
-
-def _csr(entries, shape):
-    """CSR matrix from ``(row, col, value)`` triplets.
-
-    A unit's coefficients are keyed by distinct wires, so no position
-    repeats, and ``_wire_sub`` drops zero coefficients, so every stored
-    value is a nonzero.
-    """
-    rows, cols, vals = zip(*entries)
-    return sparse.csr_array((np.array(vals, dtype=float), (rows, cols)), shape=shape)
-
-
 def grid_to_mlp(gi: GridInterpolant) -> MLP:
     """ReLU network computing the interpolant exactly on all of R^d.
 
@@ -384,67 +346,61 @@ def grid_to_mlp(gi: GridInterpolant) -> MLP:
     with the vertex samples. The max-tree and hat layers are CSR: each of
     their units reads at most four wires, so a dense matrix would be
     almost all zeros.
+
+    The wiring is built from index arrays. Leaf ``2 (off_i + k) + s`` is
+    ``relu(+-(n_i x_i - k))``, plus at s = 0. ``units[v, s]`` of a wire
+    ``(axes, units)`` lists the units summing to vertex v's running max
+    over ``axes`` on side s. A level maps wire pair j to slots 2j =
+    relu(w0 - w1) and 2j+1 = relu(w1), which sum to max(w0, w1) as w1 >= 0,
+    and carries an odd last wire as relu(w). A unit is keyed by (slot,
+    side, v on the slot's axes), numbered by first occurrence over
+    (vertex, side, slot) and built from that occurrence.
     """
-    d, ns = gi.dim, gi.ns
+    d, shape = gi.dim, np.array(gi._shape)
+    V = np.indices(gi._shape).reshape(d, -1).T
+    nverts, sides = len(V), np.arange(2)
 
-    # layer 1: leaves, keyed ("p", axis, k) and ("m", axis, k)
-    leaf_rows = []
-    leaf_keys = []
-    for i in range(d):
-        for k in range(ns[i] + 1):
-            row = np.zeros(d)
-            row[i] = ns[i]
-            leaf_rows.append((row, -float(k)))
-            leaf_keys.append(("p", i, k))
-            leaf_rows.append((-row, float(k)))
-            leaf_keys.append(("m", i, k))
-    layers = [(
-        np.array([r for r, _ in leaf_rows]),
-        np.array([b for _, b in leaf_rows]),
-    )]
-    key_index = {k: j for j, k in enumerate(leaf_keys)}
+    # layer 1: the leaves
+    k = np.concatenate([np.arange(m, dtype=float) for m in gi._shape]).repeat(2)
+    sign = np.tile([1.0, -1.0], len(k) // 2)
+    leaves = np.repeat(np.diag(shape - 1.0), 2 * shape, axis=0) * sign[:, None]
+    layers = [(leaves, -sign * k)]
+    wires = [((i,), 2 * (shape[:i].sum() + V[:, i, None, None]) + sides[:, None])
+             for i in range(d)]
 
-    vertices = list(np.ndindex(*gi._shape))
-    a_wires = {
-        v: [({("p", i, v[i]): 1.0}, 0.0, ("p", i, v[i])) for i in range(d)]
-        for v in vertices
-    }
-    b_wires = {
-        v: [({("m", i, v[i]): 1.0}, 0.0, ("m", i, v[i])) for i in range(d)]
-        for v in vertices
-    }
-
-    while max(len(a_wires[v]) for v in vertices) > 1:
-        new_units: dict = {}
-
-        def get_unit(key, row, _units=new_units):
-            if key not in _units:
-                _units[key] = row
-            return key
-
-        for v in vertices:
-            a_wires[v] = _max_tree_level(a_wires[v], new_units, get_unit)
-            b_wires[v] = _max_tree_level(b_wires[v], new_units, get_unit)
-        entries = []
-        bvec = np.zeros(len(new_units))
-        new_index = {}
-        for j, (key, (coeffs, bias)) in enumerate(new_units.items()):
-            entries.extend((j, key_index[ck], cv) for ck, cv in coeffs.items())
-            bvec[j] = bias
-            new_index[key] = j
-        layers.append((_csr(entries, (len(new_units), layers[-1][0].shape[0])), bvec))
-        key_index = new_index
+    while len(wires) > 1:
+        slots = []  # (axes, units read (nverts, 2, m), their m weights)
+        for (ax0, u0), (ax1, u1) in zip(wires[0::2], wires[1::2]):
+            w = np.repeat([1.0, -1.0], [u0.shape[2], u1.shape[2]])
+            slots += [(ax0 + ax1, np.concatenate([u0, u1], axis=2), w),
+                      (ax1, u1, np.ones(u1.shape[2]))]
+        slots += [(ax, u, np.ones(u.shape[2])) for ax, u in wires[len(wires) // 2 * 2:]]
+        keys = np.stack([
+            (2 * j + sides) * nverts
+            + np.ravel_multi_index(V[:, ax].T, tuple(shape[list(ax)]))[:, None]
+            for j, (ax, _, _) in enumerate(slots)
+        ], axis=2)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # number units by first occurrence: the rank of their first index
+        ids = np.argsort(np.argsort(first))[inverse].reshape(keys.shape)
+        v, t, j = np.unravel_index(np.sort(first), keys.shape)
+        parts = []
+        for s, (_, u, w) in enumerate(slots):
+            units = np.flatnonzero(j == s)
+            cols = u[v[units], t[units]].ravel()
+            parts.append((np.tile(w, len(units)), units.repeat(len(w)), cols))
+        vals, rows, cols = map(np.concatenate, zip(*parts))
+        W = sparse.csr_array((vals, (rows, cols)), shape=(len(first), layers[-1][0].shape[0]))
+        layers.append((W, np.zeros(len(first))))
+        # slots 2j, 2j+1 carry max(w0, w1); a last odd slot its lone wire
+        wires = [(slots[s][0], ids[:, :, s:s + 2]) for s in range(0, len(slots), 2)]
 
     # hat layer: one unit per vertex, relu(1 - A_v - B_v)
-    entries = []
-    bvec = np.ones(len(vertices))
-    for j, v in enumerate(vertices):
-        (ca, ba, _), = a_wires[v]
-        (cb, bb, _), = b_wires[v]
-        for ck, cv in itertools.chain(ca.items(), cb.items()):
-            entries.append((j, key_index[ck], -cv))
-        bvec[j] -= ba + bb
-    layers.append((_csr(entries, (len(vertices), layers[-1][0].shape[0])), bvec))
+    (_, u), = wires
+    rows, cols = np.arange(nverts).repeat(u[0].size), u.ravel()
+    hat = sparse.csr_array((np.full(cols.size, -1.0), (rows, cols)),
+                           shape=(nverts, layers[-1][0].shape[0]))
+    layers.append((hat, np.ones(nverts)))
 
     # output affine: weight hats by vertex samples
     layers.append((gi.values.T.copy(), np.zeros(gi.out_dim)))
@@ -465,6 +421,8 @@ class VectorField:
 
     def __init__(self, dim, evaluator, lipschitz_bound, support_box=None, ref=None):
         self.dim = int(dim)
+        if self.dim < 1:
+            raise ValueError(f"a field needs dimension >= 1, got {self.dim}")
         self._evaluator = evaluator
         self.lipschitz_bound = float(lipschitz_bound)
         if support_box is not None:
@@ -789,6 +747,12 @@ def grid_realize(
     return vf, net, report
 
 
+def require_cube_support(field: VectorField) -> None:
+    """Raise ValueError unless the field has a support box inside [0,1]^d."""
+    if field.support_box is None or np.any(np.abs(field.support_box - 0.5) > 0.5 + 1e-9):
+        raise ValueError("field must have bounded support inside [0,1]^d")
+
+
 def grid_relu_approximate(
     field: VectorField, n: int, modulus: Modulus
 ) -> tuple[VectorField, MLP, ApproximationReport]:
@@ -799,11 +763,7 @@ def grid_relu_approximate(
     argument d/(2n) and verified empirically on a 4x finer grid; the
     report states achieved width/depth/nonzeros next to the targets.
     """
-    if field.support_box is None:
-        raise ValueError("field must have bounded support inside [0,1]^d")
-    lo, hi = field.support_box
-    if np.any(lo < -1e-9) or np.any(hi > 1 + 1e-9):
-        raise ValueError("field support must be contained in [0,1]^d")
+    require_cube_support(field)
     return grid_realize(field.eval, field.dim, n, modulus)
 
 

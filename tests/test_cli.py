@@ -83,6 +83,20 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     ("probe-flowability", {"contraction_radius": -0.01}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "C": float("nan")}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "delta": float("inf")}),
+    # stage fields the library rejects, checked before any approximation
+    ("approx-flow", {"field": {"id": "sin_bump", "params": {"amplitude": "x"}}, "n": 2}),
+    ("approx-flow", {"field": {"id": "zero", "params": {"dim": 0}}, "n": 2}),
+    ("approx-flow", {"field": {"id": "rotation_clipped", "params": {"center": [0.5]}}, "n": 2}),
+    ("approx-flow", {"field": {"id": "rotation_clipped",
+                               "params": {"r_inner": 0.3, "r_outer": 0.2}}, "n": 2}),
+    ("approx-flow", {"field": {"id": "squeeze_clipped", "params": {"center": [0.1, 0.1]}},
+                     "n": 2}),
+    ("approx-flow", {"field": {"id": "rotation"}, "n": 2}),
+    ("approx-flow", {"field": {"id": "squeeze"}, "n": 2}),
+    ("approx-flow", {"stages": [{"id": "zero", "params": {"dim": 3}}, {"id": "sin_bump"}],
+                     "n": 2}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
+                  "N_list": [4], "target": {"kind": "uniform", "dim": 3}}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"

@@ -25,7 +25,6 @@ from incflow.fields import (
     squeeze_field,
     zero_field,
 )
-from incflow.fields import _max_tree_level
 from incflow.flow import approximate_generator
 from incflow.lift import approximate_lipschitz_function, lift_function
 from incflow.mlp import relu
@@ -265,9 +264,37 @@ def test_mlp_realization_agrees_with_interpolant():
         assert np.abs(gi(Xo) - net.eval(Xo)).max() <= 1e-9
 
 
+def _max_tree_level(wires, units, get_unit):
+    """One pairwise-max reduction level over nonnegative wires."""
+    out = []
+    for w0, w1 in zip(wires[0::2], wires[1::2]):
+        cmp_key = ("cmp", w0[2], w1[2])
+        get_unit(cmp_key, _wire_sub(w0, w1))
+        cry_key = ("cry", w1[2])
+        get_unit(cry_key, (w1[0], w1[1]))
+        # max(p, q) = q + relu(p - q) for q >= 0
+        out.append(({cmp_key: 1.0, cry_key: 1.0}, 0.0, ("max", w0[2], w1[2])))
+    if len(wires) % 2:
+        w = wires[-1]
+        cry_key = ("cry", w[2])
+        get_unit(cry_key, (w[0], w[1]))
+        out.append(({cry_key: 1.0}, 0.0, ("pass", w[2])))
+    return out
+
+
+def _wire_sub(w0, w1):
+    coeffs = dict(w0[0])
+    for k, v in w1[0].items():
+        coeffs[k] = coeffs.get(k, 0.0) - v
+        if coeffs[k] == 0.0:
+            del coeffs[k]
+    return coeffs, w0[1] - w1[1]
+
+
 def reference_dense_grid_to_mlp(gi):
-    """The dense-matrix builder the CSR ``grid_to_mlp`` replaced: the same
-    wiring, each layer filled into ``np.zeros((units, prev_units))``."""
+    """The dense-matrix builder the CSR ``grid_to_mlp`` replaced: symbolic
+    wires ``(coeff dict, bias, label)``, units keyed by wire labels, each
+    layer filled into ``np.zeros((units, prev_units))``."""
     d, ns = gi.dim, gi.ns
     leaf_rows = []
     leaf_keys = []
@@ -335,7 +362,8 @@ def _random_grid(ns, seed):
     return GridInterpolant(ns, rng.standard_normal((nverts, len(ns))))
 
 
-@pytest.mark.parametrize("ns", [(4,), (4, 4), (8, 8), (2, 2, 2), (4, 4, 1), (16, 16, 16)])
+@pytest.mark.parametrize("ns", [(4,), (4, 4), (8, 8), (2, 2, 2), (4, 4, 1), (16, 16, 16),
+                                (3, 2, 5), (2, 2, 2, 2, 2), (2, 3, 1, 2, 2, 1, 2)])
 def test_sparse_realization_is_bit_identical_to_dense_reference(ns):
     gi = _random_grid(ns, seed=sum(ns))
     net = grid_to_mlp(gi)

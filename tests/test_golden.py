@@ -68,14 +68,25 @@ def test_hat_sum_bits(ns):
     assert _digest(gi(pts)) == GOLDEN[f"hat_sum_d{d}"]
 
 
-def test_grid_to_mlp_layer_bits():
-    rng = np.random.default_rng(11)
-    gi = GridInterpolant((4, 4), rng.uniform(-1.0, 1.0, size=(25, 3)))
-    net = grid_to_mlp(gi)
+def _layer_digest(net) -> str:
     parts = []
     for W, b in net.layers:
         parts += [W.toarray(), b]
-    assert _digest(*parts) == GOLDEN["grid_to_mlp_4x4"]
+    return _digest(*parts)
+
+
+def test_grid_to_mlp_layer_bits():
+    rng = np.random.default_rng(11)
+    gi = GridInterpolant((4, 4), rng.uniform(-1.0, 1.0, size=(25, 3)))
+    assert _layer_digest(grid_to_mlp(gi)) == GOLDEN["grid_to_mlp_4x4"]
+
+
+def test_grid_to_mlp_two_level_tree_bits():
+    # d = 3: the first max-tree level carries the odd third wire, the
+    # second pairs it with the first level's max
+    rng = np.random.default_rng(13)
+    gi = GridInterpolant((3, 2, 5), rng.uniform(-1.0, 1.0, size=(72, 2)))
+    assert _layer_digest(grid_to_mlp(gi)) == GOLDEN["grid_to_mlp_3x2x5"]
 
 
 @pytest.mark.parametrize("mode", ["componentwise", "joint"])
@@ -100,6 +111,7 @@ GOLDEN = {
     "hat_sum_d3": "72f6211c52c9c5b401f74c9f06277a12dc0ec94b2785aec1b136a5e8117a5b88",
     "hat_sum_d4": "799cb6efa83e725c59528f22663ebe68d4f916bc71b6740ac1b5339543e86ba2",
     "grid_to_mlp_4x4": "048455077fd3a6c340c84b2c650a7d4157772a3fc3e3bcd46fc0279ef900be8e",
+    "grid_to_mlp_3x2x5": "111037f3e0eb11589297a861b1386a7b178d436a7a2f647dff9403a90ebb6bb0",
     "lift_apply_componentwise": "540868f3c1b1ca4e89a39c656c2b44dec5753f3d66593796cfea93012dcfdf62",
     "lift_files_componentwise": "ed2d020ca6b0ae45fd4b7c15f764f473cec25ae1d382e930db6ff3d5eaf31a6c",
     "lift_apply_joint": "540868f3c1b1ca4e89a39c656c2b44dec5753f3d66593796cfea93012dcfdf62",
