@@ -97,7 +97,14 @@ def _resolve_stages(cfg: dict) -> list[dict]:
             raise ConfigError(
                 f"unknown field id {s['id']!r}; known: {sorted(F.BUILTIN_FIELDS)}"
             )
-        out.append({"id": s["id"], "params": s.get("params", {})})
+        params = s.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("stage 'params' must be an object")
+        for key, val in params.items():
+            for v in val if isinstance(val, list) else [val]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{key!r} must be finite")
+        out.append({"id": s["id"], "params": params})
     return out
 
 

@@ -40,9 +40,10 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-# Rows per block in ``MLP.eval``. Each row is evaluated independently and
-# CSR products sum each row in the same order whatever the block size, so
-# blocking bounds the hidden activations held at once without changing a bit.
+# Rows per block in ``MLP.eval`` and in ``grid_realize``'s fine check. Each
+# row is evaluated independently and CSR products sum each row in the same
+# order whatever the block size, so blocking bounds the values held at once
+# without changing a bit.
 _EVAL_ROWS = 512
 
 

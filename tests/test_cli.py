@@ -97,6 +97,14 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                      "n": 2}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
                   "N_list": [4], "target": {"kind": "uniform", "dim": 3}}),
+    # stage params: an object of finite values
+    ("approx-flow", {"field": {"id": "zero", "params": 5}, "n": 2}),
+    ("approx-flow", {"field": {"id": "sin_bump", "params": {"amplitude": float("nan")}},
+                     "n": 2}),
+    ("approx-flow", {"field": {"id": "rotation_clipped", "params": {"rate": float("inf")}},
+                     "n": 2}),
+    ("approx-flow", {"field": {"id": "rotation_clipped",
+                               "params": {"center": [0.5, float("nan")]}}, "n": 2}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from incflow.fields import (
 )
 from incflow.flow import approximate_generator
 from incflow.lift import approximate_lipschitz_function, lift_function
-from incflow.mlp import relu
+from incflow.mlp import _EVAL_ROWS, relu
 from incflow.probe import _grid_field_from_theta
 
 
@@ -593,6 +594,49 @@ def test_grid_approximate_rejects_unsupported_fields():
     f = sin_bump_field()
     with pytest.raises(ValueError):
         grid_relu_approximate(f, 0, LipschitzModulus([1.0, 1.0]))
+
+
+def _affine3(P):
+    return P @ np.array([[0.3, -0.7, 0.1], [0.2, 0.5, -0.9], [-0.6, 0.1, 0.4]]) + 0.25
+
+
+def _tents(P):
+    """Unit l1-tents of radius 1/64 at two fine-lattice points of the n=16
+    grid that are not vertices: the interpolant is 0 everywhere, so each
+    component errs by 1 at its tent's peak and nowhere else. The first peak
+    lies in the last, partial row block of the 65^2 fine check."""
+    cs = np.array([[63 / 64, 33 / 64], [33 / 64, 33 / 64]])
+    return np.stack([np.maximum(0.0, 1.0 - 64.0 * np.abs(P - c).sum(axis=1)) for c in cs],
+                    axis=1)
+
+
+@pytest.mark.parametrize("f,ns", [
+    # a 1-d fine lattice of _EVAL_ROWS + 1 rows: one full block and one row
+    (lambda P: P**2, (_EVAL_ROWS // 4,)),
+    (_tents, (16, 16)),
+    (_affine3, (16, 16, 16)),
+], ids=["block_plus_one", "tents_2d", "affine_3d"])
+def test_fine_check_is_bit_equal_to_whole_lattice(f, ns):
+    pts = lattice([4 * m + 1 for m in ns])
+    if len(ns) == 1:
+        assert len(pts) == _EVAL_ROWS + 1
+    gi = GridInterpolant.from_callable(f, ns)
+    expected = np.abs(gi(pts) - f(pts)).max(axis=0)
+    _, _, report = grid_realize(f, len(ns), max(ns), LipschitzModulus([1.0]), ns=ns)
+    assert np.array_equal(report.measured_error, expected)
+
+
+def test_fine_check_memory_is_bounded_by_the_lattice():
+    tracemalloc.start()
+    try:
+        grid_realize(_affine3, 3, 16, LipschitzModulus([1.0]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # building the 65^3-row fine lattice holds it twice, and the network and
+    # a block of rows take less than one lattice more; checking every row at
+    # once would hold about thirteen lattices
+    assert peak < 3 * 65**3 * 3 * 8
 
 
 # ---------------------------------------------------------------------------

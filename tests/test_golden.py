@@ -20,7 +20,9 @@ import os
 import numpy as np
 import pytest
 
-from incflow.fields import GridInterpolant, grid_field, grid_to_mlp
+from incflow.fields import (
+    GridInterpolant, LipschitzModulus, grid_field, grid_realize, grid_to_mlp,
+)
 from incflow.flow import integrate
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
 
@@ -89,6 +91,13 @@ def test_grid_to_mlp_two_level_tree_bits():
     assert _layer_digest(grid_to_mlp(gi)) == GOLDEN["grid_to_mlp_3x2x5"]
 
 
+def test_grid_realize_fine_check_bits():
+    # the 65^2-row fine check spans nine row blocks; the two components
+    # peak in different ones
+    _, _, report = grid_realize(_swirl, 2, 16, LipschitzModulus([3.0, 3.0]))
+    assert _digest(report.measured_error) == GOLDEN["grid_realize_swirl_16x16"]
+
+
 @pytest.mark.parametrize("mode", ["componentwise", "joint"])
 def test_lift_affine_pair_bits(mode, tmp_path):
     comps, d, D, L = lift_function("affine_pair")
@@ -112,6 +121,7 @@ GOLDEN = {
     "hat_sum_d4": "799cb6efa83e725c59528f22663ebe68d4f916bc71b6740ac1b5339543e86ba2",
     "grid_to_mlp_4x4": "048455077fd3a6c340c84b2c650a7d4157772a3fc3e3bcd46fc0279ef900be8e",
     "grid_to_mlp_3x2x5": "111037f3e0eb11589297a861b1386a7b178d436a7a2f647dff9403a90ebb6bb0",
+    "grid_realize_swirl_16x16": "38fd85daf1fe7e4ed533c32c43fbe1125b0fd79ed91f9469bf440209e3f50567",
     "lift_apply_componentwise": "540868f3c1b1ca4e89a39c656c2b44dec5753f3d66593796cfea93012dcfdf62",
     "lift_files_componentwise": "ed2d020ca6b0ae45fd4b7c15f764f473cec25ae1d382e930db6ff3d5eaf31a6c",
     "lift_apply_joint": "540868f3c1b1ca4e89a39c656c2b44dec5753f3d66593796cfea93012dcfdf62",
