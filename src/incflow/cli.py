@@ -93,7 +93,7 @@ def _resolve_stages(cfg: dict) -> list[dict]:
     for s in stages:
         if not isinstance(s, dict) or "id" not in s:
             raise ConfigError("each stage needs an 'id'")
-        if s["id"] not in F.BUILTIN_FIELDS:
+        if _require(s, "id", str) not in F.BUILTIN_FIELDS:
             raise ConfigError(
                 f"unknown field id {s['id']!r}; known: {sorted(F.BUILTIN_FIELDS)}"
             )
@@ -174,7 +174,7 @@ def cmd_lift_approx(cfg: dict) -> int:
     out_dir = _require(cfg, "out_dir", str, required=True)
 
     if "id" in fn_cfg:
-        if fn_cfg["id"] not in LI.LIFT_FUNCTIONS:
+        if _require(fn_cfg, "id", str) not in LI.LIFT_FUNCTIONS:
             raise ConfigError(
                 f"unknown function id {fn_cfg['id']!r}; known: {sorted(LI.LIFT_FUNCTIONS)}"
             )
@@ -263,7 +263,8 @@ def cmd_generate(cfg: dict) -> int:
             )
         gen = FL.builtin_generator(gen_cfg["builtin"])
     elif "manifest" in gen_cfg:
-        gen = FL.load_generator(gen_cfg["manifest"])
+        # open() would take an int (or a bool) as a file descriptor
+        gen = FL.load_generator(_require(gen_cfg, "manifest", str))
     else:
         raise ConfigError("'generator' needs 'builtin' or 'manifest'")
 

@@ -153,11 +153,14 @@ def lattice(counts, lo=0.0, hi=1.0) -> np.ndarray:
     """Rows of the tensor lattice with ``counts[i]`` evenly spaced points
     from ``lo`` to ``hi`` on axis i (scalars or per-axis arrays), in the
     grid's vertex order: lexicographic, axis 0 slowest."""
+    counts = tuple(int(m) for m in counts)
     d = len(counts)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (d,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (d,))
-    axes = [np.linspace(lo[i], hi[i], m) for i, m in enumerate(counts)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    out = np.empty(counts + (d,))  # filled axis by axis, no meshgrid copies
+    for i, m in enumerate(counts):
+        out[..., i] = np.linspace(lo[i], hi[i], m).reshape((m,) + (1,) * (d - 1 - i))
+    return out.reshape(-1, d)
 
 
 class GridPayloadError(ValueError):
@@ -179,14 +182,16 @@ class GridInterpolant:
         Per-axis subdivision counts (the uniform case is ``(n,) * d``).
     values : ndarray, shape (prod(ns_i + 1), out_dim) or (B, prod(ns_i + 1), out_dim)
         Vertex samples in lexicographic vertex order (axis 0 slowest). A
-        batch of B sample arrays makes B interpolants on one grid: the
-        points passed to a call are then split into B equal blocks of
-        consecutive rows, block k evaluated with ``values[k]``. A batch is
-        for evaluation only; the Lipschitz constant and the payload
+        batch of B sample arrays makes B interpolants on one grid. A batch
+        is for evaluation only; the Lipschitz constant and the payload
         methods take a single sample array.
+    block : int array, shape (rows,), batched values only
+        Row r of every call is evaluated with ``values[block[r]]``, so a
+        call takes exactly ``rows`` points. Blocks may interleave, differ
+        in size or hold no row.
     """
 
-    def __init__(self, ns, values):
+    def __init__(self, ns, values, block=None):
         self.ns = tuple(int(n) for n in ns)
         if any(n < 1 for n in self.ns):
             raise ValueError("per-axis subdivision counts must be >= 1")
@@ -208,8 +213,16 @@ class GridInterpolant:
             for offs in itertools.product((0, 1), repeat=self.dim)
         ]
         self._table = values.reshape(-1, self.out_dim)
-        self._blocks = values.shape[0] if values.ndim == 3 else 1
-        self._block_base = (np.arange(self._blocks, dtype=np.int64) * nverts)[:, None]
+        self._row_base = None  # per-row offset of the row's block in _table
+        if (block is None) != (values.ndim == 2):
+            raise ValueError("a per-row block index goes with batched values, and only there")
+        if block is not None:
+            block = np.asarray(block)
+            if block.ndim != 1 or block.dtype.kind not in "iu":
+                raise ValueError("the block index must be a 1-d integer array")
+            if block.size and (block.min() < 0 or block.max() >= values.shape[0]):
+                raise ValueError(f"block index out of range for {values.shape[0]} blocks")
+            self._row_base = block.astype(np.int64) * nverts
 
     @classmethod
     def from_callable(cls, fn, ns) -> "GridInterpolant":
@@ -236,36 +249,41 @@ class GridInterpolant:
         X = np.atleast_2d(x)
         if X.shape[1] != self.dim:
             raise ValueError(f"points have dim {X.shape[1]}, interpolant has {self.dim}")
-        if X.shape[0] % self._blocks:
+        if self._row_base is not None and X.shape[0] != self._row_base.size:
             raise ValueError(
-                f"{X.shape[0]} points do not split into {self._blocks} equal blocks"
+                f"{X.shape[0]} points for a block index of {self._row_base.size} rows"
             )
         bad = None
         if not np.isfinite(X).all():
             bad = ~np.isfinite(X).all(axis=1)
             X = np.where(bad[:, None], 0.0, X)
+        out = np.zeros((X.shape[0], self.out_dim))
+        for vert, lam in self._hats(X):
+            out += lam[:, None] * self._table[vert]
+        if bad is not None:
+            out[bad] = np.nan
+        return out[0] if single else out
+
+    def _hats(self, X):
+        """Yield, for each of the 2^d corners of the cell of every finite row
+        of ``X`` in turn, the corner's row of the vertex table and its hat."""
         t = X * self._nvec  # grid units per axis
         anchor = np.clip(np.floor(t), 0, self._nvec - 1).astype(np.int64)
         base = anchor @ self._strides
-        if self._blocks > 1:
-            base = (base.reshape(self._blocks, -1) + self._block_base).ravel()
+        if self._row_base is not None:
+            base += self._row_base
         # relu(+-(t_i - v_i)) for the lower (v_i = anchor_i) and upper corner
         up, down = [], []
         for i in range(self.dim):
             diffs = (t[:, i] - anchor[:, i], t[:, i] - (anchor[:, i] + 1))
             up.append([relu(dv) for dv in diffs])
             down.append([relu(-dv) for dv in diffs])
-        out = np.zeros((X.shape[0], self.out_dim))
         for offs, flat in self._corners:
             a, b = up[0][offs[0]], down[0][offs[0]]
             for i in range(1, self.dim):
                 a = np.maximum(a, up[i][offs[i]])
                 b = np.maximum(b, down[i][offs[i]])
-            lam = relu(1.0 - a - b)
-            out += lam[:, None] * self._table[base + flat]
-        if bad is not None:
-            out[bad] = np.nan
-        return out[0] if single else out
+            yield base + flat, relu(1.0 - a - b)
 
     def lipschitz_linf(self) -> float:
         """Exact l_inf Lipschitz constant: max per-simplex affine slope."""

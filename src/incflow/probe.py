@@ -265,32 +265,89 @@ def _grid_field_from_theta(theta, n_grid):
     return grid_field(GridInterpolant((n_grid, n_grid), theta.reshape(-1, 2)))
 
 
-def _flow_theta_batch(thetas, pts, n_grid, steps):
-    """Time-1 RK4 flows of a batch of grid fields, one per theta row.
+def _flow_theta_rows(thetas, block, X, n_grid, steps):
+    """Time-1 RK4 flows of the rows of ``X``, row r under the grid field of
+    ``thetas[block[r]]``, in one integration.
 
-    One batched interpolant evaluates every candidate's field on its own
-    block of points and goes straight into ``FlowMap``'s step loop, so a
-    full pattern-search poll is one integration.
+    One batched interpolant evaluates each row with its own candidate's
+    vertex values and goes straight into ``FlowMap``'s step loop.
     """
-    B = thetas.shape[0]
-    m = pts.shape[0]
-    rhs = GridInterpolant((n_grid, n_grid), thetas.reshape(B, -1, 2))
-    X = np.broadcast_to(pts, (B, m, 2)).reshape(B * m, 2)
-    return integrate(rhs, X, steps).reshape(B, m, 2)
+    rhs = GridInterpolant((n_grid, n_grid), thetas.reshape(len(thetas), -1, 2), block)
+    return integrate(rhs, X, steps)
+
+
+def _flow_theta_batch(thetas, pts, n_grid, steps):
+    """Time-1 RK4 flows of every point under the grid field of every theta
+    row, shape (B, m, 2)."""
+    B, m = thetas.shape[0], pts.shape[0]
+    block = np.repeat(np.arange(B), m)
+    return _flow_theta_rows(thetas, block, np.tile(pts, (B, 1)), n_grid, steps).reshape(B, m, 2)
+
+
+def _touched_flow(theta, pts, n_grid):
+    """The fit flow of the grid field of ``theta`` from ``pts``, and the
+    (row, vertex) mask of the hats that are nonzero at one of the row's
+    RK4 stage points."""
+    gi = GridInterpolant((n_grid, n_grid), theta.reshape(-1, 2))
+    touched = np.zeros((len(pts), len(gi.values)), dtype=bool)
+
+    def rhs(X):
+        for vert, lam in gi._hats(X):
+            hit = lam != 0
+            touched[hit, vert[hit]] = True
+        return gi(X)
+
+    return integrate(rhs, pts, FIT_FLOW_STEPS), touched
+
+
+def _sup_poll(pts, target_vals, n_grid):
+    """The fit objective ``poll(cands, x)``: for each candidate row, the sup
+    over ``pts`` of |Flow(candidate) - target|_inf, where the candidates
+    are moves from the current parameters ``x``.
+
+    A candidate integrates only the rows it can change. A row whose flow
+    under x keeps the hat of every vertex the candidate changed at 0, at
+    all its RK4 stage points, gets the same bits under the candidate:
+    each of those vertices' terms in the hat-sum is 0 * value = +-0, and
+    adding +-0 to a running sum that starts at +0.0 changes no bit. Such a
+    row keeps x's residual, so the objective is bit-identical to flowing
+    every row. The changed vertices are read as ``cands != x``, which is
+    exact: a coordinate move leaves every other coordinate's bits alone.
+    The flow of x, its row residuals and touched mask are recomputed only
+    when x changes.
+    """
+    key = base_res = touched = None
+
+    def poll(cands, x):
+        nonlocal key, base_res, touched
+        if key != x.tobytes():
+            base, touched = _touched_flow(x, pts, n_grid)
+            base_res, key = np.abs(base - target_vals).max(axis=1), x.tobytes()
+        changed = (cands != x).reshape(len(cands), -1, 2).any(axis=2)
+        cand, row = np.nonzero((changed[:, None, :] & touched).any(axis=2))
+        res = np.tile(base_res, (len(cands), 1))
+        if cand.size:
+            out = _flow_theta_rows(cands, cand, pts[row], n_grid, FIT_FLOW_STEPS)
+            res[cand, row] = np.abs(out - target_vals[row]).max(axis=1)
+        return res.max(axis=1)
+
+    return poll
 
 
 def _poll_search(poll, x0, budget, rng):
-    """Pattern search with shrinking step and full batched polls.
+    """Pattern search with shrinking step and full polls.
 
     Each poll evaluates every +-step coordinate move plus 16 seeded
     random l_inf-unit directions (these get the search off the corners of
     the sup-norm objective), takes the best improving candidate (or the
     sum of all improving moves when that is better), and halves the step
     after a failed poll. The step starts at 0.2; the search ends when the
-    budget is spent or the step falls to 1e-9.
+    budget is spent or the step falls to 1e-9. ``poll(cands, x)`` scores
+    candidates that are moves from the current point x, which it is
+    given so that it can reuse x's flow.
     """
     x = x0.copy()
-    fx = float(poll(x[None])[0])
+    fx = float(poll(x[None], x)[0])
     evals = 1
     step = 0.2
     P = x.size
@@ -304,7 +361,7 @@ def _poll_search(poll, x0, budget, rng):
             cands = cands[: budget - evals]
         if len(cands) == 0:
             break
-        f = poll(cands)
+        f = poll(cands, x)
         evals += len(cands)
         i = int(np.argmin(f))
         if f[i] < fx:
@@ -312,7 +369,7 @@ def _poll_search(poll, x0, budget, rng):
             improving = f < fx
             if improving.sum() > 1 and evals < budget:
                 combo = x + step * dirs[: len(f)][improving].sum(axis=0)
-                fc = float(poll(combo[None])[0])
+                fc = float(poll(combo[None], x)[0])
                 evals += 1
                 if fc < best_f:
                     best_x, best_f = combo, fc
@@ -336,17 +393,17 @@ def fit_single_flow(
     FIT_FLOW_STEPS RK4 steps, minimized by full-poll compass search
     with shrinking steps from two restarts: the zero field and the
     displacement chord x -> target(x) - x sampled at the vertices (a
-    crude logarithm guess). Deterministic given the seed, which is pinned
+    crude logarithm guess). A poll integrates, in one call, only the
+    (candidate, lattice point) pairs whose flow the candidate's changed
+    vertices can reach (``_sup_poll``); the objective keeps every bit of
+    flowing all of them. Deterministic given the seed, which is pinned
     into the protocol record.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     pts = lattice((FIT_EVAL_GRID_N, FIT_EVAL_GRID_N))
     target_vals = np.atleast_2d(target(pts))
-
-    def poll(thetas):
-        out = _flow_theta_batch(thetas, pts, n_grid, FIT_FLOW_STEPS)
-        return np.abs(out - target_vals[None]).max(axis=(1, 2))
+    poll = _sup_poll(pts, target_vals, n_grid)
 
     nverts = (n_grid + 1) ** 2
     vpts = lattice((n_grid + 1, n_grid + 1))

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import incflow
 from incflow.cli import main
+
+_SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -105,6 +111,9 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                      "n": 2}),
     ("approx-flow", {"field": {"id": "rotation_clipped",
                                "params": {"center": [0.5, float("nan")]}}, "n": 2}),
+    # ids are strings; a list used to fail as an unhashable key
+    ("approx-flow", {"stages": [{"id": ["zero"]}], "n": 2}),
+    ("lift-approx", {"function": {"id": ["abs2x1"]}, "n": 2}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -112,6 +121,25 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     assert main([command, path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest", [True, 0, 5])
+def test_generate_non_string_manifest_exits_2(tmp_path, manifest):
+    # a separate process, because open() takes an int or a bool as a file
+    # descriptor: True read, and on closing lost, the process's stdout and
+    # 0 its stdin
+    out = tmp_path / "run"
+    path = write_cfg(tmp_path, "cfg.json", {
+        "generator": {"manifest": manifest}, "seed": 0, "out_dir": str(out)})
+    script = ("import sys; from incflow.cli import main; "
+              f"code = main(['generate', {path!r}]); print('stdout open'); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", script], stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=_SRC))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: config key 'manifest' must be")
+    assert proc.stdout == "stdout open\n"
     assert not out.exists()
 
 

@@ -470,17 +470,27 @@ def test_hat_sum_is_bit_identical_to_reference(ns):
 
 
 def test_batched_values_match_one_interpolant_per_block():
+    # interleaved rows, blocks of 0, 1, 40 and 89 rows
     rng = np.random.default_rng(22)
-    vals = rng.standard_normal((5, 25, 2))
-    batch = GridInterpolant((4, 4), vals)
-    X = rng.uniform(-0.3, 1.3, size=(5 * 40, 2))
+    vals = rng.standard_normal((4, 25, 2))
+    block = rng.permutation(np.repeat([1, 2, 3], [1, 40, 89]))
+    batch = GridInterpolant((4, 4), vals, block)
+    X = rng.uniform(-0.3, 1.3, size=(block.size, 2))
     X[7, 1] = np.nan
     got = batch(X)
-    for k in range(5):
-        blk = slice(40 * k, 40 * (k + 1))
-        assert np.array_equal(got[blk], GridInterpolant((4, 4), vals[k])(X[blk]), equal_nan=True)
+    for k in range(4):
+        rows = block == k
+        assert np.array_equal(got[rows], GridInterpolant((4, 4), vals[k])(X[rows]),
+                              equal_nan=True)
     with pytest.raises(ValueError):
-        batch(X[:-1])
+        batch(X[:-1])  # a block index of the wrong length
+    for bad in ([0, 4], [-1, 0], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            GridInterpolant((4, 4), vals, np.array(bad))
+    with pytest.raises(ValueError):
+        GridInterpolant((4, 4), vals)  # batched values need the index
+    with pytest.raises(ValueError):
+        GridInterpolant((4, 4), vals[0], block)
 
 
 def test_grid_validation():
@@ -633,8 +643,8 @@ def test_fine_check_memory_is_bounded_by_the_lattice():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # building the 65^3-row fine lattice holds it twice, and the network and
-    # a block of rows take less than one lattice more; checking every row at
+    # the 65^3-row fine lattice is built in place, and the network and a
+    # block of rows take less than one lattice more; checking every row at
     # once would hold about thirteen lattices
     assert peak < 3 * 65**3 * 3 * 8
 

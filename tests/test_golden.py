@@ -25,6 +25,7 @@ from incflow.fields import (
 )
 from incflow.flow import integrate
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
+from incflow.probe import build_counterexample, fit_single_flow
 
 
 def _digest(*arrays) -> str:
@@ -112,6 +113,14 @@ def test_lift_affine_pair_bits(mode, tmp_path):
     assert h.hexdigest() == GOLDEN[f"lift_files_{mode}"]
 
 
+def test_fit_single_flow_bits():
+    # both restarts on the two-stage composite; each spends 150
+    # evaluations and ends in a poll that the budget cuts short
+    res = fit_single_flow(build_counterexample(steps=256), budget=300, seed=0)
+    digest = _digest(res.candidate_field.grid.values, [res.residual_sup], [res.evaluations])
+    assert digest == GOLDEN["fit_single_flow_composite"]
+
+
 GOLDEN = {
     "integrate_rk4": "cfea4557f2d8b83380553e585bfccf324d4c54a3a211604ed8aca727d289578a",
     "integrate_euler": "c9238186ad5713567cdac779920720c684f00998605013180075115db8dbba16",
@@ -126,4 +135,5 @@ GOLDEN = {
     "lift_files_componentwise": "ed2d020ca6b0ae45fd4b7c15f764f473cec25ae1d382e930db6ff3d5eaf31a6c",
     "lift_apply_joint": "540868f3c1b1ca4e89a39c656c2b44dec5753f3d66593796cfea93012dcfdf62",
     "lift_files_joint": "697c6dc61d79c04e60541db8271d935b8e1ae70c4a97f42ee72f98368f93722c",
+    "fit_single_flow_composite": "1f89417fcdb528622b02386283698c02c7bfc1fd8ac4622dbe8a8b025a88a90a",
 }

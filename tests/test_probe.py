@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from incflow.fields import builtin_field
+from incflow.fields import builtin_field, lattice
 from incflow.flow import FlowMap, builtin_generator
 import incflow.probe as probe
 from incflow.probe import (
@@ -285,6 +285,44 @@ def test_fit_poll_flows_match_flowmap_per_candidate():
     for theta, got in zip(thetas, batch):
         flow = FlowMap(probe._grid_field_from_theta(theta, 4), steps=16)
         assert np.array_equal(got, flow.apply(pts))
+
+
+def _full_poll(cands, pts, target, n_grid):
+    """The oracle of the fit poll: flow every candidate from every point."""
+    out = probe._flow_theta_batch(cands, pts, n_grid, probe.FIT_FLOW_STEPS)
+    return np.abs(out - target[None]).max(axis=(1, 2))
+
+
+def test_locality_poll_matches_full_poll():
+    rng = np.random.default_rng(31)
+    P = 2 * 5 * 5
+    coord = np.vstack([np.eye(P), -np.eye(P)])
+    pts = lattice((9, 9))
+    target = np.stack([1.0 - pts[:, 1], pts[:, 0]], axis=1)
+    poll = probe._sup_poll(pts, target, 4)
+    xs = [np.zeros(P), 0.2 * rng.standard_normal(P), 0.5 * rng.standard_normal(P)]
+    xs[1][::7] = -0.0  # x + 0.0 turns these to +0.0, which != does not see
+    for x in xs + xs[:1]:  # back to the first x after the others
+        R = rng.standard_normal((4, P))
+        R /= np.abs(R).max(axis=1, keepdims=True)
+        cands = x + 0.1 * np.vstack([coord, R])
+        combo = x + 0.1 * coord[[3, 17, 60, 99]].sum(axis=0)
+        for batch in (cands, cands[:37], cands[-4:], combo[None], x[None]):
+            assert np.array_equal(poll(batch, x), _full_poll(batch, pts, target, 4))
+
+
+def test_locality_poll_candidate_touching_no_row():
+    # on points near the origin, the field of a small theta never carries a
+    # trajectory into the hat of vertex 24 at (1, 1)
+    pts = lattice((5, 5), 0.0, 0.3)
+    x = 0.05 * np.random.default_rng(5).standard_normal(50)
+    _, touched = probe._touched_flow(x, pts, 4)
+    assert not touched[:, 24].any() and touched.any(axis=0).sum() > 4
+    poll = probe._sup_poll(pts, pts, 4)
+    cands = x + 0.3 * np.eye(50)[[48, 49, 0]]  # vertex 24 twice, then vertex 0
+    got = poll(cands, x)
+    assert np.array_equal(got, _full_poll(cands, pts, pts, 4))
+    assert got[0] == got[1] == poll(x[None], x)[0] != got[2]
 
 
 def test_fit_validation():
