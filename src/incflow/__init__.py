@@ -14,9 +14,7 @@ from .mlp import (
     build_bump,
     bump_values,
     compose,
-    identity_mlp,
     lipschitz_upper_bound,
-    parallelize,
 )
 from .fields import (
     ApproximationReport,

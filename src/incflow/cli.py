@@ -35,8 +35,8 @@ def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config not found: {path}") from e
+    except OSError as e:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
@@ -181,8 +181,9 @@ def cmd_lift_approx(cfg: dict) -> int:
         comps, d, D, L = LI.lift_function(fn_cfg["id"])
     elif "csv" in fn_cfg:
         lipschitz = _require(fn_cfg, "lipschitz", float, required=True, minimum=0.0)
+        csv = _require(fn_cfg, "csv", str)  # np.loadtxt would read a list as CSV lines
         try:
-            data = np.loadtxt(fn_cfg["csv"], delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read samples CSV: {e}") from e
         if data.shape[0] < 2 or data.shape[1] < 2:
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
         if args.out_dir:
             cfg["out_dir"] = args.out_dir
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FL.ManifestError) as e:
+    except (ConfigError, FL.ManifestError, OSError) as e:  # OSError: out_dir not creatable
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (FL.FlowIntegrationError, FloatingPointError) as e:

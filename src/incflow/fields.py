@@ -62,12 +62,7 @@ __all__ = [
 class Modulus:
     """Componentwise modulus bound t -> omega(t), omega(0)=0, nondecreasing."""
 
-    dim_out: int
-
     def __call__(self, t):
-        raise NotImplementedError
-
-    def to_dict(self) -> dict:
         raise NotImplementedError
 
 
@@ -78,15 +73,11 @@ class LipschitzModulus(Modulus):
         self.L = np.atleast_1d(np.asarray(L, dtype=float))
         if np.any(self.L < 0):
             raise ValueError("Lipschitz constants must be >= 0")
-        self.dim_out = self.L.shape[0]
 
     def __call__(self, t):
         if t < 0:
             raise ValueError("modulus argument must be >= 0")
         return self.L * t
-
-    def to_dict(self):
-        return {"kind": "lipschitz", "L": self.L.tolist()}
 
 
 class HolderModulus(Modulus):
@@ -97,15 +88,11 @@ class HolderModulus(Modulus):
         if not 0 < alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         self.alpha = float(alpha)
-        self.dim_out = self.C.shape[0]
 
     def __call__(self, t):
         if t < 0:
             raise ValueError("modulus argument must be >= 0")
         return self.C * t**self.alpha
-
-    def to_dict(self):
-        return {"kind": "holder", "C": self.C.tolist(), "alpha": self.alpha}
 
 
 class SmoothRateModulus(Modulus):
@@ -122,7 +109,6 @@ class SmoothRateModulus(Modulus):
         self.s = int(s)
         self.dim = int(dim)
         self.cs_norms = np.atleast_1d(np.asarray(cs_norms, dtype=float))
-        self.dim_out = self.cs_norms.shape[0]
 
     def __call__(self, t):
         try:
@@ -135,14 +121,6 @@ class SmoothRateModulus(Modulus):
             raise ValueError("N and L must be positive integers")
         const = 85.0 * (self.s + 1) ** self.dim * 8.0**self.s
         return const * self.cs_norms * float(N * L) ** (-2.0 * self.s / self.dim)
-
-    def to_dict(self):
-        return {
-            "kind": "smooth_rate",
-            "s": self.s,
-            "dim": self.dim,
-            "cs_norms": self.cs_norms.tolist(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -675,25 +653,6 @@ class ApproximationReport:
     @property
     def within_bound(self) -> bool:
         return bool(np.all(self.measured_error <= self.modulus_bound + 1e-12))
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n": self.n,
-            "achieved": {
-                "width": self.width,
-                "depth": self.depth,
-                "nonzeros": self.nonzeros,
-            },
-            "target": {
-                "width": self.target_width,
-                "depth": self.target_depth,
-                "nonzeros": self.target_nonzeros,
-            },
-            "measured_error": self.measured_error.tolist(),
-            "modulus_bound": self.modulus_bound.tolist(),
-            "within_bound": self.within_bound,
-        }
 
 
 def size_targets(d: int, n: int) -> tuple[int, int, int]:

@@ -90,8 +90,10 @@ class FlowMap:
 
         Rows outside the field's closed support box are returned as they
         are: the field is exactly zero there, so every stage point equals
-        the row and each step adds zero. Non-finite rows are integrated
-        and raise :class:`FlowIntegrationError` at step 0.
+        the row and each step adds zero. They equal the integrated rows in
+        value; a zero coordinate keeps its sign, which adding a signed
+        zero may flip. Non-finite rows are integrated and raise
+        :class:`FlowIntegrationError` at step 0.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -368,12 +370,6 @@ def empirical_lipschitz(mapping, samples: int = 10_000, seed: int = 0) -> float:
 # builtin generators
 
 
-def _counterexample_stages(steps: int) -> list[FlowMap]:
-    squeeze = builtin_field("squeeze_clipped")
-    rotation = builtin_field("rotation_clipped")
-    return [FlowMap(squeeze, steps=steps), FlowMap(rotation, steps=steps)]
-
-
 BUILTIN_GENERATORS = ("identity2", "counterexample", "rotation_only", "squeeze_only")
 
 
@@ -382,7 +378,8 @@ def builtin_generator(gen_id: str, steps: int = DEFAULT_STEPS) -> IncrementalGen
         z = builtin_field("zero")
         return IncrementalGenerator([FlowMap(z, steps=steps), FlowMap(z, steps=steps)])
     if gen_id == "counterexample":
-        return IncrementalGenerator(_counterexample_stages(steps))
+        return IncrementalGenerator([FlowMap(builtin_field("squeeze_clipped"), steps=steps),
+                                     FlowMap(builtin_field("rotation_clipped"), steps=steps)])
     if gen_id == "rotation_only":
         return IncrementalGenerator([FlowMap(builtin_field("rotation_clipped"), steps=steps)])
     if gen_id == "squeeze_only":

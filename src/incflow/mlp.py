@@ -1,15 +1,14 @@
-"""ReLU multilayer perceptrons with an exact composition algebra.
+"""ReLU multilayer perceptrons and the exact cutoff network.
 
 Networks here are plain value objects: a list of affine layers with ReLU
-applied to every layer except the last. All algebra (composition,
-parallelization, depth padding) is exact — the returned network evaluates
-to the same piecewise-linear function as the operands, up to float
-rounding, never up to an approximation.
+applied to every layer except the last. Composition is exact: the
+returned network evaluates to the same piecewise-linear function as the
+operands, up to float rounding, never up to an approximation.
 
 Every layer's weight matrix is a ``scipy.sparse.csr_array``. The exact
 constructions are almost all zeros and the builders here store none of
-them; one format means one code path for evaluation, algebra, sizes and
-Lipschitz bounds. Networks are not serialized: a saved artifact stores
+them; one format means one code path for evaluation, composition, sizes
+and Lipschitz bounds. Networks are not serialized: a saved artifact stores
 what a network is built from (a grid payload), never its weights.
 """
 
@@ -24,14 +23,11 @@ __all__ = [
     "MLP",
     "BumpSpec",
     "relu",
-    "identity_mlp",
     "affine_mlp",
     "build_bump",
     "bump_values",
     "bump_support",
     "compose",
-    "parallelize",
-    "pad_to_depth",
     "lipschitz_upper_bound",
 ]
 
@@ -101,14 +97,11 @@ class MLP:
         return sum(int(np.count_nonzero(W.data)) + int(np.count_nonzero(b))
                    for W, b in self.layers)
 
-    def eval(self, x, activation=relu):
+    def eval(self, x):
         """Forward pass. ``x`` is one point ``(d,)`` or a batch ``(m, d)``.
 
-        ``activation`` may be any 1-Lipschitz scalar function applied
-        componentwise; the constructive builders in this package assume
-        ReLU, which is the default. Rows are pushed through in blocks of
-        ``_EVAL_ROWS``, so the hidden activations held at once do not
-        grow with the batch.
+        Rows are pushed through in blocks of ``_EVAL_ROWS``, so the hidden
+        activations held at once do not grow with the batch.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -123,7 +116,7 @@ class MLP:
         for start in range(0, X.shape[0], _EVAL_ROWS):
             Z = X[start:start + _EVAL_ROWS]
             for W, b in self.layers[:-1]:
-                Z = activation((W @ Z.T).T + b)
+                Z = relu((W @ Z.T).T + b)
             W, b = self.layers[-1]
             out[start:start + _EVAL_ROWS] = (W @ Z.T).T + b
         return out[0] if single else out
@@ -133,10 +126,6 @@ class MLP:
     def __repr__(self):
         dims = [self.input_dim] + [W.shape[0] for W, _ in self.layers]
         return f"MLP({'-'.join(map(str, dims))})"
-
-
-def identity_mlp(dim: int) -> MLP:
-    return MLP([(np.eye(dim), np.zeros(dim))])
 
 
 def affine_mlp(W, b=None) -> MLP:
@@ -179,7 +168,9 @@ def build_bump(spec: BumpSpec) -> MLP:
     scalar = MLP([(w1, b1), (w2, b2), (w3, b3)])
     if spec.dim == 1:
         return scalar
-    return parallelize([scalar] * spec.dim)
+    # one scalar copy per coordinate: block-diagonal weights, tiled biases
+    return MLP([(sparse.block_diag([W] * spec.dim, format="csr"), np.tile(b, spec.dim))
+                for W, b in scalar.layers])
 
 
 def bump_values(x, delta: float):
@@ -222,61 +213,12 @@ def compose(outer: MLP, inner: MLP) -> MLP:
     return MLP(inner.layers[:-1] + [merged] + outer.layers[1:])
 
 
-def pad_to_depth(net: MLP, depth: int) -> MLP:
-    """Insert exact identity hidden layers before the output layer.
-
-    ReLU-safe identity uses the split z = relu(z) - relu(-z), doubling
-    width for the inserted layer.
-    """
-    if depth < net.depth:
-        raise ValueError("cannot shrink depth")
-    while net.depth < depth:
-        W, b = net.layers[-1]
-        m = W.shape[0]
-        hidden = (sparse.vstack([W, -W], format="csr"), np.concatenate([b, -b]))
-        eye = sparse.eye_array(m)
-        out = (sparse.hstack([eye, -eye], format="csr"), np.zeros(m))
-        net = MLP(net.layers[:-1] + [hidden, out])
-    return net
-
-
-def parallelize(parts: list[MLP]) -> MLP:
-    """Block-diagonal stack under disjoint wiring.
-
-    All parts must share the same input dimension; shallower parts are
-    depth-padded first. The result consumes the concatenation of the
-    parts' inputs and emits the concatenation of their outputs, exactly
-    equal to evaluating each part independently.
-    """
-    if not parts:
-        raise ValueError("parallelize needs at least one part")
-    if len({p.input_dim for p in parts}) != 1:
-        raise ValueError("parts have unequal input dims")
-    depth = max(p.depth for p in parts)
-    parts = [pad_to_depth(p, depth) for p in parts]
-    layers = []
-    for k in range(depth):
-        blocks = [p.layers[k] for p in parts]
-        layers.append((
-            sparse.block_diag([W for W, _ in blocks], format="csr"),
-            np.concatenate([b for _, b in blocks]),
-        ))
-    return MLP(layers)
-
-
-def lipschitz_upper_bound(net: MLP, norm: str = "l_inf") -> float:
-    """Product of layer operator norms; >= the true Lipschitz constant.
-
-    ReLU is 1-Lipschitz componentwise in both supported norms, so the
-    product over layers dominates the network's Lipschitz constant.
-    The spectral norm of a layer is the exact SVD value of its dense form.
+def lipschitz_upper_bound(net: MLP) -> float:
+    """Product of the layers' l_inf operator norms (maximum absolute row
+    sums); >= the network's l_inf Lipschitz constant, because ReLU is
+    1-Lipschitz componentwise.
     """
     prod = 1.0
     for W, _ in net.layers:
-        if norm == "l_inf":
-            prod *= float(abs(W).sum(axis=1).max())
-        elif norm == "l_2":
-            prod *= float(np.linalg.norm(W.toarray(), 2))
-        else:
-            raise ValueError(f"unknown norm {norm!r} (use 'l_inf' or 'l_2')")
+        prod *= float(abs(W).sum(axis=1).max())
     return prod

@@ -261,6 +261,41 @@ def test_lift_approx_config_errors(tmp_path):
         "function": {"id": "abs2x1"}, "n": 8, "mode": "weird",
         "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2
+    # the samples CSV is a path; np.loadtxt would read a list as inline CSV lines
+    cfg = write_cfg(tmp_path, "cfg3.json", {
+        "function": {"csv": ["x,y", "0,0", "1,1"], "lipschitz": 1.0}, "n": 8,
+        "out_dir": str(tmp_path / "x")})
+    assert main(["lift-approx", cfg]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["approx-flow", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
+
+
+# the cheapest run of each subcommand that reaches its output directory
+_CHEAP_RUNS = {
+    "approx-flow": {"field": {"id": "zero"}, "n": 1, "eval_grid": 2, "steps": 1},
+    "lift-approx": {"function": {"id": "abs2x1"}, "n": 1, "test_points": 2},
+    "generate": {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
+                 "N_list": [4]},
+    "probe-flowability": {"grid_n": 2, "k_max": 1, "steps": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CHEAP_RUNS))
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "run" if under else taken
+    path = write_cfg(tmp_path, "cfg.json", dict(_CHEAP_RUNS[command], out_dir=str(out)))
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
+    assert taken.read_text() == "keep"  # nothing written
 
 
 @pytest.mark.parametrize("lipschitz,rows", [
