@@ -31,34 +31,126 @@ class ConfigError(Exception):
     pass
 
 
+def _finite(text: str) -> float:
+    """json.load's hook for number literals with a fraction or exponent and for
+    NaN/Infinity: a non-finite number is a config error."""
+    if not math.isfinite(val := float(text)):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return val
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_finite, parse_float=_finite)
     except OSError as e:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or an int literal too long to parse
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
 
 
-def _require(cfg: dict, key: str, typ, default=None, required=False, minimum=None):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config key {key!r} is required")
-        return default
-    val = cfg[key]
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, typ) or (typ is not bool and isinstance(val, bool)):
-        raise ConfigError(f"config key {key!r} must be {typ}, got {type(val).__name__}")
-    if typ is float and not math.isfinite(val):  # JSON parsing accepts NaN and Infinity
-        raise ConfigError(f"{key!r} must be finite")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key!r} must be >= {minimum}")
+# Each subcommand's whole config surface, one table each. A key's rule is
+# (type, default[, minimum[, maximum]]), with _REQUIRED as the default of a key
+# the config must set and None that of an optional key without one. A dict type
+# is a nested table, a tuple of strings an enum, and a one-item list [rule] a
+# list whose items each follow that rule and whose length the bounds limit.
+_REQUIRED = object()
+_PARAMS = "an object of numbers or lists of numbers"  # a stage's field parameters
+
+_STAGE = {"id": (tuple(F.BUILTIN_FIELDS), _REQUIRED), "params": (_PARAMS, {})}
+_SAMPLER = {"kind": (("uniform",), "uniform"), "dim": (int, None, 1)}
+_SCHEMAS = {
+    "approx-flow": {
+        "stages": ([(_STAGE, _REQUIRED)], _REQUIRED, 1, FL.DEFAULT_T_BUDGET),
+        "n": (int, _REQUIRED, 1),
+        "steps": (int, 256, 1),
+        "eval_grid": (int, 33, 1),
+        "out_dir": (str, _REQUIRED),
+    },
+    "lift-approx": {
+        "function": ({"id": (tuple(LI.LIFT_FUNCTIONS), None), "csv": (str, None),
+                      "lipschitz": (float, None, 0.0)}, _REQUIRED),
+        "n": (int, _REQUIRED, 1),
+        "collapse_y": (bool, False),
+        "mode": (("componentwise", "joint"), "componentwise"),
+        "test_points": (int, 1001, 1),
+        "out_dir": (str, _REQUIRED),
+    },
+    "generate": {
+        "generator": ({"builtin": (FL.BUILTIN_GENERATORS, None), "manifest": (str, None)},
+                      _REQUIRED),
+        "noise": (_SAMPLER, {}),
+        "target": (_SAMPLER, {}),
+        "N_list": ([(int, _REQUIRED, 1)], [16, 64, 256], 1),
+        "trials": (int, 32, 1),
+        "delta": (float, 0.1, 0.0),
+        "seed": (int, _REQUIRED, 0),
+        "M": (int, 4096, 1),
+        "C": (float, 1.0),
+        "out_dir": (str, _REQUIRED),
+    },
+    "probe-flowability": {
+        "seed": (int, 0, 0),
+        "steps": (int, PR.PROBE_STEPS, 1),
+        "grid_n": (int, 33, 2),
+        "k_max": (int, 4, 1),
+        "contraction_radius": (float, 0.01, math.ulp(0.0)),  # the least float > 0
+        "fit": ({"enabled": (bool, False), "budget": (int, 20_000, 1),
+                 "n_grid": (int, 4, 1)}, {}),
+        "out_dir": (str, _REQUIRED),
+    },
+}
+
+
+def _value(val, rule, key: str):
+    """Check one config value against its rule; return it, an int made float
+    where the rule asks for a float, a nested table's defaults filled in."""
+    typ, _, lo, hi = (*rule, None, None)[:4]
+    if typ is float and type(val) is int:
+        val = _finite(str(val))  # an int past the float range is not finite
+    if isinstance(typ, tuple):
+        ok, what = type(val) is str and val in typ, f"one of {list(typ)}"
+    elif typ is _PARAMS:
+        ok, what = type(val) is dict and all(
+            type(v) in (int, float) or type(v) is list and all(type(u) in (int, float) for u in v)
+            for v in val.values()), _PARAMS
+    else:
+        want = type(typ) if isinstance(typ, (dict, list)) else typ
+        ok, what = type(val) is want, want.__name__
+    if not ok:
+        raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
+    if isinstance(typ, dict):
+        return _check(val, typ, key)
+    if isinstance(typ, list):
+        val = [_value(v, typ[0], key) for v in val]
+    size, name = (len(val), f"the length of {key!r}") if isinstance(typ, list) else (
+        val, f"config key {key!r}")
+    if lo is not None and size < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {size!r}")
+    if hi is not None and size > hi:
+        raise ConfigError(f"{name} must be <= {hi}, got {size!r}")
     return val
+
+
+def _check(cfg: dict, schema: dict, where: str = "config") -> dict:
+    """Check ``cfg`` against ``schema``; return a copy with the defaults filled in.
+    An unknown key, a missing required one, a value of the wrong type (a bool is
+    not a number) or one out of bounds is a ConfigError."""
+    for key in cfg:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {key!r} in {where}; known: {sorted(schema)}")
+    out = {}
+    for key, rule in schema.items():
+        if key in cfg:
+            out[key] = _value(cfg[key], rule, key)
+        elif rule[1] is _REQUIRED:
+            raise ConfigError(f"config key {key!r} is required")
+        elif rule[1] is not None:
+            out[key] = _value(rule[1], rule, key)
+    return out
 
 
 def _write_json(path: str, obj) -> None:
@@ -80,50 +172,13 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _resolve_stages(cfg: dict) -> list[dict]:
-    if "stages" in cfg:
-        stages = cfg["stages"]
-    elif "field" in cfg:
-        stages = [cfg["field"]]
-    else:
-        raise ConfigError("config needs 'field' or 'stages'")
-    if not isinstance(stages, list) or not stages:
-        raise ConfigError("'stages' must be a nonempty list")
-    out = []
-    for s in stages:
-        if not isinstance(s, dict) or "id" not in s:
-            raise ConfigError("each stage needs an 'id'")
-        if _require(s, "id", str) not in F.BUILTIN_FIELDS:
-            raise ConfigError(
-                f"unknown field id {s['id']!r}; known: {sorted(F.BUILTIN_FIELDS)}"
-            )
-        params = s.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("stage 'params' must be an object")
-        for key, val in params.items():
-            for v in val if isinstance(val, list) else [val]:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{key!r} must be finite")
-        out.append({"id": s["id"], "params": params})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_approx_flow(cfg: dict) -> int:
-    stages = _resolve_stages(cfg)
-    n = _require(cfg, "n", int, required=True, minimum=1)
-    steps = _require(cfg, "steps", int, 256, minimum=1)
-    eval_grid = _require(cfg, "eval_grid", int, 33, minimum=1)
-    out_dir = _require(cfg, "out_dir", str, required=True)
-    T_budget = _require(cfg, "T_budget", int, FL.DEFAULT_T_BUDGET)
-    if len(stages) > T_budget:
-        raise ConfigError(
-            f"{len(stages)} stages exceed the incrementality budget T={T_budget}"
-        )
-
+    cfg = _check(cfg, _SCHEMAS["approx-flow"])
+    stages, n, out_dir = cfg["stages"], cfg["n"], cfg["out_dir"]
     try:
         flds = [F.builtin_field(s["id"], s["params"]) for s in stages]
         for f in flds:
@@ -132,17 +187,18 @@ def cmd_approx_flow(cfg: dict) -> int:
         raise ConfigError(f"stage field: {e}") from e
     if len({f.dim for f in flds}) > 1:
         raise ConfigError(f"stage dimensions disagree: {[f.dim for f in flds]}")
-    moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
-    gen, cert = FL.approximate_generator(flds, moduli, n, steps=steps)
+    os.makedirs(out_dir, exist_ok=True)
 
-    pts = F.lattice([eval_grid] * flds[0].dim)
+    moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
+    gen, cert = FL.approximate_generator(flds, moduli, n, steps=cfg["steps"])
+
+    pts = F.lattice([cfg["eval_grid"]] * flds[0].dim)
     ref = pts
     for f in flds:
         ref = FL.reference_flow(f).apply(ref)
     approx = gen.apply(pts)
     err = np.abs(approx - ref).max(axis=1)
 
-    os.makedirs(out_dir, exist_ok=True)
     FL.save_generator(gen, out_dir)
     _write_csv(
         os.path.join(out_dir, "metrics.csv"),
@@ -166,53 +222,36 @@ def cmd_approx_flow(cfg: dict) -> int:
 
 
 def cmd_lift_approx(cfg: dict) -> int:
-    fn_cfg = _require(cfg, "function", dict, required=True)
-    n = _require(cfg, "n", int, required=True, minimum=1)
-    collapse_y = _require(cfg, "collapse_y", bool, False)
-    mode = _require(cfg, "mode", str, "componentwise")
-    test_points = _require(cfg, "test_points", int, 1001, minimum=1)
-    out_dir = _require(cfg, "out_dir", str, required=True)
-
+    cfg = _check(cfg, _SCHEMAS["lift-approx"])
+    fn_cfg, n, mode, out_dir = cfg["function"], cfg["n"], cfg["mode"], cfg["out_dir"]
+    if ("id" in fn_cfg) == ("csv" in fn_cfg) or ("lipschitz" in fn_cfg) != ("csv" in fn_cfg):
+        raise ConfigError("'function' needs exactly one of 'id' and 'csv', "
+                          "and a 'lipschitz' constant with a 'csv' only")
     if "id" in fn_cfg:
-        if _require(fn_cfg, "id", str) not in LI.LIFT_FUNCTIONS:
-            raise ConfigError(
-                f"unknown function id {fn_cfg['id']!r}; known: {sorted(LI.LIFT_FUNCTIONS)}"
-            )
         comps, d, D, L = LI.lift_function(fn_cfg["id"])
-    elif "csv" in fn_cfg:
-        lipschitz = _require(fn_cfg, "lipschitz", float, required=True, minimum=0.0)
-        csv = _require(fn_cfg, "csv", str)  # np.loadtxt would read a list as CSV lines
+    else:
         try:
-            data = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(fn_cfg["csv"], delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read samples CSV: {e}") from e
         if data.shape[0] < 2 or data.shape[1] < 2:
             raise ConfigError("samples CSV needs two columns, x and f(x), and two rows")
-        comps, d, D, L = LI.function_from_samples(data[:, 0], data[:, 1], lipschitz)
-    else:
-        raise ConfigError("'function' needs an 'id' or a 'csv'")
-    if mode not in ("componentwise", "joint"):
-        raise ConfigError("'mode' must be 'componentwise' or 'joint'")
+        comps, d, D, L = LI.function_from_samples(data[:, 0], data[:, 1], fn_cfg["lipschitz"])
+    os.makedirs(out_dir, exist_ok=True)
 
     approx, cert = LI.approximate_lipschitz_function(
-        comps, n, d, D, L, mode=mode, collapse_y=collapse_y
+        comps, n, d, D, L, mode=mode, collapse_y=cfg["collapse_y"]
     )
-    pts = F.lattice([round(test_points ** (1.0 / d))] * d)
+    pts = F.lattice([round(cfg["test_points"] ** (1.0 / d))] * d)
     truth = np.stack([np.asarray(g(pts), dtype=float).reshape(-1) for g in comps], axis=1)
     got = np.atleast_2d(approx.apply(pts))
     err = np.abs(got - truth)
 
-    os.makedirs(out_dir, exist_ok=True)
     LI.save_lifted(approx, out_dir)
-    header = [f"x{i}" for i in range(d)]
-    for i in range(D):
-        header += [f"f{i}", f"fhat{i}", f"err{i}"]
-    rows = []
-    for p, tr, gt, er in zip(pts, truth, got, err):
-        row = list(p)
-        for i in range(D):
-            row += [tr[i], gt[i], er[i]]
-        rows.append(row)
+    header = [f"x{i}" for i in range(d)] + [
+        f"{c}{i}" for i in range(D) for c in ("f", "fhat", "err")]
+    rows = [list(p) + [v for i in range(D) for v in (tr[i], gt[i], er[i])]
+            for p, tr, gt, er in zip(pts, truth, got, err)]
     _write_csv(os.path.join(out_dir, "metrics.csv"), header, rows)
     measured = float(err.max())
     within = measured <= cert.total_bound + 1e-12
@@ -224,64 +263,33 @@ def cmd_lift_approx(cfg: dict) -> int:
             "within_certificate": within,
             "n": n,
             "mode": mode,
-            "collapse_y": collapse_y,
+            "collapse_y": cfg["collapse_y"],
         },
     )
     return 0 if within else 4
 
 
-def _sampler_from_cfg(cfg: dict, key: str, dim_default=2):
-    sub = cfg.get(key, {"kind": "uniform", "dim": dim_default})
-    if not isinstance(sub, dict) or sub.get("kind", "uniform") != "uniform":
-        raise ConfigError(f"only uniform samplers are built in (config key {key!r})")
-    dim = _require(sub, "dim", int, dim_default, minimum=1)
-
-    def sampler(rng, k):
-        return rng.random((k, dim))
-
-    return sampler, dim
-
-
 def cmd_generate(cfg: dict) -> int:
-    gen_cfg = _require(cfg, "generator", dict, required=True)
-    N_list = _require(cfg, "N_list", list, [16, 64, 256])
-    if not N_list or any(type(N) is not int or N < 1 for N in N_list) or any(
-        a >= b for a, b in zip(N_list, N_list[1:])
-    ):
-        raise ConfigError("'N_list' must be a nonempty, strictly increasing list of ints >= 1")
-    trials = _require(cfg, "trials", int, 32, minimum=1)
-    delta = _require(cfg, "delta", float, 0.1, minimum=0.0)
-    seed = _require(cfg, "seed", int, required=True, minimum=0)
-    M = _require(cfg, "M", int, 4096, minimum=1)
-    C = _require(cfg, "C", float, 1.0)
-    out_dir = _require(cfg, "out_dir", str, required=True)
+    cfg = _check(cfg, _SCHEMAS["generate"])
+    gen_cfg, N_list, out_dir = cfg["generator"], cfg["N_list"], cfg["out_dir"]
+    if ("builtin" in gen_cfg) == ("manifest" in gen_cfg):
+        raise ConfigError("'generator' needs exactly one of 'builtin' and 'manifest'")
+    if any(a >= b for a, b in zip(N_list, N_list[1:])):
+        raise ConfigError(f"'N_list' must be strictly increasing, got {N_list}")
+    gen = (FL.builtin_generator(gen_cfg["builtin"]) if "builtin" in gen_cfg
+           else FL.load_generator(gen_cfg["manifest"]))
+    for key in ("noise", "target"):
+        if cfg[key].get("dim", gen.dim) != gen.dim:
+            raise ConfigError(f"{key} dim {cfg[key]['dim']} != generator dim {gen.dim}")
+    os.makedirs(out_dir, exist_ok=True)
 
-    if "builtin" in gen_cfg:
-        if gen_cfg["builtin"] not in FL.BUILTIN_GENERATORS:
-            raise ConfigError(
-                f"unknown builtin generator {gen_cfg['builtin']!r}; "
-                f"known: {FL.BUILTIN_GENERATORS}"
-            )
-        gen = FL.builtin_generator(gen_cfg["builtin"])
-    elif "manifest" in gen_cfg:
-        # open() would take an int (or a bool) as a file descriptor
-        gen = FL.load_generator(_require(gen_cfg, "manifest", str))
-    else:
-        raise ConfigError("'generator' needs 'builtin' or 'manifest'")
+    def sampler(rng, k):  # noise and target alike: uniform on the generator's cube
+        return rng.random((k, gen.dim))
 
-    noise_sampler, dim = _sampler_from_cfg(cfg, "noise", gen.dim)
-    target_sampler, target_dim = _sampler_from_cfg(cfg, "target", gen.dim)
-    if dim != gen.dim:
-        raise ConfigError(f"noise dim {dim} != generator dim {gen.dim}")
-    if target_dim != gen.dim:
-        raise ConfigError(f"target dim {target_dim} != generator dim {gen.dim}")
-
-    result = TR.concentration_experiment(
-        gen, target_sampler, noise_sampler, N_list, trials, delta, seed, M=M, C=C
-    )
+    result = TR.concentration_experiment(gen, sampler, sampler, N_list, cfg["trials"],
+                                         cfg["delta"], cfg["seed"], M=cfg["M"], C=cfg["C"])
     summary = TR.summarize_trials(result["rows"])
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "metrics.csv"),
         ["N", "trial", "w1", "bound_rhs", "prob_lhs"],
@@ -294,13 +302,13 @@ def cmd_generate(cfg: dict) -> int:
         os.path.join(out_dir, "manifest.json"),
         {
             "kind": "generate_run",
-            "generator": gen_cfg,
+            "generator": gen_cfg,  # as given: an optional key without a default is not filled
             "N_list": N_list,
-            "trials": trials,
-            "delta": delta,
-            "seed": seed,
-            "M": M,
-            "constant_C": C,
+            "trials": cfg["trials"],
+            "delta": cfg["delta"],
+            "seed": cfg["seed"],
+            "M": cfg["M"],
+            "constant_C": cfg["C"],
             "constant_C_verified": False,
             "epsilon": result["epsilon"],
             "lipschitz": result["lipschitz"],
@@ -321,32 +329,20 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def cmd_probe(cfg: dict) -> int:
-    seed = _require(cfg, "seed", int, 0, minimum=0)
-    steps = _require(cfg, "steps", int, PR.PROBE_STEPS, minimum=1)
-    grid_n = _require(cfg, "grid_n", int, 33, minimum=2)
-    k_max = _require(cfg, "k_max", int, 4, minimum=1)
-    radius = _require(cfg, "contraction_radius", float, 0.01)
-    if not radius > 0:
-        raise ConfigError("'contraction_radius' must be > 0")
-    out_dir = _require(cfg, "out_dir", str, required=True)
-    fit_cfg = _require(cfg, "fit", dict, {})
-    fit_enabled = _require(fit_cfg, "enabled", bool, False)
-    fit_budget = _require(fit_cfg, "budget", int, 20_000, minimum=1)
-    fit_n_grid = _require(fit_cfg, "n_grid", int, 4, minimum=1)
+    cfg = _check(cfg, _SCHEMAS["probe-flowability"])
+    out_dir, fit = cfg["out_dir"], cfg["fit"]
+    os.makedirs(out_dir, exist_ok=True)
 
-    gen = PR.build_counterexample(steps=steps)
-    records = PR.detect_periodic(gen, grid_n=grid_n, k_max=k_max)
+    gen = PR.build_counterexample(steps=cfg["steps"])
+    records = PR.detect_periodic(gen, grid_n=cfg["grid_n"], k_max=cfg["k_max"])
 
-    period2 = [
-        r for r in records if r.classification == "periodic" and r.period == 2
-    ]
+    period2 = [r for r in records if r.classification == "periodic" and r.period == 2]
     near_line = [r for r in period2 if abs(r.start[0] - 0.5) <= 1e-4]
     audit = None
     if near_line:
         target = min(near_line, key=lambda r: abs(r.start[1] - 0.5625))
-        audit = PR.contraction_audit(gen, target, radius=radius)
+        audit = PR.contraction_audit(gen, target, radius=cfg["contraction_radius"])
 
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "orbits.csv"),
         ["x0", "x1", "classification", "period"],
@@ -367,8 +363,9 @@ def cmd_probe(cfg: dict) -> int:
         )
 
     fit_summary = None
-    if fit_enabled:
-        fit_summary = PR.fit_gap_experiment(seed=seed, budget=fit_budget, n_grid=fit_n_grid)
+    if fit["enabled"]:
+        fit_summary = PR.fit_gap_experiment(seed=cfg["seed"], budget=fit["budget"],
+                                            n_grid=fit["n_grid"])
         _write_json(os.path.join(out_dir, "fitgap.json"), fit_summary)
         if not fit_summary["margin_10x"]:
             print(
@@ -444,7 +441,7 @@ def main(argv=None) -> int:
     except (ConfigError, FL.ManifestError, OSError) as e:  # OSError: out_dir not creatable
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (FL.FlowIntegrationError, FloatingPointError) as e:
+    except (FL.FlowIntegrationError, ArithmeticError) as e:  # overflow included
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
 

@@ -460,7 +460,7 @@ def zero_field(dim: int = 2) -> VectorField:
     )
 
 
-def rotation_field(center, rate: float) -> VectorField:
+def rotation_field(center=(0.5, 0.5), rate: float = math.pi) -> VectorField:
     """Planar rotation about ``center`` at angular speed ``rate``."""
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
@@ -754,40 +754,32 @@ def grid_relu_approximate(
 # registry
 
 
-def _build_rotation_clipped(params):
-    center = params.get("center", [0.5, 0.5])
-    rate = params.get("rate", math.pi)
-    r = params.get("r_inner", 0.125)
-    R = params.get("r_outer", 0.25)
+def _build_rotation_clipped(center=(0.5, 0.5), rate=math.pi, r_inner=0.125, r_outer=0.25):
     base = rotation_field(center, rate)
-    f = radial_bump_clip(base, center, r, R, max_abs=abs(rate) * R)
+    f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=abs(rate) * r_outer)
     f.ref = {"backend": "analytic", "id": "rotation_clipped", "params": {
-        "center": list(center), "rate": rate, "r_inner": r, "r_outer": R}}
+        "center": list(center), "rate": rate, "r_inner": r_inner, "r_outer": r_outer}}
     return f
 
 
-def _build_squeeze_clipped(params):
-    line_x = params.get("line_x", 0.5)
-    center = params.get("center", [0.5, 0.5])
-    r = params.get("r_inner", 0.125)
-    R = params.get("r_outer", 0.25)
+def _build_squeeze_clipped(line_x=0.5, center=(0.5, 0.5), r_inner=0.125, r_outer=0.25):
     base = squeeze_field(line_x)
-    max_abs = abs(center[0] - line_x) + R
-    f = radial_bump_clip(base, center, r, R, max_abs=max_abs)
+    max_abs = abs(center[0] - line_x) + r_outer
+    f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=max_abs)
     f.ref = {"backend": "analytic", "id": "squeeze_clipped", "params": {
-        "line_x": line_x, "center": list(center), "r_inner": r, "r_outer": R}}
+        "line_x": line_x, "center": list(center), "r_inner": r_inner, "r_outer": r_outer}}
     return f
 
 
+# builders called with a stage's params as keyword arguments, so an unknown
+# parameter is a TypeError
 BUILTIN_FIELDS = {
-    "zero": lambda params: zero_field(params.get("dim", 2)),
-    "rotation": lambda params: rotation_field(
-        params.get("center", [0.5, 0.5]), params.get("rate", math.pi)
-    ),
-    "squeeze": lambda params: squeeze_field(params.get("line_x", 0.5)),
+    "zero": zero_field,
+    "rotation": rotation_field,
+    "squeeze": squeeze_field,
     "rotation_clipped": _build_rotation_clipped,
     "squeeze_clipped": _build_squeeze_clipped,
-    "sin_bump": lambda params: sin_bump_field(params.get("amplitude", 0.2)),
+    "sin_bump": sin_bump_field,
 }
 
 
@@ -796,7 +788,7 @@ def builtin_field(field_id: str, params: dict | None = None) -> VectorField:
         raise KeyError(
             f"unknown field id {field_id!r}; known: {sorted(BUILTIN_FIELDS)}"
         )
-    return BUILTIN_FIELDS[field_id](params or {})
+    return BUILTIN_FIELDS[field_id](**(params or {}))
 
 
 def builtin_suite() -> dict[str, VectorField]:

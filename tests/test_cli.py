@@ -1,13 +1,17 @@
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import incflow
-from incflow.cli import main
+from incflow.cli import _REQUIRED, _SCHEMAS, main
 
 _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 
@@ -22,7 +26,7 @@ def test_approx_flow_happy_path(tmp_path):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
         "stages": [{"id": "squeeze_clipped"}],
-        "n": 4, "eval_grid": 9, "seed": 0, "out_dir": str(out),
+        "n": 4, "eval_grid": 9, "out_dir": str(out),
     })
     assert main(["approx-flow", cfg]) == 0
     assert (out / "manifest.json").exists()
@@ -35,8 +39,7 @@ def test_approx_flow_happy_path(tmp_path):
 def test_approx_flow_zero_field_identity(tmp_path):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
-        "field": {"id": "zero"}, "n": 4, "eval_grid": 5,
-        "seed": 0, "out_dir": str(out),
+        "stages": [{"id": "zero"}], "n": 4, "eval_grid": 5, "out_dir": str(out),
     })
     assert main(["approx-flow", cfg]) == 0
     acc = json.loads((out / "acceptance.json").read_text())
@@ -46,7 +49,7 @@ def test_approx_flow_zero_field_identity(tmp_path):
 
 def test_malformed_config_exits_2_without_artifacts(tmp_path):
     out = tmp_path / "run"
-    cfg = write_cfg(tmp_path, "cfg.json", {"field": {"id": "zero"}, "out_dir": str(out)})
+    cfg = write_cfg(tmp_path, "cfg.json", {"stages": [{"id": "zero"}], "out_dir": str(out)})
     assert main(["approx-flow", cfg]) == 2  # missing n
     assert not out.exists()
     bad = tmp_path / "bad.json"
@@ -54,7 +57,7 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     assert main(["approx-flow", str(bad)]) == 2
     assert main(["approx-flow", str(tmp_path / "missing.json")]) == 2
     cfg = write_cfg(tmp_path, "cfg2.json", {
-        "field": {"id": "nope"}, "n": 4, "out_dir": str(out)})
+        "stages": [{"id": "nope"}], "n": 4, "out_dir": str(out)})
     assert main(["approx-flow", cfg]) == 2
     assert not out.exists()
 
@@ -65,8 +68,8 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     ("probe-flowability", {"steps": 0}),
     ("probe-flowability", {"k_max": 0}),
     ("probe-flowability", {"grid_n": 1}),
-    ("approx-flow", {"field": {"id": "zero"}, "n": 4, "steps": 0}),
-    ("approx-flow", {"field": {"id": "zero"}, "n": 4, "eval_grid": 0}),
+    ("approx-flow", {"stages": [{"id": "zero"}], "n": 4, "steps": 0}),
+    ("approx-flow", {"stages": [{"id": "zero"}], "n": 4, "eval_grid": 0}),
     # JSON parsing accepts NaN and Infinity; a float key must be finite
     ("probe-flowability", {"contraction_radius": float("inf")}),
     # the fit sub-config is checked before the orbit scan starts
@@ -90,30 +93,49 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "C": float("nan")}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "delta": float("inf")}),
     # stage fields the library rejects, checked before any approximation
-    ("approx-flow", {"field": {"id": "sin_bump", "params": {"amplitude": "x"}}, "n": 2}),
-    ("approx-flow", {"field": {"id": "zero", "params": {"dim": 0}}, "n": 2}),
-    ("approx-flow", {"field": {"id": "rotation_clipped", "params": {"center": [0.5]}}, "n": 2}),
-    ("approx-flow", {"field": {"id": "rotation_clipped",
-                               "params": {"r_inner": 0.3, "r_outer": 0.2}}, "n": 2}),
-    ("approx-flow", {"field": {"id": "squeeze_clipped", "params": {"center": [0.1, 0.1]}},
+    ("approx-flow", {"stages": [{"id": "sin_bump", "params": {"amplitude": "x"}}], "n": 2}),
+    ("approx-flow", {"stages": [{"id": "zero", "params": {"dim": 0}}], "n": 2}),
+    ("approx-flow", {"stages": [{"id": "rotation_clipped", "params": {"center": [0.5]}}], "n": 2}),
+    ("approx-flow", {"stages": [{"id": "rotation_clipped",
+                                 "params": {"r_inner": 0.3, "r_outer": 0.2}}], "n": 2}),
+    ("approx-flow", {"stages": [{"id": "squeeze_clipped", "params": {"center": [0.1, 0.1]}}],
                      "n": 2}),
-    ("approx-flow", {"field": {"id": "rotation"}, "n": 2}),
-    ("approx-flow", {"field": {"id": "squeeze"}, "n": 2}),
+    ("approx-flow", {"stages": [{"id": "rotation"}], "n": 2}),
+    ("approx-flow", {"stages": [{"id": "squeeze"}], "n": 2}),
     ("approx-flow", {"stages": [{"id": "zero", "params": {"dim": 3}}, {"id": "sin_bump"}],
                      "n": 2}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
                   "N_list": [4], "target": {"kind": "uniform", "dim": 3}}),
     # stage params: an object of finite values
-    ("approx-flow", {"field": {"id": "zero", "params": 5}, "n": 2}),
-    ("approx-flow", {"field": {"id": "sin_bump", "params": {"amplitude": float("nan")}},
+    ("approx-flow", {"stages": [{"id": "zero", "params": 5}], "n": 2}),
+    ("approx-flow", {"stages": [{"id": "sin_bump", "params": {"amplitude": float("nan")}}],
                      "n": 2}),
-    ("approx-flow", {"field": {"id": "rotation_clipped", "params": {"rate": float("inf")}},
+    ("approx-flow", {"stages": [{"id": "rotation_clipped", "params": {"rate": float("inf")}}],
                      "n": 2}),
-    ("approx-flow", {"field": {"id": "rotation_clipped",
-                               "params": {"center": [0.5, float("nan")]}}, "n": 2}),
+    ("approx-flow", {"stages": [{"id": "rotation_clipped",
+                                 "params": {"center": [0.5, float("nan")]}}], "n": 2}),
     # ids are strings; a list used to fail as an unhashable key
     ("approx-flow", {"stages": [{"id": ["zero"]}], "n": 2}),
     ("lift-approx", {"function": {"id": ["abs2x1"]}, "n": 2}),
+    # every key is in its subcommand's table, so a misspelled one is an error too
+    ("approx-flow", {"stages": [{"id": "zero"}], "n": 1, "steps": 1, "eval_grid": 2,
+                     "bogus_key": 1}),
+    ("probe-flowability", {"grid_n": 2, "k_max": 1, "steps": 1, "fit": {"budgte": 5}}),
+    # stage params are a builder's keyword arguments, numbers and not bools
+    ("approx-flow", {"stages": [{"id": "squeeze_clipped", "params": {"bogus": 1}}], "n": 1,
+                     "steps": 1, "eval_grid": 2}),
+    ("approx-flow", {"stages": [{"id": "zero", "params": {"dim": True}}], "n": 1, "steps": 1,
+                     "eval_grid": 2}),
+    # exactly one source of the function and of the generator
+    ("lift-approx", {"function": {"id": "abs2x1", "csv": "samples.csv"}, "n": 1,
+                     "test_points": 2}),
+    ("generate", {"generator": {"builtin": "identity2", "manifest": "manifest.json"},
+                  "seed": 0, "M": 8, "trials": 1, "N_list": [4]}),
+    # at most FL.DEFAULT_T_BUDGET = 16 stages
+    ("approx-flow", {"stages": [{"id": "zero"}] * 17, "n": 1, "steps": 1, "eval_grid": 2}),
+    # an int literal past the float range, where a float is due
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
+                  "N_list": [4], "delta": 10**400}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -148,8 +170,7 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     for k in (1, 2):
         out = tmp_path / f"run{k}"
         cfgs.append(write_cfg(tmp_path, f"cfg{k}.json", {
-            "stages": [{"id": "sin_bump"}], "n": 4, "eval_grid": 9,
-            "seed": 3, "out_dir": str(out),
+            "stages": [{"id": "sin_bump"}], "n": 4, "eval_grid": 9, "out_dir": str(out),
         }))
     assert main(["approx-flow", cfgs[0]]) == 0
     assert main(["approx-flow", cfgs[1]]) == 0
@@ -162,8 +183,7 @@ def test_artifacts_are_byte_deterministic(tmp_path):
 def test_verify_roundtrip_and_tamper(tmp_path):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
-        "field": {"id": "squeeze_clipped"}, "n": 4, "eval_grid": 5,
-        "seed": 0, "out_dir": str(out),
+        "stages": [{"id": "squeeze_clipped"}], "n": 4, "eval_grid": 5, "out_dir": str(out),
     })
     assert main(["approx-flow", cfg]) == 0
     manifest = out / "manifest.json"
@@ -182,8 +202,7 @@ def test_verify_roundtrip_and_tamper(tmp_path):
 def test_verify_bad_grid_payload_exits_2(tmp_path, capsys, damage):
     out = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
-        "field": {"id": "squeeze_clipped"}, "n": 4, "eval_grid": 5,
-        "seed": 0, "out_dir": str(out),
+        "stages": [{"id": "squeeze_clipped"}], "n": 4, "eval_grid": 5, "out_dir": str(out),
     })
     assert main(["approx-flow", cfg]) == 0
     payload = out / "stage0_grid.bin"
@@ -269,6 +288,14 @@ def test_lift_approx_config_errors(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_int_literal_too_long_to_parse_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"stages": [{"id": "zero"}], "n": 1' + "0" * 5000 + "}")
+    assert main(["approx-flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
+
+
 def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
     assert main(["approx-flow", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -277,7 +304,7 @@ def test_config_path_that_is_a_directory_exits_2(tmp_path, capsys):
 
 # the cheapest run of each subcommand that reaches its output directory
 _CHEAP_RUNS = {
-    "approx-flow": {"field": {"id": "zero"}, "n": 1, "eval_grid": 2, "steps": 1},
+    "approx-flow": {"stages": [{"id": "zero"}], "n": 1, "eval_grid": 2, "steps": 1},
     "lift-approx": {"function": {"id": "abs2x1"}, "n": 1, "test_points": 2},
     "generate": {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
                  "N_list": [4]},
@@ -285,9 +312,22 @@ _CHEAP_RUNS = {
 }
 
 
+# the computation each subcommand starts once its config is checked
+_COMPUTE = {
+    "approx-flow": "incflow.flow.approximate_generator",
+    "lift-approx": "incflow.lift.approximate_lipschitz_function",
+    "generate": "incflow.transport.concentration_experiment",
+    "probe-flowability": "incflow.probe.detect_periodic",
+}
+
+
 @pytest.mark.parametrize("command", sorted(_CHEAP_RUNS))
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
-def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, command, under):
+def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, command, under):
+    def unreached(*args, **kwargs):
+        raise AssertionError("the run started before its out_dir was made")
+
+    monkeypatch.setattr(_COMPUTE[command], unreached)
     taken = tmp_path / "taken"
     taken.write_text("keep")
     out = taken / "run" if under else taken
@@ -320,6 +360,26 @@ def test_lift_approx_bad_samples_csv_exits_2(tmp_path, capsys, lipschitz, rows):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,cfg", [
+    ("approx-flow", {"stages": [{"id": "rotation_clipped", "params": {"rate": 1000}}],
+                     "n": 1, "steps": 1, "eval_grid": 2}),
+    ("approx-flow", {"stages": [{"id": "sin_bump", "params": {"amplitude": 1e300}}],
+                     "n": 1, "steps": 1, "eval_grid": 2}),
+    ("lift-approx", {"function": {"csv": "samples.csv", "lipschitz": 1e308}, "n": 1,
+                     "test_points": 2}),
+    ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
+                  "N_list": [4], "delta": 1e300}),
+], ids=["rotation_rate", "sin_bump_amplitude", "csv_lipschitz", "generate_delta"])
+def test_overflow_is_a_numeric_failure(tmp_path, capsys, monkeypatch, command, cfg):
+    # exp(L) of a certificate, or delta**2 of the concentration bound, leaves float range
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "samples.csv").write_text("x,f\n0.0,1.0\n1.0,0.0\n")
+    path = write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir="run"))
+    assert main([command, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure") and len(err.splitlines()) == 1
+
+
 def _damage_manifest(run, defect):
     manifest = run / "manifest.json"
     if defect == "truncated_payload":
@@ -346,7 +406,7 @@ def _damage_manifest(run, defect):
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
-        "field": {"id": "squeeze_clipped"}, "n": 4, "eval_grid": 5, "out_dir": str(run)})
+        "stages": [{"id": "squeeze_clipped"}], "n": 4, "eval_grid": 5, "out_dir": str(run)})
     assert main(["approx-flow", cfg]) == 0
     manifest = _damage_manifest(run, defect)
     capsys.readouterr()
@@ -392,3 +452,86 @@ def test_probe_flowability_run(tmp_path):
     orbits = (out / "orbits.csv").read_text().splitlines()
     assert orbits[0] == "x0,x1,classification,period"
     assert (out / "contraction.csv").exists()
+
+
+def _rule_paths(path, rule):
+    """Every (key path, rule) under a rule; a list's items sit at index 0."""
+    yield path, rule
+    typ = rule[0]
+    if isinstance(typ, dict):
+        for key, sub in typ.items():
+            yield from _rule_paths(path + (key,), sub)
+    elif isinstance(typ, list):
+        yield from _rule_paths(path + (0,), typ[0])
+
+
+_PATHS = {cmd: [pr for pr in _rule_paths((), (schema, _REQUIRED)) if pr[0]]
+          for cmd, schema in _SCHEMAS.items()}
+_JSON_VALUES = [None, "x", 2, 2.5, True, [], {}]
+_NON_FINITE = "__non_finite__"
+
+
+def _json_types(typ):
+    """The JSON value types a rule's type accepts; stage params (a str type) are an object."""
+    if isinstance(typ, (tuple, dict, list, str)):
+        return {tuple: (str,), dict: (dict,), list: (list,), str: (dict,)}[type(typ)]
+    return (int, float) if typ is float else (typ,)
+
+
+def _mutations(base, path, rule):
+    """(name, value at path) pairs, or ("sibling", None), each a config error."""
+    typ, default, lo, hi = (*rule, None, None)[:4]
+    node = base
+    for key in path[:-1]:
+        node = node.get(key, {}) if isinstance(key, str) else node[key]
+    present = isinstance(path[-1], int) or path[-1] in node
+    value = node[path[-1]] if present else default
+    if value is None or value is _REQUIRED:
+        value = typ[0] if isinstance(typ, tuple) else 1 if typ in (int, float) else "x"
+    out = [("wrong_type", v) for v in _JSON_VALUES if type(v) not in _json_types(typ)]
+    out += [("wrapped", [value]), ("non_finite", _NON_FINITE)]
+    if typ in (int, float):
+        out += [("bool", True), ("bool", False)]
+    if isinstance(typ, list):
+        item = value[0]
+        out += [("length", [item] * (lo - 1))] if lo is not None else []
+        out += [("length", [item] * (hi + 1))] if hi is not None else []
+    elif typ is float:
+        out += [("bound", math.nextafter(lo, -math.inf))] if lo is not None else []
+    elif typ is int:
+        out += [("bound", lo - 1)] if lo is not None else []
+    if isinstance(path[-1], str):
+        out.append(("sibling", None))
+    return out
+
+
+def _set(cfg, path, name, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(key, str) else node[key]
+    if name == "sibling":
+        node["bogus_key"] = 1
+    else:
+        node[path[-1]] = value
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_mutation_exits_2(tmp_path, capsys, data):
+    command = data.draw(st.sampled_from(sorted(_CHEAP_RUNS)), label="command")
+    out = tmp_path / "run"
+    cfg = copy.deepcopy(dict(_CHEAP_RUNS[command], out_dir=str(out)))
+    path, rule = data.draw(st.sampled_from(_PATHS[command]), label="path")
+    name, value = data.draw(st.sampled_from(_mutations(cfg, path, rule)), label="mutation")
+    _set(cfg, path, name, value)
+    literal = data.draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"]))
+    text = json.dumps(cfg).replace(json.dumps(_NON_FINITE), literal)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    capsys.readouterr()
+    assert main([command, str(cfg_path)]) == 2, text
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1, (text, err)
+    assert "Traceback" not in err
+    assert not out.exists()
