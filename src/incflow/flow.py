@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -78,8 +79,9 @@ class FlowMap:
             raise ValueError("direction must be 'forward' or 'backward'")
         if self.method not in ("rk4", "euler"):
             raise ValueError("method must be 'rk4' or 'euler'")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) \
+                or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
 
     @property
     def dim(self) -> int:
@@ -88,23 +90,21 @@ class FlowMap:
     def apply(self, x) -> np.ndarray:
         """Integrate the rows of ``x`` for unit time.
 
-        Rows outside the field's closed support box are returned as they
-        are: the field is exactly zero there, so every stage point equals
-        the row and each step adds zero. They equal the integrated rows in
-        value; a zero coordinate keeps its sign, which adding a signed
-        zero may flip. Non-finite rows are integrated and raise
+        Finite rows where the field is exactly zero are returned as they
+        are: they are fixed points, since every stage point equals the row
+        and each step adds zero. They equal the integrated rows in value; a
+        zero coordinate keeps its sign, which adding a signed zero may flip.
+        Every other row is integrated, so a non-finite row raises
         :class:`FlowIntegrationError` at step 0.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x).copy()
         sign = 1.0 if self.direction == "forward" else -1.0
-        live = None
-        box = self.field.support_box
-        if box is not None and X.shape[1] == self.dim:  # field.eval rejects a wrong width
-            live = ((X >= box[0]) & (X <= box[1])).all(axis=1) | ~np.isfinite(X).all(axis=1)
-            live = None if live.all() else live
-        if live is None:
+        finite = np.isfinite(X).all(axis=1)
+        live = ~finite
+        live[finite] = (self.field.eval(X[finite]) != 0).any(axis=1)
+        if live.all() and len(X):
             X = integrate(self.field.eval, X, self.steps, sign, self.method)
         elif live.any():
             X[live] = integrate(self.field.eval, X[live], self.steps, sign, self.method)
@@ -227,13 +227,6 @@ class IncrementalGenerator:
         self.lipschitz_bound = math.prod(
             math.exp(s.field.lipschitz_bound) for s in stages
         )
-        boxes = [s.field.support_box for s in stages]
-        if any(b is None for b in boxes):
-            self.support_box = None
-        else:
-            los = np.min([b[0] for b in boxes], axis=0)
-            his = np.max([b[1] for b in boxes], axis=0)
-            self.support_box = np.stack([los, his])
 
     @property
     def dim(self) -> int:

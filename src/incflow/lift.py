@@ -164,22 +164,6 @@ def exact_lift(components, d: int, lipschitz) -> LiftedApproximator:
     return LiftedApproximator(flows, d)
 
 
-def _component_callables(f, d: int, D: int):
-    if isinstance(f, (list, tuple)):
-        return list(f)
-
-    def make(i):
-        def gi(X):
-            vals = np.asarray(f(X), dtype=float)
-            if vals.ndim == 1:
-                vals = vals[:, None]
-            return vals[:, i]
-
-        return gi
-
-    return [make(i) for i in range(D)]
-
-
 def approximate_lipschitz_function(
     f,
     n: int,
@@ -192,6 +176,7 @@ def approximate_lipschitz_function(
 ) -> tuple[LiftedApproximator, ErrorCertificate]:
     """Grid-approximate each lifted component field and wrap as flows.
 
+    ``f`` is the list of the D scalar components f_i of f: R^d -> R^D.
     Componentwise mode lifts each f_i into d+1 dimensions (the default):
     it is the joint lift with D=1, once per component. The joint
     (d+D)-dimensional lift is available as ``mode='joint'`` but scales
@@ -212,10 +197,11 @@ def approximate_lipschitz_function(
         raise ValueError("grid parameter n must be >= 1")
     if mode not in _KINDS:
         raise ValueError("mode must be 'componentwise' or 'joint'")
+    if len(f) != D:
+        raise ValueError(f"need D={D} component functions, got {len(f)}")
     lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (D,)).copy()
-    comps = _component_callables(f, d, D)
-    groups = [(comps, lipschitz)] if mode == "joint" else [
-        ([g], [L]) for g, L in zip(comps, lipschitz)
+    groups = [(f, lipschitz)] if mode == "joint" else [
+        ([g], [L]) for g, L in zip(f, lipschitz)
     ]
     flows, certs = zip(*(
         _lift_flow(g, n, d, L, collapse_y, steps) for g, L in groups

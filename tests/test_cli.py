@@ -393,6 +393,10 @@ def _damage_manifest(run, defect):
             doc["stages"][0]["field"]["backend"] = "bogus"
         elif defect == "grid_ref_without_file":
             del doc["stages"][0]["field"]["inner"]["file"]
+        elif defect == "steps_float":
+            doc["stages"][0]["integrator"]["steps"] = 2.5
+        elif defect == "steps_bool":
+            doc["stages"][0]["integrator"]["steps"] = True
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -402,7 +406,7 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("command", ["verify", "generate"])
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
-    "grid_ref_without_file"])
+    "grid_ref_without_file", "steps_float", "steps_bool"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {

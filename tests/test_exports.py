@@ -1,9 +1,11 @@
 """Every exported name exists, every name a demo imports from incflow
-resolves, and every demo call to such a name binds to its signature. The
-demos are parsed, not run: running them takes tens of seconds."""
+resolves, every demo call to such a name binds to its signature, and every
+function the benchmark's tracer wraps is still where it looks. The demos
+are parsed, not run: running them takes tens of seconds."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
@@ -13,7 +15,8 @@ import pytest
 import incflow
 
 MODULES = ["incflow"] + [f"incflow.{m.name}" for m in pkgutil.iter_modules(incflow.__path__)]
-DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -62,3 +65,14 @@ def test_demo_calls_bind_to_incflow_signatures():
                 pytest.fail(f"{path.name}:{node.lineno}: {node.func.id}{sig}: {e}")
             checked += 1
     assert checked, "no demo calls to incflow names found"
+
+
+def test_trace_targets_resolve():
+    # a traced benchmark run fails on a target it cannot find; a rename fails here first
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for _, module_name, path, _ in tracing.TARGETS:
+        importlib.import_module(module_name)
+        assert callable(tracing._lookup(module_name, path)), f"{module_name}.{path}"

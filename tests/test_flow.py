@@ -23,6 +23,7 @@ from incflow.flow import (
     builtin_generator,
     certify,
     empirical_lipschitz,
+    integrate,
     load_generator,
     reference_flow,
     save_generator,
@@ -102,23 +103,54 @@ def _mixed_batch(box, rng, n=200):
 
 
 def test_support_skip_matches_full_integration():
-    # rows outside the closed support box are not integrated; the result
-    # must equal integrating every row
+    # finite rows where the field is exactly zero are not integrated, inside
+    # its support box or outside: rotation_clipped's box corners outside its
+    # disc, and the cells x_i <= 1/8 of the n = 8 sin_bump stage grid, whose
+    # vertex values are all zero. The result must equal integrating every row.
     rng = np.random.default_rng(3)
+    rot = builtin_field("rotation_clipped")
+    lo, hi = rot.support_box
+    corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])[:, None]
+    rot_zero = (corners + 0.2 * rng.random((4, 25, 2)) * ((lo + hi) / 2 - corners)).reshape(-1, 2)
     stage = approximate_generator(
-        [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 4, steps=8
+        [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 8, steps=8
     )[0].stages[0].field
-    for f in (builtin_field("rotation_clipped"), stage):
-        everywhere = VectorField(2, f.eval, f.lipschitz_bound, support_box=None)
-        X = _mixed_batch(f.support_box, rng)
+    strip = rng.uniform(stage.support_box[0], [0.125, 1.0], size=(100, 2))
+    for f, zero in ((rot, rot_zero), (stage, np.vstack([strip, strip[:, ::-1]]))):
+        box = f.support_box
+        assert ((zero >= box[0]) & (zero <= box[1])).all() and (f.eval(zero) == 0).all()
+        X = np.vstack([_mixed_batch(box, rng), zero])
         for method in ("rk4", "euler"):
-            for direction in ("forward", "backward"):
+            for direction, sign in (("forward", 1.0), ("backward", -1.0)):
                 skip = FlowMap(f, direction, steps=32, method=method)
-                full = FlowMap(everywhere, direction, steps=32, method=method)
                 got = skip.apply(X)
-                assert np.array_equal(got, full.apply(X))
+                assert np.array_equal(got, integrate(f.eval, X, 32, sign, method))
                 assert not np.array_equal(got, X)
-                assert np.array_equal(skip.apply(X[0]), full.apply(X[0]))
+                assert np.array_equal(skip.apply(X[0]),
+                                      integrate(f.eval, X[:1], 32, sign, method)[0])
+
+
+def test_support_box_too_small_for_its_field_does_not_freeze_rows():
+    # which rows move follows from the field's value, not its declared box
+    f = builtin_field("rotation_clipped")
+    small = VectorField(2, f.eval, f.lipschitz_bound,
+                        support_box=np.array([[0.45, 0.45], [0.55, 0.55]]))
+    X = _mixed_batch(f.support_box, np.random.default_rng(4))
+    got = FlowMap(small, steps=32).apply(X)
+    assert np.array_equal(got, integrate(f.eval, X, 32))
+    assert not np.array_equal(got, X)
+
+
+def test_all_zero_batch_costs_one_field_evaluation():
+    calls = []
+
+    def ev(X):
+        calls.append(len(X))
+        return np.zeros_like(X)
+
+    X = np.random.default_rng(5).random((40, 2))
+    assert np.array_equal(FlowMap(VectorField(2, ev, 0.0), steps=16).apply(X), X)
+    assert calls == [40]
 
 
 def test_generator_single_stage_reduces_to_flow():
@@ -149,7 +181,8 @@ def test_generator_of_zero_fields_is_identity():
 
 def test_generator_identity_outside_support_box():
     gen = builtin_generator("counterexample")
-    lo, hi = gen.support_box
+    boxes = [s.field.support_box for s in gen.stages]
+    lo, hi = np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
     rng = np.random.default_rng(2)
     pts = rng.uniform(-0.5, 1.5, size=(2000, 2))
     outside = ~np.all((pts >= lo) & (pts <= hi), axis=1)
@@ -282,21 +315,22 @@ def test_integration_error_reports_step():
         with np.errstate(over="ignore", invalid="ignore"):
             FlowMap(blow, steps=64).apply(np.array([1.0, 1.0]))
     assert err.value.step >= 0
-    # a non-finite row is integrated even among rows outside the support box
-    f = builtin_field("rotation_clipped")
+    # a non-finite row is integrated even among rows where the field is zero
     X = np.array([[0.05, 0.05], [np.nan, 0.9], [0.95, 0.5], [2.0, np.inf]])
-    for rows in (X[:2], X[2:], X):
-        with pytest.raises(FlowIntegrationError) as err:
-            with np.errstate(invalid="ignore"):
-                FlowMap(f, steps=16).apply(rows)
-        assert err.value.step == 0
+    for f in (builtin_field("rotation_clipped"), zero_field(2)):
+        for rows in (X[:2], X[2:], X):
+            with pytest.raises(FlowIntegrationError) as err:
+                with np.errstate(invalid="ignore"):
+                    FlowMap(f, steps=16).apply(rows)
+            assert err.value.step == 0
 
 
 def test_flowmap_validation():
     with pytest.raises(ValueError):
         FlowMap(zero_field(2), direction="sideways")
-    with pytest.raises(ValueError):
-        FlowMap(zero_field(2), steps=0)
+    for steps in (0, 2.5, True):
+        with pytest.raises(ValueError):
+            FlowMap(zero_field(2), steps=steps)
     with pytest.raises(ValueError):
         IncrementalGenerator([])
 

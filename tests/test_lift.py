@@ -231,6 +231,14 @@ def test_validation():
         LiftedApproximator([], 1)
 
 
+@pytest.mark.parametrize("mode, comps, D", [
+    ("componentwise", 2, 1), ("joint", 2, 1), ("componentwise", 1, 2)])
+def test_component_count_must_equal_D(mode, comps, D):
+    g = [lambda X: X[:, 0], lambda X: 1.0 - X[:, 0]][:comps]
+    with pytest.raises(ValueError):
+        approximate_lipschitz_function(g, 4, 1, D, [1.0] * D, mode=mode)
+
+
 def test_manifest_roundtrip(tmp_path):
     comps, d, D, L = lift_function("abs2x1")
     approx, _ = approximate_lipschitz_function(comps, 8, d, D, L)
