@@ -74,7 +74,6 @@ _SCHEMAS = {
         "function": ({"id": (tuple(LI.LIFT_FUNCTIONS), None), "csv": (str, None),
                       "lipschitz": (float, None, 0.0)}, _REQUIRED),
         "n": (int, _REQUIRED, 1),
-        "collapse_y": (bool, False),
         "mode": (("componentwise", "joint"), "componentwise"),
         "test_points": (int, 1001, 1),
         "out_dir": (str, _REQUIRED),
@@ -239,9 +238,7 @@ def cmd_lift_approx(cfg: dict) -> int:
         comps, d, D, L = LI.function_from_samples(data[:, 0], data[:, 1], fn_cfg["lipschitz"])
     os.makedirs(out_dir, exist_ok=True)
 
-    approx, cert = LI.approximate_lipschitz_function(
-        comps, n, d, D, L, mode=mode, collapse_y=cfg["collapse_y"]
-    )
+    approx, cert = LI.approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
     pts = F.lattice([round(cfg["test_points"] ** (1.0 / d))] * d)
     truth = np.stack([np.asarray(g(pts), dtype=float).reshape(-1) for g in comps], axis=1)
     got = np.atleast_2d(approx.apply(pts))
@@ -263,7 +260,6 @@ def cmd_lift_approx(cfg: dict) -> int:
             "within_certificate": within,
             "n": n,
             "mode": mode,
-            "collapse_y": cfg["collapse_y"],
         },
     )
     return 0 if within else 4

@@ -235,16 +235,6 @@ class GridInterpolant:
         if not np.isfinite(X).all():
             bad = ~np.isfinite(X).all(axis=1)
             X = np.where(bad[:, None], 0.0, X)
-        out = np.zeros((X.shape[0], self.out_dim))
-        for vert, lam in self._hats(X):
-            out += lam[:, None] * self._table[vert]
-        if bad is not None:
-            out[bad] = np.nan
-        return out[0] if single else out
-
-    def _hats(self, X):
-        """Yield, for each of the 2^d corners of the cell of every finite row
-        of ``X`` in turn, the corner's row of the vertex table and its hat."""
         t = X * self._nvec  # grid units per axis
         anchor = np.clip(np.floor(t), 0, self._nvec - 1).astype(np.int64)
         base = anchor @ self._strides
@@ -256,12 +246,16 @@ class GridInterpolant:
             diffs = (t[:, i] - anchor[:, i], t[:, i] - (anchor[:, i] + 1))
             up.append([relu(dv) for dv in diffs])
             down.append([relu(-dv) for dv in diffs])
+        out = np.zeros((X.shape[0], self.out_dim))
         for offs, flat in self._corners:
             a, b = up[0][offs[0]], down[0][offs[0]]
             for i in range(1, self.dim):
                 a = np.maximum(a, up[i][offs[i]])
                 b = np.maximum(b, down[i][offs[i]])
-            yield base + flat, relu(1.0 - a - b)
+            out += relu(1.0 - a - b)[:, None] * self._table[base + flat]
+        if bad is not None:
+            out[bad] = np.nan
+        return out[0] if single else out
 
     def lipschitz_linf(self) -> float:
         """Exact l_inf Lipschitz constant: max per-simplex affine slope."""

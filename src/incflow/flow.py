@@ -164,22 +164,25 @@ class ErrorCertificate:
     """Composition error bound sum_t 2 ||omega_t(d/2n)||_inf prod_{j>=t} e^{L_j}.
 
     ``per_stage`` holds, for stage t, the componentwise modulus value at
-    d/(2n) and the stage field's Lipschitz bound; the total is
-    recomputable from those two columns alone.
+    d/(2n) and the stage field's Lipschitz bound; the total and the
+    Lipschitz product are recomputable from those two columns alone.
     """
 
     per_stage: list[tuple[np.ndarray, float]]
     total_bound: float
     n: int
-    lipschitz_product: float = 1.0
+    lipschitz_product: float
 
     @classmethod
     def from_stages(cls, per_stage, n: int) -> "ErrorCertificate":
         """The certificate of the stage columns ``[(omega_t, L_t), ...]``:
         their composition total and the Lipschitz factor prod_t e^{L_t}."""
-        cert = cls(per_stage, 0.0, n, math.prod(math.exp(L) for _, L in per_stage))
-        cert.total_bound = cert.recompute_total()
+        cert = cls(per_stage, 0.0, n, 0.0)
+        cert.total_bound, cert.lipschitz_product = cert.recompute_total(), cert.recompute_product()
         return cert
+
+    def recompute_product(self) -> float:
+        return math.prod(math.exp(L) for _, L in self.per_stage)
 
     def recompute_total(self) -> float:
         total = 0.0
@@ -206,7 +209,7 @@ class ErrorCertificate:
             for s in d["per_stage"]
         ]
         return cls(per_stage, float(d["total_bound"]), int(d["n"]),
-                   float(d.get("lipschitz_product", 1.0)))
+                   float(d["lipschitz_product"]))
 
 
 class IncrementalGenerator:
@@ -459,7 +462,8 @@ def verify_manifest(path: str) -> dict:
                                  float(doc["lipschitz_bound"]))
     )
     pairs = {"lipschitz_product": (stated, gen.lipschitz_bound)}
-    if gen.certificate is not None:
-        pairs["certificate_total"] = (gen.certificate.total_bound,
-                                      gen.certificate.recompute_total())
+    if (cert := gen.certificate) is not None:
+        pairs["certificate_total"] = (cert.total_bound, cert.recompute_total())
+        pairs["certificate_lipschitz_product"] = (cert.lipschitz_product,
+                                                  cert.recompute_product())
     return _check_stated(pairs)

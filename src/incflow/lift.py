@@ -8,8 +8,8 @@ projecting onto the last coordinate recovers g(x) exactly. Approximating
 the lifted field on a grid turns this identity into a constructive
 approximation scheme whose error is pure field-approximation error: the
 first d components of the lifted field are identically zero, so the
-integration itself is exact (a single Euler step already lands on the
-answer).
+exact flow of an analytic lift is one Euler step (:func:`exact_lift`);
+grid lifts are integrated as 256-step RK4 flows.
 
 Both lift modes are one class, :class:`LiftedApproximator`, whose flows'
 outputs are concatenated: componentwise mode (the default) has D flows
@@ -171,7 +171,6 @@ def approximate_lipschitz_function(
     D: int,
     lipschitz,
     mode: str = "componentwise",
-    collapse_y: bool = False,
     steps: int = DEFAULT_STEPS,
 ) -> tuple[LiftedApproximator, ErrorCertificate]:
     """Grid-approximate each lifted component field and wrap as flows.
@@ -180,9 +179,10 @@ def approximate_lipschitz_function(
     Componentwise mode lifts each f_i into d+1 dimensions (the default):
     it is the joint lift with D=1, once per component. The joint
     (d+D)-dimensional lift is available as ``mode='joint'`` but scales
-    poorly in D. ``collapse_y`` reduces each dummy axis to a single cell:
-    the lifted field is constant in y, so linear reproduction keeps this
-    exact while shrinking the network.
+    poorly in D. Each lift axis gets a single grid cell: the lifted field
+    is constant in y, so on every simplex the interpolant is linear
+    interpolation in x whatever the y resolution, and the certificate
+    depends on the x resolution only.
 
     The cutoff is scaled to an enlarged box so that its identity region
     covers [0,1]^(d+D): on the cube the approximator's error is then pure
@@ -203,14 +203,12 @@ def approximate_lipschitz_function(
     groups = [(f, lipschitz)] if mode == "joint" else [
         ([g], [L]) for g, L in zip(f, lipschitz)
     ]
-    flows, certs = zip(*(
-        _lift_flow(g, n, d, L, collapse_y, steps) for g, L in groups
-    ))
+    flows, certs = zip(*(_lift_flow(g, n, d, L, steps) for g, L in groups))
     worst = max(certs, key=lambda c: c.total_bound)
     return LiftedApproximator(list(flows), d, list(certs), mode), worst
 
 
-def _lift_flow(comps, n, d, lipschitz, collapse_y, steps):
+def _lift_flow(comps, n, d, lipschitz, steps):
     """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) of the
     D = len(comps) components on R^(d+D), with its one-stage certificate
     2 ||omega((d+D)/(2n))|| e^{max(1, L_i)}."""
@@ -228,16 +226,11 @@ def _lift_flow(comps, n, d, lipschitz, collapse_y, steps):
     omega_vec[d:] = lipschitz
     modulus = LipschitzModulus(omega_vec)
     omega = modulus(dim / (2.0 * n))
-    ns = (n,) * d + ((1,) if collapse_y else (n,)) * D
-    gridvf, _, report = grid_realize(joint_g, dim, n, modulus, ns=ns)
+    gridvf, _, report = grid_realize(joint_g, dim, n, modulus, ns=(n,) * d + (1,) * D)
     big = 2.0 * float(np.abs(gridvf.grid.values).max())
     delta = max(min(0.2, float(np.max(omega)) / big) if big > 0 else 0.2, 1e-9)
-    # pad >= delta keeps the cutoff's identity region over [0,1]^(d+D);
-    # pad >= cell width makes exterior folds land where the hat
-    # continuation is exactly zero (lifted fields do not vanish on the
-    # cube boundary, so folding into the continuation shell would leak)
-    pad = max(delta, *(1.0 / m for m in ns))
-    clipped = box_bump_clip(gridvf, delta, box=(-pad, 1.0 + pad))
+    # pad 1 >= delta and every cell width: folds land a cell out, where the hats are zero
+    clipped = box_bump_clip(gridvf, delta, box=(-1.0, 2.0))
     clipped.report = report
     cert = ErrorCertificate.from_stages([(omega, max(1.0, float(np.max(lipschitz))))], n)
     return FlowMap(clipped, steps=steps), cert
@@ -313,8 +306,8 @@ def load_lifted(path: str) -> LiftedApproximator:
 
 def verify_lifted_manifest(path: str) -> dict:
     """Recheck that a lifted manifest's certificates are recomputable."""
-    certs = load_lifted(path).certificates or []
-    return _check_stated(
-        {f"component{i}_certificate": (c.total_bound, c.recompute_total())
-         for i, c in enumerate(certs)}
-    )
+    pairs = {}
+    for i, c in enumerate(load_lifted(path).certificates or []):
+        pairs[f"component{i}_certificate"] = (c.total_bound, c.recompute_total())
+        pairs[f"component{i}_lipschitz_product"] = (c.lipschitz_product, c.recompute_product())
+    return _check_stated(pairs)

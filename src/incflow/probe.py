@@ -287,15 +287,19 @@ def _flow_theta_batch(thetas, pts, n_grid, steps):
 def _touched_flow(theta, pts, n_grid):
     """The fit flow of the grid field of ``theta`` from ``pts``, and the
     (row, vertex) mask of the hats that are nonzero at one of the row's
-    RK4 stage points."""
-    gi = GridInterpolant((n_grid, n_grid), theta.reshape(-1, 2))
-    touched = np.zeros((len(pts), len(gi.values)), dtype=bool)
+    RK4 stage points.
+
+    The interpolant carries an identity block beside theta's two columns,
+    so one hat-sum returns the field and every vertex's hat; each output
+    column is summed on its own, so the field keeps its bits."""
+    nverts = (n_grid + 1) ** 2
+    gi = GridInterpolant((n_grid, n_grid), np.hstack([theta.reshape(-1, 2), np.eye(nverts)]))
+    touched = np.zeros((len(pts), nverts), dtype=bool)
 
     def rhs(X):
-        for vert, lam in gi._hats(X):
-            hit = lam != 0
-            touched[hit, vert[hit]] = True
-        return gi(X)
+        out = gi(X)
+        touched[out[:, 2:] != 0] = True
+        return out[:, :2]
 
     return integrate(rhs, pts, FIT_FLOW_STEPS), touched
 

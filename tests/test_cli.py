@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,9 +12,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import incflow
-from incflow.cli import _REQUIRED, _SCHEMAS, main
+from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, main
 
 _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -188,8 +190,13 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     assert main(["approx-flow", cfg]) == 0
     manifest = out / "manifest.json"
     assert main(["verify", str(manifest)]) == 0
-    doc = json.loads(manifest.read_text())
+    saved = manifest.read_text()
+    doc = json.loads(saved)
     doc["lipschitz_bound"] *= 2
+    manifest.write_text(json.dumps(doc))
+    assert main(["verify", str(manifest)]) == 4
+    doc = json.loads(saved)
+    doc["certificate"]["lipschitz_product"] = 1.0
     manifest.write_text(json.dumps(doc))
     assert main(["verify", str(manifest)]) == 4
     assert main(["verify", str(tmp_path / "none.json")]) == 2
@@ -249,10 +256,12 @@ def test_verify_lift_manifest(tmp_path):
     })
     assert main(["lift-approx", cfg]) == 0
     assert main(["verify", str(out / "manifest.json")]) == 0
-    doc = json.loads((out / "manifest.json").read_text())
-    doc["certificates"][0]["total_bound"] *= 3
-    (out / "manifest.json").write_text(json.dumps(doc))
-    assert main(["verify", str(out / "manifest.json")]) == 4
+    saved = (out / "manifest.json").read_text()
+    for key in ("total_bound", "lipschitz_product"):
+        doc = json.loads(saved)
+        doc["certificates"][0][key] *= 3
+        (out / "manifest.json").write_text(json.dumps(doc))
+        assert main(["verify", str(out / "manifest.json")]) == 4, key
 
 
 @pytest.mark.parametrize("mode", ["componentwise", "joint"])
@@ -283,6 +292,11 @@ def test_lift_approx_config_errors(tmp_path):
     # the samples CSV is a path; np.loadtxt would read a list as inline CSV lines
     cfg = write_cfg(tmp_path, "cfg3.json", {
         "function": {"csv": ["x,y", "0,0", "1,1"], "lipschitz": 1.0}, "n": 8,
+        "out_dir": str(tmp_path / "x")})
+    assert main(["lift-approx", cfg]) == 2
+    # every lift axis has one grid cell, so there is no y resolution to choose
+    cfg = write_cfg(tmp_path, "cfg4.json", {
+        "function": {"id": "abs2x1"}, "n": 8, "collapse_y": True,
         "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2
     assert not (tmp_path / "x").exists()
@@ -397,6 +411,8 @@ def _damage_manifest(run, defect):
             doc["stages"][0]["integrator"]["steps"] = 2.5
         elif defect == "steps_bool":
             doc["stages"][0]["integrator"]["steps"] = True
+        elif defect == "cert_product_missing":
+            del doc["certificate"]["lipschitz_product"]
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -406,7 +422,7 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("command", ["verify", "generate"])
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
-    "grid_ref_without_file", "steps_float", "steps_bool"])
+    "grid_ref_without_file", "steps_float", "steps_bool", "cert_product_missing"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -456,6 +472,50 @@ def test_probe_flowability_run(tmp_path):
     orbits = (out / "orbits.csv").read_text().splitlines()
     assert orbits[0] == "x0,x1,classification,period"
     assert (out / "contraction.csv").exists()
+
+
+def _dotted(schema, prefix=""):
+    """A config table's key names as the README writes them: a nested table
+    by its keys (``fit.budget``), a list by its name and, for a list of
+    tables, by its items' keys too (``stages[].id``)."""
+    for key, (typ, *_) in schema.items():
+        if isinstance(typ, dict):
+            yield from _dotted(typ, f"{prefix}{key}.")
+            continue
+        yield prefix + key
+        if isinstance(typ, list) and isinstance(typ[0][0], dict):
+            yield from _dotted(typ[0][0], f"{prefix}{key}[].")
+
+
+def test_readme_config_tables_match_the_schemas():
+    # a table row goes to the last line before it that opens with a subcommand
+    tables, command = {}, None
+    with open(_README) as fh:
+        for line in fh:
+            head = re.match(r"`([a-z-]+)`", line)
+            if head and head.group(1) in _SCHEMAS:
+                command = head.group(1)
+            elif line.startswith("| `"):
+                tables.setdefault(command, set()).update(
+                    re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert tables == {cmd: set(_dotted(schema)) for cmd, schema in _SCHEMAS.items()}
+
+
+def test_readme_config_examples_each_pass_one_table():
+    with open(_README) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    owners = []
+    for block in blocks:
+        cfg, passes = json.loads(block), []
+        for cmd, schema in _SCHEMAS.items():
+            try:
+                _check(cfg, schema)
+                passes.append(cmd)
+            except ConfigError:
+                pass
+        assert len(passes) == 1, (block, passes)
+        owners += passes
+    assert sorted(owners) == sorted(_SCHEMAS)
 
 
 def _rule_paths(path, rule):

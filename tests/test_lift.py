@@ -132,15 +132,27 @@ def test_affine_components_reproduced():
     assert np.abs(approx.apply(xs) - truth).max() <= 1e-9
 
 
-def test_collapse_y_flag_exact_and_smaller():
-    comps, d, D, L = lift_function("square")
-    full, _ = approximate_lipschitz_function(comps, 8, d, D, L)
-    coll, _ = approximate_lipschitz_function(comps, 8, d, D, L, collapse_y=True)
-    xs = np.linspace(0, 1, 501)[:, None]
-    assert np.abs(full.apply(xs) - coll.apply(xs)).max() <= 1e-12
-    assert (
-        coll.components[0].field.mlp.width < full.components[0].field.mlp.width
-    )
+@pytest.mark.parametrize("mode", ["componentwise", "joint"])
+def test_lift_grid_has_one_cell_per_lift_axis(mode):
+    # the lifted field is constant in y, so its grid needs one cell along
+    # each lift axis; on the cube the lift is then linear interpolation in x
+    # of g's vertex values, exact wherever those values keep the flow inside
+    n = 16
+    verts = np.linspace(0.0, 1.0, n + 1)[:, None]
+    xs = np.linspace(0.0, 1.0, 1001)[:, None]
+    checked = []
+    for fid in LIFT_FUNCTIONS:
+        comps, d, D, L = lift_function(fid)
+        approx, _ = approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
+        for c in approx.components:
+            assert c.field.grid.ns == (n,) * d + (1,) * (c.dim - d), fid
+        vals = [np.asarray(g(verts)) for g in comps]
+        if min(v.min() for v in vals) < 0.0 or max(v.max() for v in vals) > 1.0:
+            continue
+        want = np.stack([np.interp(xs[:, 0], verts[:, 0], v) for v in vals], axis=1)
+        assert np.abs(approx.apply(xs) - want).max() <= 1e-12, fid
+        checked.append(fid)
+    assert checked == ["abs2x1", "square", "sin01", "affine_pair"]
 
 
 def test_joint_mode_matches_componentwise():
@@ -151,23 +163,37 @@ def test_joint_mode_matches_componentwise():
     assert np.abs(cw.apply(xs) - jt.apply(xs)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("collapse_y", [False, True])
-def test_componentwise_lift_equals_joint_lift_per_component(collapse_y):
-    # componentwise mode is the joint lift with D=1, once per component
+@pytest.mark.parametrize("reload", [False, True])
+def test_componentwise_lift_equals_joint_lift_per_component(reload, tmp_path):
+    # componentwise mode is the joint lift with D=1, once per component,
+    # and stays so after both are saved and loaded back (a loaded field's
+    # ref also names the file its grid was read from, which differs)
+    def build(*args, **kw):
+        approx, _ = approximate_lipschitz_function(*args, **kw)
+        if not reload:
+            return approx
+        out = tmp_path / f"{len(list(tmp_path.iterdir()))}"
+        out.mkdir()
+        return load_lifted(save_lifted(approx, str(out)))
+
+    def unstored(ref):
+        if not isinstance(ref, dict):
+            return ref
+        return {k: unstored(v) for k, v in ref.items() if k != "file"}
+
     xs = np.linspace(-0.1, 1.1, 241)[:, None]
     for fid in LIFT_FUNCTIONS:
         comps, d, D, L = lift_function(fid)
-        cw, _ = approximate_lipschitz_function(comps, 8, d, D, L, collapse_y=collapse_y)
+        cw = build(comps, 8, d, D, L)
         got = cw.apply(xs)
         for i in range(D):
-            jt, _ = approximate_lipschitz_function(
-                [comps[i]], 8, d, 1, [L[i]], mode="joint", collapse_y=collapse_y)
+            jt = build([comps[i]], 8, d, 1, [L[i]], mode="joint")
             cf, jf = cw.components[i].field, jt.components[0].field
             assert np.array_equal(cf.grid.values, jf.grid.values), fid
-            assert cf.ref == jf.ref
+            assert unstored(cf.ref) == unstored(jf.ref)
             assert cf.lipschitz_bound == jf.lipschitz_bound
             assert np.array_equal(cf.support_box, jf.support_box)
-            assert cw.components[i].to_dict() == jt.components[0].to_dict()
+            assert unstored(cw.components[i].to_dict()) == unstored(jt.components[0].to_dict())
             assert cw.certificates[i].to_dict() == jt.certificates[0].to_dict()
             assert np.array_equal(got[:, i], jt.apply(xs)[:, 0]), fid
 
