@@ -10,11 +10,11 @@ extra hidden layers.
 
 import numpy as np
 
-from incflow import BumpSpec, build_bump, compose, lipschitz_upper_bound
+from incflow import build_bump, compose, lipschitz_upper_bound
 from incflow.mlp import MLP
 
 delta = 0.4
-bump = build_bump(BumpSpec(delta))
+bump = build_bump(delta)
 print(f"cutoff network for delta={delta}: {bump!r}, depth={bump.depth}")
 
 probes = np.array([0.05, 0.15, 0.5, 0.85, 1.0, 2.0])
@@ -30,7 +30,7 @@ v = bump.eval(x[:, None])[:, 0]
 print(f"measured max slope:             {np.abs(np.diff(v) / np.diff(x)).max():.2f}")
 
 # composition adds the cutoff's two hidden layers and nothing else
-inner = build_bump(BumpSpec(delta, 2))
+inner = build_bump(delta, 2)
 outer = MLP([(np.array([[1.0, -1.0], [0.5, 0.5]]), np.zeros(2)),
              (np.eye(2), np.zeros(2))])
 clipped = compose(outer, inner)

@@ -10,7 +10,6 @@ a composition of two.
 
 from .mlp import (
     MLP,
-    BumpSpec,
     build_bump,
     bump_values,
     compose,

@@ -233,8 +233,9 @@ def cmd_lift_approx(cfg: dict) -> int:
             data = np.loadtxt(fn_cfg["csv"], delimiter=",", skiprows=1, ndmin=2)
         except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read samples CSV: {e}") from e
-        if data.shape[0] < 2 or data.shape[1] < 2:
-            raise ConfigError("samples CSV needs two columns, x and f(x), and two rows")
+        if data.shape[0] < 2 or data.shape[1] < 2 or not np.isfinite(data).all():
+            raise ConfigError("samples CSV needs two columns, x and f(x), "
+                              "and two rows of finite numbers")
         comps, d, D, L = LI.function_from_samples(data[:, 0], data[:, 1], fn_cfg["lipschitz"])
     os.makedirs(out_dir, exist_ok=True)
 

@@ -1,9 +1,11 @@
 """Lipschitz vector fields: analytic library, support clipping, and the
 constructive grid-based ReLU approximant.
 
-A :class:`VectorField` bundles an evaluator with the two facts every
-certificate downstream needs: a support box outside which it vanishes
-exactly, and an upper bound on its l_inf Lipschitz constant.
+A :class:`VectorField` bundles an evaluator with an upper bound on its
+l_inf Lipschitz constant, which every certificate downstream needs. An
+analytic input field also declares a support box outside which it
+vanishes exactly; the grid approximation requires that box to lie in the
+unit cube, the domain of the paper's homeomorphisms.
 
 The grid approximant interpolates vertex samples over the Kuhn simplicial
 subdivision of a uniform grid and is realized a second time as an exact
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .mlp import (
-    _EVAL_ROWS, MLP, BumpSpec, affine_mlp, build_bump, bump_support, bump_values, compose, relu,
+    _EVAL_ROWS, MLP, affine_mlp, build_bump, bump_values, compose, relu,
 )
 
 __all__ = [
@@ -404,11 +406,13 @@ def grid_to_mlp(gi: GridInterpolant) -> MLP:
 
 
 class VectorField:
-    """Lipschitz map R^d -> R^d with tracked support box and l_inf bound.
+    """Lipschitz map R^d -> R^d with an l_inf Lipschitz bound.
 
-    ``support_box`` is ``(lower, upper)`` row-stacked as a (2, d) array, or
-    None when unbounded; evaluation vanishes exactly outside a bounded box.
-    ``ref`` is a JSON-serializable construction record used by manifests.
+    ``support_box`` is ``(lower, upper)`` row-stacked as a (2, d) array:
+    the box outside which an analytic field (a builtin or a radial clip)
+    declares it vanishes exactly. None means undeclared, as for every
+    derived field (grid, box clip, lift). ``ref`` is a JSON-serializable
+    construction record used by manifests.
     """
 
     def __init__(self, dim, evaluator, lipschitz_bound, support_box=None, ref=None):
@@ -435,13 +439,6 @@ class VectorField:
         return out[0] if single else out
 
     __call__ = eval
-
-    def max_abs_on_box(self, per_axis: int) -> float:
-        """Deterministic dense-grid estimate of sup |V| over the support box."""
-        if self.support_box is None:
-            raise ValueError("field has unbounded support")
-        pts = lattice([per_axis] * self.dim, *self.support_box)
-        return float(np.abs(self.eval(pts)).max())
 
 
 def zero_field(dim: int = 2) -> VectorField:
@@ -498,14 +495,14 @@ def radial_profile(s, r_inner: float, r_outer: float):
 
 
 def radial_bump_clip(
-    field: VectorField, center, r_inner: float, r_outer: float, max_abs: float | None = None
+    field: VectorField, center, r_inner: float, r_outer: float, max_abs: float
 ) -> VectorField:
     """Pointwise product with a piecewise-linear radial cutoff.
 
     The Lipschitz bound follows the product rule,
-    ``L_V + max|V| / (r_outer - r_inner)``; pass ``max_abs`` when the exact
-    supremum of |V| over the outer ball is known, otherwise it is estimated
-    on a dense deterministic grid.
+    ``L_V + max_abs / (r_outer - r_inner)`` with ``max_abs`` the supremum
+    of |V| over the outer ball. The declared support box is the outer
+    ball's bounding box.
     """
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
@@ -516,15 +513,12 @@ def radial_bump_clip(
         s = np.linalg.norm(X - c, axis=1)
         return inner.eval(X) * radial_profile(s, r_inner, r_outer)[:, None]
 
-    box = np.stack([c - r_outer, c + r_outer])
-    if max_abs is None:
-        max_abs = float(np.abs(field.eval(lattice([101] * field.dim, *box))).max())
     L = field.lipschitz_bound + max_abs / (r_outer - r_inner)
     return VectorField(
         field.dim,
         ev,
         L,
-        support_box=box,
+        support_box=np.stack([c - r_outer, c + r_outer]),
         ref={
             "backend": "radial_clip",
             "center": c.tolist(),
@@ -536,23 +530,13 @@ def radial_bump_clip(
     )
 
 
-def _scaled_bump_values(x, delta, lo, hi):
-    w = hi - lo
-    return lo + w * bump_values((np.asarray(x, dtype=float) - lo) / w, delta)
-
-
 def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorField:
     """Compose the field coordinatewise with the exact cutoff network.
 
     The clipped field evaluates ``V(b(x_1), ..., b(x_d))`` where ``b`` is
     the cutoff scaled to ``box``; it equals the field on the cutoff's
-    identity region. Outside the cutoff's support (declared exactly from
-    the network's zero crossings; unbounded when ``delta >= 1``) the
-    composition vanishes provided the field vanishes where the cutoff
-    folds exterior coordinates, i.e. on the box's facets reached through
-    ``b`` — which holds for every field the approximation pipeline clips
-    (they vanish on the cube boundary). If the field carries an MLP
-    realization the clipped field does too, by exact network composition.
+    identity region. If the field carries an MLP realization the clipped
+    field does too, by exact network composition.
     """
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie strictly in (0, 2), got {delta}")
@@ -563,21 +547,13 @@ def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorFie
     inner = field
 
     def ev(X):
-        return inner.eval(_scaled_bump_values(X, delta, lo, hi))
+        return inner.eval(lo + w * bump_values((X - lo) / w, delta))
 
-    s_lo, s_hi = bump_support(delta)
-    if s_hi is None:
-        support = None
-    else:
-        support = np.array(
-            [[lo + w * s_lo] * field.dim, [lo + w * s_hi] * field.dim]
-        )
     L = field.lipschitz_bound * max(2.0, abs(1.0 - 1.0 / delta))
     clipped = VectorField(
         field.dim,
         ev,
         L,
-        support_box=support,
         ref={
             "backend": "box_clip",
             "delta": delta,
@@ -586,7 +562,7 @@ def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorFie
         },
     )
     if field.mlp is not None:
-        bump = build_bump(BumpSpec(delta, field.dim))
+        bump = build_bump(delta, field.dim)
         pre = affine_mlp(np.eye(field.dim) / w, np.full(field.dim, -lo / w))
         post = affine_mlp(np.eye(field.dim) * w, np.full(field.dim, lo))
         scaled = compose(post, compose(bump, pre))
@@ -660,16 +636,13 @@ def size_targets(d: int, n: int) -> tuple[int, int, int]:
 def grid_field(gi: GridInterpolant, ref: dict | None = None) -> VectorField:
     """The field of a grid interpolant, carrying it as ``grid``.
 
-    Its Lipschitz bound is the interpolant's exact slope, and its support
-    box the cube grown by one (largest) cell width, where the hat
-    continuation dies. ``ref`` defaults to the bare grid record.
+    Its Lipschitz bound is the interpolant's exact slope; it declares no
+    support box. ``ref`` defaults to the bare grid record.
     """
-    h = max(1.0 / m for m in gi.ns)
     vf = VectorField(
         gi.dim,
         gi,
         gi.lipschitz_linf(),
-        support_box=np.array([[-h] * gi.dim, [1.0 + h] * gi.dim]),
         ref=ref or {"backend": "grid", "n": list(gi.ns)},
     )
     vf.grid = gi
@@ -683,10 +656,11 @@ def grid_realize(
     the interpolant both directly and as an exact ReLU network.
 
     This is the unchecked core shared by :func:`grid_relu_approximate`
-    (which additionally enforces that the field is supported inside the
-    cube) and the one-dimension-higher lifting, whose fields are only
-    sampled on the cube. The certified per-component error is the modulus
-    at dim/(2n), verified empirically on a 4x finer grid.
+    (which additionally requires the field's declared support box to lie
+    in the cube) and the one-dimension-higher lifting, whose fields are
+    only sampled on the cube; the fields it returns declare no support box.
+    The certified per-component error is the modulus at dim/(2n), verified
+    empirically on a 4x finer grid.
     """
     if n < 1:
         raise ValueError("grid parameter n must be >= 1")
@@ -725,7 +699,7 @@ def grid_realize(
 
 
 def require_cube_support(field: VectorField) -> None:
-    """Raise ValueError unless the field has a support box inside [0,1]^d."""
+    """Raise ValueError unless the field declares a support box inside [0,1]^d."""
     if field.support_box is None or np.any(np.abs(field.support_box - 0.5) > 0.5 + 1e-9):
         raise ValueError("field must have bounded support inside [0,1]^d")
 
@@ -813,6 +787,6 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
     if backend == "radial_clip":
         inner = field_from_ref(ref["inner"], base_dir)
         return radial_bump_clip(
-            inner, ref["center"], ref["r_inner"], ref["r_outer"], ref.get("max_abs")
+            inner, ref["center"], ref["r_inner"], ref["r_outer"], ref["max_abs"]
         )
     raise ValueError(f"cannot reconstruct field from backend {backend!r}")

@@ -25,6 +25,7 @@ from .fields import (
     builtin_field,
     field_from_ref,
     grid_relu_approximate,
+    lattice,
 )
 
 __all__ = [
@@ -314,9 +315,9 @@ def approximate_flowable(
     gridvf, net, report = grid_relu_approximate(field, n, modulus)
     omega = np.asarray(modulus(d / (2.0 * n)))
     omega_sup = float(np.max(np.abs(omega)))
+    # grid_relu_approximate has required a declared support box
     big = float(np.abs(gridvf.grid.values).max())
-    if field.support_box is not None:
-        big += field.max_abs_on_box(per_axis=33)
+    big += float(np.abs(field.eval(lattice([33] * d, *field.support_box))).max())
     delta = max(min(0.2, omega_sup / big) if big > 0 else 0.5, 1e-9)
     clipped = box_bump_clip(gridvf, delta)
     clipped.report = report
@@ -456,14 +457,17 @@ def load_generator(path: str) -> IncrementalGenerator:
 
 def verify_manifest(path: str) -> dict:
     """Recheck that a saved manifest's certificate and Lipschitz product
-    are recomputable from the manifest alone."""
-    gen, stated = read_manifest(
-        path, lambda doc, base: (IncrementalGenerator.from_dict(doc, base),
-                                 float(doc["lipschitz_bound"]))
-    )
-    pairs = {"lipschitz_product": (stated, gen.lipschitz_bound)}
-    if (cert := gen.certificate) is not None:
-        pairs["certificate_total"] = (cert.total_bound, cert.recompute_total())
-        pairs["certificate_lipschitz_product"] = (cert.lipschitz_product,
-                                                  cert.recompute_product())
-    return _check_stated(pairs)
+    are recomputable from the manifest alone. The pairs are recomputed
+    while the manifest is read, so a stage column whose e^L overflows is a
+    :class:`ManifestError`: the program never writes such a manifest."""
+
+    def pairs(doc, base):
+        gen = IncrementalGenerator.from_dict(doc, base)
+        out = {"lipschitz_product": (float(doc["lipschitz_bound"]), gen.lipschitz_bound)}
+        if (cert := gen.certificate) is not None:
+            out["certificate_total"] = (cert.total_bound, cert.recompute_total())
+            out["certificate_lipschitz_product"] = (cert.lipschitz_product,
+                                                    cert.recompute_product())
+        return out
+
+    return _check_stated(read_manifest(path, pairs))

@@ -52,25 +52,27 @@ __all__ = [
 ]
 
 
-def lift_field(g, d: int, lipschitz: float) -> VectorField:
-    """Field (x, y) -> (0, ..., 0, g(x)) on R^(d+1).
+def lift_field(comps, d: int, lipschitz) -> VectorField:
+    """Field (x, y) -> (0, g_1(x), ..., g_D(x)) on R^(d+D) of the D
+    scalar components ``comps``, x in R^d and y in R^D.
 
-    The declared Lipschitz bound is max(1, L_g). Lifted fields are not
-    compactly supported in general (g need not vanish on the cube
-    boundary); they are sampled on the cube by the grid machinery and
+    The declared Lipschitz bound is max(1, max_i L_i) over the component
+    bounds ``lipschitz``. Lifted fields are not compactly supported in
+    general (g need not vanish on the cube boundary) and declare no
+    support box; they are sampled on the cube by the grid machinery and
     clipped afterwards.
     """
 
     def ev(Z):
         out = np.zeros_like(Z)
-        out[:, -1] = np.asarray(g(Z[:, :d]), dtype=float).reshape(-1)
+        for i, g in enumerate(comps):
+            out[:, d + i] = np.asarray(g(Z[:, :d]), dtype=float).reshape(-1)
         return out
 
     return VectorField(
-        d + 1,
+        d + len(comps),
         ev,
-        max(1.0, float(lipschitz)),
-        support_box=None,
+        max(1.0, float(np.max(lipschitz))),
         ref={"backend": "lifted", "function": "opaque", "d": d},
     )
 
@@ -158,7 +160,7 @@ def exact_lift(components, d: int, lipschitz) -> LiftedApproximator:
     """Lift analytic scalar components with the exact one-step integrator."""
     lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (len(components),))
     flows = [
-        FlowMap(lift_field(g, d, L), steps=1, method="euler")
+        FlowMap(lift_field([g], d, L), steps=1, method="euler")
         for g, L in zip(components, lipschitz)
     ]
     return LiftedApproximator(flows, d)
@@ -212,27 +214,20 @@ def _lift_flow(comps, n, d, lipschitz, steps):
     """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) of the
     D = len(comps) components on R^(d+D), with its one-stage certificate
     2 ||omega((d+D)/(2n))|| e^{max(1, L_i)}."""
-    D = len(comps)
-
-    def joint_g(Z):
-        X = Z[:, :d]
-        out = np.zeros((Z.shape[0], Z.shape[1]))
-        for i, g in enumerate(comps):
-            out[:, d + i] = np.asarray(g(X), dtype=float).reshape(-1)
-        return out
-
-    dim = d + D
+    field = lift_field(comps, d, lipschitz)
+    dim = field.dim
     omega_vec = np.zeros(dim)
     omega_vec[d:] = lipschitz
     modulus = LipschitzModulus(omega_vec)
     omega = modulus(dim / (2.0 * n))
-    gridvf, _, report = grid_realize(joint_g, dim, n, modulus, ns=(n,) * d + (1,) * D)
+    gridvf, _, report = grid_realize(field.eval, dim, n, modulus,
+                                     ns=(n,) * d + (1,) * len(comps))
     big = 2.0 * float(np.abs(gridvf.grid.values).max())
     delta = max(min(0.2, float(np.max(omega)) / big) if big > 0 else 0.2, 1e-9)
     # pad 1 >= delta and every cell width: folds land a cell out, where the hats are zero
     clipped = box_bump_clip(gridvf, delta, box=(-1.0, 2.0))
     clipped.report = report
-    cert = ErrorCertificate.from_stages([(omega, max(1.0, float(np.max(lipschitz))))], n)
+    cert = ErrorCertificate.from_stages([(omega, field.lipschitz_bound)], n)
     return FlowMap(clipped, steps=steps), cert
 
 
@@ -305,9 +300,14 @@ def load_lifted(path: str) -> LiftedApproximator:
 
 
 def verify_lifted_manifest(path: str) -> dict:
-    """Recheck that a lifted manifest's certificates are recomputable."""
-    pairs = {}
-    for i, c in enumerate(load_lifted(path).certificates or []):
-        pairs[f"component{i}_certificate"] = (c.total_bound, c.recompute_total())
-        pairs[f"component{i}_lipschitz_product"] = (c.lipschitz_product, c.recompute_product())
-    return _check_stated(pairs)
+    """Recheck that a lifted manifest's certificates are recomputable. As in
+    :func:`verify_manifest`, the pairs are recomputed while it is read."""
+
+    def pairs(doc, base):
+        out = {}
+        for i, c in enumerate(LiftedApproximator.from_dict(doc, base).certificates or []):
+            out[f"component{i}_certificate"] = (c.total_bound, c.recompute_total())
+            out[f"component{i}_lipschitz_product"] = (c.lipschitz_product, c.recompute_product())
+        return out
+
+    return _check_stated(read_manifest(path, pairs))

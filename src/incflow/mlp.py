@@ -14,19 +14,15 @@ what a network is built from (a grid payload), never its weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
 __all__ = [
     "MLP",
-    "BumpSpec",
     "relu",
     "affine_mlp",
     "build_bump",
     "bump_values",
-    "bump_support",
     "compose",
     "lipschitz_upper_bound",
 ]
@@ -135,30 +131,20 @@ def affine_mlp(W, b=None) -> MLP:
     return MLP([(W, np.asarray(b, dtype=float))])
 
 
-@dataclass(frozen=True)
-class BumpSpec:
-    """Parameters of the exact coordinatewise cutoff network."""
-
-    delta: float
-    dim: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 2.0:
-            raise ValueError(f"delta must lie strictly in (0, 2), got {self.delta}")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
-
-
-def build_bump(spec: BumpSpec) -> MLP:
-    """Exact two-hidden-layer cutoff network, replicated per coordinate.
+def build_bump(delta: float, dim: int = 1) -> MLP:
+    """Exact two-hidden-layer cutoff network, replicated over ``dim`` coordinates.
 
     Scalar form: ``b(x) = relu(2 relu(x - d/4) - relu(x - d/2)
-    - (1/d) relu(x - (1 - d/2)))`` with ``d = spec.delta``. The network
+    - (1/d) relu(x - (1 - d/2)))`` with ``d = delta``, 0 < d < 2. The network
     equals the identity on ``[d/2, 1 - d/2]``, vanishes for
     ``x <= d/4`` and for ``x >= (2 - d) / (2 (1 - d))`` (when ``d < 1``),
     and its range is contained in ``[0, 1)``.
     """
-    d = spec.delta
+    if not 0.0 < delta < 2.0:
+        raise ValueError(f"delta must lie strictly in (0, 2), got {delta}")
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
+    d = delta
     w1 = np.ones((3, 1))
     b1 = -np.array([d / 4.0, d / 2.0, 1.0 - d / 2.0])
     w2 = np.array([[2.0, -1.0, -1.0 / d]])
@@ -166,10 +152,10 @@ def build_bump(spec: BumpSpec) -> MLP:
     w3 = np.eye(1)
     b3 = np.zeros(1)
     scalar = MLP([(w1, b1), (w2, b2), (w3, b3)])
-    if spec.dim == 1:
+    if dim == 1:
         return scalar
     # one scalar copy per coordinate: block-diagonal weights, tiled biases
-    return MLP([(sparse.block_diag([W] * spec.dim, format="csr"), np.tile(b, spec.dim))
+    return MLP([(sparse.block_diag([W] * dim, format="csr"), np.tile(b, dim))
                 for W, b in scalar.layers])
 
 
@@ -182,18 +168,6 @@ def bump_values(x, delta: float):
         - relu(x - (1.0 - delta / 2.0)) / delta
     )
     return relu(inner)
-
-
-def bump_support(delta: float) -> tuple[float, float | None]:
-    """Interval outside which the cutoff vanishes.
-
-    Returns ``(delta/4, upper)`` with ``upper = (2-delta)/(2(1-delta))``,
-    or ``upper = None`` when ``delta >= 1`` (the descending branch never
-    reaches zero, so the cutoff is not compactly supported).
-    """
-    if delta >= 1.0:
-        return delta / 4.0, None
-    return delta / 4.0, (2.0 - delta) / (2.0 * (1.0 - delta))
 
 
 def compose(outer: MLP, inner: MLP) -> MLP:

@@ -29,7 +29,7 @@ from incflow.flow import (
     reference_flow,
 )
 from incflow.lift import approximate_lipschitz_function, exact_lift, lift_function
-from incflow.mlp import BumpSpec, build_bump
+from incflow.mlp import build_bump
 from incflow.probe import (
     build_counterexample,
     contraction_audit,
@@ -66,7 +66,7 @@ def bump_piecewise(x, delta):
 
 def test_criterion_01_bump_exactness():
     t0 = time.perf_counter()
-    net = build_bump(BumpSpec(0.4))
+    net = build_bump(0.4)
     x = np.linspace(-1.0, 2.0, 100_000)
     err = np.abs(net.eval(x[:, None])[:, 0] - bump_piecewise(x, 0.4)).max()
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -281,7 +282,27 @@ def test_verify_lift_manifest_with_edited_D_exits_2(tmp_path, capsys, mode):
     assert err.startswith("config error") and "Traceback" not in err
 
 
-def test_lift_approx_config_errors(tmp_path):
+@pytest.mark.parametrize("command,cfg,cert", [
+    ("approx-flow", {"stages": [{"id": "squeeze_clipped"}], "n": 4, "eval_grid": 5},
+     lambda doc: doc["certificate"]),
+    ("lift-approx", {"function": {"id": "square"}, "n": 4, "test_points": 11},
+     lambda doc: doc["certificates"][0]),
+], ids=["generator", "lift"])
+def test_verify_certificate_that_overflows_exits_2(tmp_path, capsys, command, cfg, cert):
+    # e^1000 leaves float range: the program could not have written this
+    # manifest, since building its certificate would have overflowed
+    out = tmp_path / "run"
+    assert main([command, write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir=str(out)))]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    cert(doc)["per_stage"][0]["lipschitz"] = 1000.0
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(out / "manifest.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
+
+
+def test_lift_approx_config_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "function": {"csv": "nope.csv"}, "n": 8, "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2  # missing declared lipschitz
@@ -299,6 +320,19 @@ def test_lift_approx_config_errors(tmp_path):
         "function": {"id": "abs2x1"}, "n": 8, "collapse_y": True,
         "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2
+    # a non-finite sample would reach the grid and fail at integration step 0
+    for k, value in enumerate(["nan", "inf"]):
+        samples = tmp_path / f"samples_{value}.csv"
+        samples.write_text(f"x,f\n0.0,0.5\n0.5,{value}\n1.0,0.5\n")
+        cfg = write_cfg(tmp_path, f"cfg{5 + k}.json", {
+            "function": {"csv": str(samples), "lipschitz": 1.0}, "n": 8,
+            "out_dir": str(tmp_path / "x")})
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lift-approx", cfg]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1, value
     assert not (tmp_path / "x").exists()
 
 

@@ -10,6 +10,7 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import incflow
@@ -67,12 +68,50 @@ def test_demo_calls_bind_to_incflow_signatures():
     assert checked, "no demo calls to incflow names found"
 
 
-def test_trace_targets_resolve():
-    # a traced benchmark run fails on a target it cannot find; a rename fails here first
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_trace_targets_resolve():
+    # a traced benchmark run fails on a target it cannot find; a rename fails here first
+    tracing = _load_tracing()
     assert tracing.TARGETS
     for _, module_name, path, _ in tracing.TARGETS:
         importlib.import_module(module_name)
         assert callable(tracing._lookup(module_name, path)), f"{module_name}.{path}"
+
+
+def test_trace_field_measure_reads_every_field_kind():
+    # the tracer's fields.eval measure reads each field's support box; a
+    # field kind the CLI evaluates that lost the attribute fails here first
+    from incflow.fields import (
+        GridInterpolant, box_bump_clip, builtin_field, grid_field, radial_bump_clip,
+        rotation_field,
+    )
+    from incflow.lift import lift_field
+
+    measure = _load_tracing()._eval_rows
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-0.5, 1.5, size=(40, 2))
+    grid = grid_field(GridInterpolant((2, 2), rng.standard_normal((9, 2))))
+    boxed = {
+        "builtin": builtin_field("sin_bump"),
+        "radial_clip": radial_bump_clip(rotation_field(), (0.5, 0.5), 0.1, 0.2,
+                                        max_abs=0.2 * np.pi),
+    }
+    boxless = {
+        "grid": grid,
+        "box_clip": box_bump_clip(grid, 0.2),
+        "lift": lift_field([lambda P: P[:, 0]], 1, [1.0]),
+    }
+    for name, f in {**boxed, **boxless}.items():
+        rows, idle, _ = measure((f, X), f.eval(X))
+        assert rows == len(X), name
+        if name in boxless:
+            assert f.support_box is None and idle == 0, name
+        else:
+            lo, hi = f.support_box
+            assert idle == np.count_nonzero(((X < lo) | (X > hi)).any(axis=1)) > 0, name

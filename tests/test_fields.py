@@ -89,14 +89,14 @@ def test_radial_clip_identity_inside_inner_radius():
 
 def test_radial_clip_validation():
     with pytest.raises(ValueError):
-        radial_bump_clip(rotation_field([0.5, 0.5], 1.0), [0.5, 0.5], 0.3, 0.2)
+        radial_bump_clip(rotation_field([0.5, 0.5], 1.0), [0.5, 0.5], 0.3, 0.2, max_abs=0.2)
 
 
-def assert_zero_outside_support(f, seed, n=5000):
-    """``f`` is exactly 0.0 outside its declared support box: at random
-    points up to one box width away and at points one float step outside
-    a random facet. ``FlowMap.apply`` leaves such points unintegrated."""
-    lo, hi = f.support_box
+def assert_zero_outside_support(f, box, seed, n=5000):
+    """``f`` is exactly 0.0 outside ``box``: at random points up to one box
+    width away and at points one float step outside a random facet.
+    ``FlowMap.apply`` leaves such points unintegrated."""
+    lo, hi = np.asarray(box, dtype=float)
     rng = np.random.default_rng(seed)
     far = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, f.dim))
     near = rng.uniform(lo, hi, size=(n, f.dim))
@@ -118,7 +118,8 @@ def test_radial_clip_vanishes_outside_declared_support():
     assert outside.sum() > 5000
     assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), 2)))
     for seed, name in enumerate(["squeeze_clipped", "rotation_clipped"]):
-        assert_zero_outside_support(builtin_field(name), seed)
+        g = builtin_field(name)
+        assert_zero_outside_support(g, g.support_box, seed)
 
 
 def test_field_lipschitz_bounds_dominate_on_pairs():
@@ -153,12 +154,23 @@ def test_box_clip_identity_on_plateau():
     assert np.abs(f.eval(X) - lin.eval(X)).max() <= 1e-12
 
 
+def cutoff_zero_box(f):
+    """The box outside which the cutoff of a box-clipped field ``f`` folds
+    every point to its clip box's lower corner: [lo + w delta/4,
+    lo + w (2 - delta)/(2 (1 - delta))]^d with w = hi - lo, delta < 1."""
+    delta, (lo, hi) = f.ref["delta"], f.ref["box"]
+    w = hi - lo
+    return np.array([[lo + w * delta / 4] * f.dim,
+                     [lo + w * (2 - delta) / (2 * (1 - delta))] * f.dim])
+
+
 def test_box_clip_vanishes_outside_declared_support():
     # the clip target must vanish on the cube boundary (as every field in
     # the approximation pipeline does); sin_bump vanishes outside
-    # [1/8, 7/8]^2
+    # [1/8, 7/8]^2. No box clip declares a support box.
     f = box_bump_clip(builtin_field("sin_bump"), 0.4)
-    lo, hi = f.support_box
+    assert f.support_box is None
+    lo, hi = cutoff_zero_box(f)
     assert lo[0] == pytest.approx(0.1)
     assert hi[0] == pytest.approx((2 - 0.4) / (2 * (1 - 0.4)))
     rng = np.random.default_rng(4)
@@ -166,7 +178,7 @@ def test_box_clip_vanishes_outside_declared_support():
     outside = ~np.all((pts >= lo) & (pts <= hi), axis=1)
     assert outside.sum() > 5000
     assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), 2)))
-    assert_zero_outside_support(f, 4)
+    assert_zero_outside_support(f, (lo, hi), 4)
     # the box-clipped grid fields the CLI integrates: approx-flow stages
     # (clip box [0, 1]) and lift components (clip box padded by a cell)
     stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped"),
@@ -180,7 +192,8 @@ def test_box_clip_vanishes_outside_declared_support():
         approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode, steps=8)
         clipped += [c.field for c in approx.components]
     for seed, g in enumerate(clipped, start=5):
-        assert_zero_outside_support(g, seed)
+        assert g.support_box is None
+        assert_zero_outside_support(g, cutoff_zero_box(g), seed)
 
 
 def test_box_clip_delta_validation():
@@ -233,15 +246,22 @@ def test_global_continuity_across_facets():
 
 
 def test_grid_fields_vanish_outside_declared_support():
-    # a bare grid field is declared on [-h, 1 + h]^d, h the widest cell;
-    # the sampled function need not vanish on the cube boundary
+    # a bare grid field vanishes outside [-h, 1 + h]^d, h the widest cell,
+    # and declares no support box; the sampled function need not vanish
+    # on the cube boundary
+    def grown_cube(f):
+        h = max(1.0 / m for m in f.grid.ns)
+        return np.array([[-h] * f.dim, [1.0 + h] * f.dim])
+
     rng = np.random.default_rng(20)
     for dim, ns in [(1, None), (2, (3, 5)), (3, None)]:
         f, _, _ = grid_realize(lambda P: 1.0 + P**2, dim, 4, LipschitzModulus(np.full(dim, 2.0)),
                                ns=ns)
-        assert_zero_outside_support(f, dim)
+        assert f.support_box is None
+        assert_zero_outside_support(f, grown_cube(f), dim)
     theta = rng.standard_normal(2 * 5 * 5)
-    assert_zero_outside_support(_grid_field_from_theta(theta, 4), 21)
+    g = _grid_field_from_theta(theta, 4)
+    assert_zero_outside_support(g, grown_cube(g), 21)
 
 
 def test_hat_continuation_dies_one_cell_out():

@@ -104,9 +104,10 @@ def _mixed_batch(box, rng, n=200):
 
 def test_support_skip_matches_full_integration():
     # finite rows where the field is exactly zero are not integrated, inside
-    # its support box or outside: rotation_clipped's box corners outside its
-    # disc, and the cells x_i <= 1/8 of the n = 8 sin_bump stage grid, whose
-    # vertex values are all zero. The result must equal integrating every row.
+    # a box around its support or outside: rotation_clipped's box corners
+    # outside its disc, and the cells x_i <= 1/8 of the n = 8 sin_bump stage
+    # grid, whose vertex values are all zero. The result must equal
+    # integrating every row.
     rng = np.random.default_rng(3)
     rot = builtin_field("rotation_clipped")
     lo, hi = rot.support_box
@@ -115,9 +116,11 @@ def test_support_skip_matches_full_integration():
     stage = approximate_generator(
         [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 8, steps=8
     )[0].stages[0].field
-    strip = rng.uniform(stage.support_box[0], [0.125, 1.0], size=(100, 2))
-    for f, zero in ((rot, rot_zero), (stage, np.vstack([strip, strip[:, ::-1]]))):
-        box = f.support_box
+    assert stage.support_box is None
+    cube = np.array([[0.0, 0.0], [1.0, 1.0]])
+    strip = rng.uniform(cube[0], [0.125, 1.0], size=(100, 2))
+    for f, box, zero in ((rot, rot.support_box, rot_zero),
+                         (stage, cube, np.vstack([strip, strip[:, ::-1]]))):
         assert ((zero >= box[0]) & (zero <= box[1])).all() and (f.eval(zero) == 0).all()
         X = np.vstack([_mixed_batch(box, rng), zero])
         for method in ("rk4", "euler"):

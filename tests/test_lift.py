@@ -19,22 +19,26 @@ from incflow.lift import (
 
 
 def test_lift_field_of_zero_is_zero():
-    f = lift_field(lambda X: np.zeros(X.shape[0]), 1, 0.0)
+    f = lift_field([lambda X: np.zeros(X.shape[0])], 1, [0.0])
     rng = np.random.default_rng(0)
     assert np.array_equal(f.eval(rng.random((50, 2))), np.zeros((50, 2)))
 
 
 def test_lift_field_formula():
-    f = lift_field(lambda X: np.sin(X[:, 0]), 1, 1.0)
+    f = lift_field([lambda X: np.sin(X[:, 0])], 1, [1.0])
     out = f.eval(np.array([math.pi / 2, 123.0]))
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
     assert f.lipschitz_bound == 1.0
     # the declared bound is max(1, L)
-    assert lift_field(lambda X: X[:, 0], 1, 0.25).lipschitz_bound == 1.0
+    assert lift_field([lambda X: X[:, 0]], 1, [0.25]).lipschitz_bound == 1.0
+    # D components fill the last D coordinates; the bound is max(1, max_i L_i)
+    pair = lift_field([lambda X: X[:, 0], lambda X: 1.0 - X[:, 0]], 1, [0.5, 3.0])
+    assert pair.dim == 3 and pair.lipschitz_bound == 3.0 and pair.support_box is None
+    assert np.array_equal(pair.eval(np.array([0.25, 9.0, -9.0])), [0.0, 0.25, 0.75])
 
 
 def test_exact_flow_lands_on_graph():
-    f = lift_field(lambda X: X[:, 0] ** 2, 1, 2.0)
+    f = lift_field([lambda X: X[:, 0] ** 2], 1, [2.0])
     fl = FlowMap(f, steps=1, method="euler")
     z = fl.apply(np.array([0.5, 0.0]))
     assert np.array_equal(z, np.array([0.5, 0.25]))
@@ -49,7 +53,7 @@ def test_exact_lift_values():
 
 
 def test_single_euler_equals_fine_rk4_for_analytic_lifts():
-    f = lift_field(lambda X: np.sin(2 * np.pi * X[:, 0]), 1, 2 * math.pi)
+    f = lift_field([lambda X: np.sin(2 * np.pi * X[:, 0])], 1, [2 * math.pi])
     rng = np.random.default_rng(1)
     Z = np.hstack([rng.random((100, 1)), np.zeros((100, 1))])
     euler = FlowMap(f, steps=1, method="euler").apply(Z)
@@ -192,7 +196,6 @@ def test_componentwise_lift_equals_joint_lift_per_component(reload, tmp_path):
             assert np.array_equal(cf.grid.values, jf.grid.values), fid
             assert unstored(cf.ref) == unstored(jf.ref)
             assert cf.lipschitz_bound == jf.lipschitz_bound
-            assert np.array_equal(cf.support_box, jf.support_box)
             assert unstored(cw.components[i].to_dict()) == unstored(jt.components[0].to_dict())
             assert cw.certificates[i].to_dict() == jt.certificates[0].to_dict()
             assert np.array_equal(got[:, i], jt.apply(xs)[:, 0]), fid

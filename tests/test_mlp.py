@@ -16,7 +16,6 @@ from incflow.fields import (
 from incflow.mlp import (
     _EVAL_ROWS,
     MLP,
-    BumpSpec,
     affine_mlp,
     build_bump,
     bump_values,
@@ -60,7 +59,7 @@ def test_relu_hidden_layer_values():
 
 
 def test_bump_contract_examples():
-    b = build_bump(BumpSpec(0.4))
+    b = build_bump(0.4)
     assert b.eval(np.array([0.5]))[0] == pytest.approx(0.5, abs=1e-15)
     assert b.eval(np.array([0.05]))[0] == 0.0  # below delta/4
     assert b.eval(np.array([0.15]))[0] == pytest.approx(0.10, abs=1e-15)
@@ -68,7 +67,7 @@ def test_bump_contract_examples():
 
 
 def test_bump_matches_piecewise_oracle():
-    b = build_bump(BumpSpec(0.4))
+    b = build_bump(0.4)
     x = np.linspace(-1.0, 2.0, 100_000)
     got = b.eval(x[:, None])[:, 0]
     assert np.abs(got - bump_piecewise(x, 0.4)).max() <= 1e-12
@@ -79,7 +78,7 @@ def test_bump_closed_form_helper_is_the_network():
     # output column is the cutoff of its own input column
     x = np.linspace(-0.5, 1.5, 4001)
     for dim in (1, 2, 3):
-        b = build_bump(BumpSpec(0.3, dim))
+        b = build_bump(0.3, dim)
         X = np.stack([np.roll(x, 1000 * k) for k in range(dim)], axis=1)
         got = b.eval(X)
         assert got.shape == (4001, dim)
@@ -93,14 +92,14 @@ def test_bump_closed_form_helper_is_the_network():
     st.floats(min_value=0.05, max_value=0.95),
 )
 def test_bump_exactness_property(x, delta):
-    b = build_bump(BumpSpec(delta))
+    b = build_bump(delta)
     got = b.eval(np.array([x]))[0]
     assert abs(got - bump_piecewise(np.array([x]), delta)[0]) <= 1e-12
 
 
 def test_bump_range_stays_in_unit_interval():
     for delta in (0.1, 0.4, 0.8):
-        b = build_bump(BumpSpec(delta))
+        b = build_bump(delta)
         x = np.linspace(-1.0, 3.0, 20_001)[:, None]
         vals = b.eval(x)[:, 0]
         assert vals.min() >= 0.0
@@ -109,11 +108,11 @@ def test_bump_range_stays_in_unit_interval():
 
 def test_bump_spec_validation():
     with pytest.raises(ValueError):
-        BumpSpec(0.0)
+        build_bump(0.0)
     with pytest.raises(ValueError):
-        BumpSpec(2.0)
+        build_bump(2.0)
     with pytest.raises(ValueError):
-        BumpSpec(0.4, dim=0)
+        build_bump(0.4, dim=0)
 
 
 def test_compose_identity():
@@ -124,7 +123,7 @@ def test_compose_identity():
 
 def test_compose_matches_sequential_oracle():
     outer = relu_shift_net()
-    inner = build_bump(BumpSpec(0.4))
+    inner = build_bump(0.4)
     net = compose(outer, inner)
     x = np.linspace(-0.5, 1.5, 1000)[:, None]
     sequential = outer.eval(inner.eval(x))
@@ -147,7 +146,7 @@ def test_compose_with_bump_equals_outer_on_plateau():
     delta = 0.4
     outer = MLP([(rng.standard_normal((6, 2)), rng.standard_normal(6)),
                  (rng.standard_normal((2, 6)), rng.standard_normal(2))])
-    net = compose(outer, build_bump(BumpSpec(delta, 2)))
+    net = compose(outer, build_bump(delta, 2))
     X = rng.uniform(delta / 2, 1 - delta / 2, size=(500, 2))
     assert np.abs(net.eval(X) - outer.eval(X)).max() <= 1e-12
 
@@ -155,7 +154,7 @@ def test_compose_with_bump_equals_outer_on_plateau():
 def test_compose_depth_accounting():
     # composing with the cutoff adds exactly its two hidden layers
     outer = relu_shift_net()
-    net = compose(outer, build_bump(BumpSpec(0.4)))
+    net = compose(outer, build_bump(0.4))
     assert net.depth == outer.depth + 2
 
 
@@ -171,7 +170,7 @@ def test_lipschitz_upper_bound_values():
 
 def test_lipschitz_bound_bump_dominates_slope_scan():
     delta = 0.4
-    b = build_bump(BumpSpec(delta))
+    b = build_bump(delta)
     bound = lipschitz_upper_bound(b)
     assert bound == pytest.approx(3.0 + 1.0 / delta)
     # dense finite-difference slope scan (the true constant is 2 here)
@@ -279,8 +278,8 @@ def test_sparse_layers_stay_csr_and_report_dense_sizes():
         dense,
         affine_mlp(np.eye(3)),
         affine_mlp([[1.0, 0.0, -2.0], [0.0, 0.0, 0.5]], [0.0, 1.0]),
-        build_bump(BumpSpec(0.4)),
-        build_bump(BumpSpec(0.4, 3)),
+        build_bump(0.4),
+        build_bump(0.4, 3),
         compose(other, dense),
         compose(affine_mlp([[1.0, 1.0]]), affine_mlp([[1.0], [-1.0]])),  # merged [[1 - 1]]
         grid_net,
