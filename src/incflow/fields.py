@@ -444,7 +444,7 @@ class VectorField:
 def zero_field(dim: int = 2) -> VectorField:
     return VectorField(
         dim,
-        lambda X: np.zeros_like(X),
+        lambda X: np.zeros(X.shape),
         0.0,
         support_box=np.array([[0.5] * dim, [0.5] * dim]),
         ref={"backend": "analytic", "id": "zero", "params": {"dim": dim}},
@@ -456,11 +456,11 @@ def rotation_field(center=(0.5, 0.5), rate: float = math.pi) -> VectorField:
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
         raise ValueError("rotation_field is two-dimensional")
+    w = np.array([-rate, rate], dtype=float)
 
     def ev(X):
-        return np.stack(
-            [-rate * (X[:, 1] - c[1]), rate * (X[:, 0] - c[0])], axis=1
-        )
+        # (-rate (y - c_1), rate (x - c_0))
+        return (X - c)[:, ::-1] * w
 
     return VectorField(
         2,
@@ -476,8 +476,8 @@ def squeeze_field(line_x: float = 0.5) -> VectorField:
     """Contraction of the plane onto the vertical line x = line_x."""
 
     def ev(X):
-        out = np.zeros_like(X)
-        out[:, 0] = -X[:, 0] + line_x
+        out = np.zeros(X.shape)
+        out[:, 0] = -X[:, 0] + line_x  # not line_x - x: that keeps a NaN's sign
         return out
 
     return VectorField(
@@ -487,11 +487,6 @@ def squeeze_field(line_x: float = 0.5) -> VectorField:
         support_box=None,
         ref={"backend": "analytic", "id": "squeeze", "params": {"line_x": line_x}},
     )
-
-
-def radial_profile(s, r_inner: float, r_outer: float):
-    """1 on [0, r_inner], linear to 0 on [r_inner, r_outer], 0 beyond."""
-    return np.clip((r_outer - np.asarray(s, dtype=float)) / (r_outer - r_inner), 0.0, 1.0)
 
 
 def radial_bump_clip(
@@ -507,13 +502,15 @@ def radial_bump_clip(
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     c = np.asarray(center, dtype=float)
-    inner = field
+    inner, ramp = field._evaluator, r_outer - r_inner
 
     def ev(X):
-        s = np.linalg.norm(X - c, axis=1)
-        return inner.eval(X) * radial_profile(s, r_inner, r_outer)[:, None]
+        D = X - c
+        # 1 on [0, r_inner], linear to 0 on [r_inner, r_outer], 0 beyond
+        profile = ((r_outer - np.sqrt(np.add.reduce(D * D, axis=1))) / ramp).clip(0.0, 1.0)
+        return inner(X) * profile[:, None]
 
-    L = field.lipschitz_bound + max_abs / (r_outer - r_inner)
+    L = field.lipschitz_bound + max_abs / ramp
     return VectorField(
         field.dim,
         ev,
@@ -573,8 +570,7 @@ def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorFie
 
 def _plateau(t):
     """Piecewise-linear plateau: 0 outside [1/8, 7/8], 1 on [3/8, 5/8]."""
-    t = np.asarray(t, dtype=float)
-    return np.clip(np.minimum((t - 0.125) * 4.0, (0.875 - t) * 4.0), 0.0, 1.0)
+    return np.minimum((t - 0.125) * 4.0, (0.875 - t) * 4.0).clip(0.0, 1.0)
 
 
 def sin_bump_field(amplitude: float = 0.2) -> VectorField:
@@ -585,10 +581,9 @@ def sin_bump_field(amplitude: float = 0.2) -> VectorField:
     """
 
     def ev(X):
-        out = np.zeros_like(X)
-        out[:, 0] = (
-            amplitude * np.sin(2 * np.pi * X[:, 0]) * _plateau(X[:, 0]) * _plateau(X[:, 1])
-        )
+        out = np.zeros(X.shape)
+        x = X[:, 0]
+        out[:, 0] = amplitude * np.sin(2 * np.pi * x) * _plateau(x) * _plateau(X[:, 1])
         return out
 
     return VectorField(

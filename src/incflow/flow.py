@@ -150,7 +150,7 @@ def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0, method: str = "rk
             k3 = f(X + 0.5 * h * k2)
             k4 = f(X + h * k3)
             X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise FlowIntegrationError(k)
     return X
 

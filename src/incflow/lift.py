@@ -8,8 +8,10 @@ projecting onto the last coordinate recovers g(x) exactly. Approximating
 the lifted field on a grid turns this identity into a constructive
 approximation scheme whose error is pure field-approximation error: the
 first d components of the lifted field are identically zero, so the
-exact flow of an analytic lift is one Euler step (:func:`exact_lift`);
-grid lifts are integrated as 256-step RK4 flows.
+exact flow of an analytic lift is one Euler step (:func:`exact_lift`).
+A grid lift whose lift-component vertex values lie in [0, 1] is one
+Euler step too, its exact flow; any other grid lift is integrated as a
+256-step RK4 flow.
 
 Both lift modes are one class, :class:`LiftedApproximator`, whose flows'
 outputs are concatenated: componentwise mode (the default) has D flows
@@ -173,7 +175,6 @@ def approximate_lipschitz_function(
     D: int,
     lipschitz,
     mode: str = "componentwise",
-    steps: int = DEFAULT_STEPS,
 ) -> tuple[LiftedApproximator, ErrorCertificate]:
     """Grid-approximate each lifted component field and wrap as flows.
 
@@ -189,7 +190,9 @@ def approximate_lipschitz_function(
     The cutoff is scaled to an enlarged box so that its identity region
     covers [0,1]^(d+D): on the cube the approximator's error is then pure
     interpolation error, which is what the certified rate describes, and
-    the field is still compactly supported just outside the cube.
+    the field is still compactly supported just outside the cube. A lift
+    whose grid values lie in [0, 1] is integrated by one Euler step, its
+    exact flow; any other by ``DEFAULT_STEPS`` RK4 steps.
 
     Returns the approximator together with the worst-component
     certificate 2 ||omega((d+1)/(2n))|| e^{max(1, L_i)}; per-component
@@ -205,12 +208,26 @@ def approximate_lipschitz_function(
     groups = [(f, lipschitz)] if mode == "joint" else [
         ([g], [L]) for g, L in zip(f, lipschitz)
     ]
-    flows, certs = zip(*(_lift_flow(g, n, d, L, steps) for g, L in groups))
+    flows, certs = zip(*(_lift_flow(g, n, d, L) for g, L in groups))
     worst = max(certs, key=lambda c: c.total_bound)
     return LiftedApproximator(list(flows), d, list(certs), mode), worst
 
 
-def _lift_flow(comps, n, d, lipschitz, steps):
+def _one_step_is_exact(grid, d: int) -> bool:
+    """Whether one Euler step is the exact time-1 flow, from every start
+    (x, 0), of a lift grid on R^(d+D) that :func:`_lift_flow` built.
+
+    Such a grid's first d components are 0 and each lift axis has one cell,
+    so on [0,1]^(d+D) the interpolant is a function g(x) of x alone, and
+    its cutoff, on the box (-1, 2), is the identity there. If every lift-component vertex value
+    lies in [0, 1], the trajectory y(t) = t g(x) stays in the cube, and the
+    time-1 flow (x, g(x)) is one Euler step up to its one rounding.
+    """
+    lift = grid.values[:, d:]
+    return bool(((lift >= 0.0) & (lift <= 1.0)).all())
+
+
+def _lift_flow(comps, n, d, lipschitz):
     """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) of the
     D = len(comps) components on R^(d+D), with its one-stage certificate
     2 ||omega((d+D)/(2n))|| e^{max(1, L_i)}."""
@@ -228,7 +245,9 @@ def _lift_flow(comps, n, d, lipschitz, steps):
     clipped = box_bump_clip(gridvf, delta, box=(-1.0, 2.0))
     clipped.report = report
     cert = ErrorCertificate.from_stages([(omega, field.lipschitz_bound)], n)
-    return FlowMap(clipped, steps=steps), cert
+    if _one_step_is_exact(gridvf.grid, d):
+        return FlowMap(clipped, steps=1, method="euler"), cert
+    return FlowMap(clipped, steps=DEFAULT_STEPS), cert
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +319,22 @@ def load_lifted(path: str) -> LiftedApproximator:
 
 
 def verify_lifted_manifest(path: str) -> dict:
-    """Recheck that a lifted manifest's certificates are recomputable. As in
+    """Recheck that a lifted manifest's certificates are recomputable, and
+    that each component stating a one-step Euler integrator has a grid for
+    which one step is its flow (:func:`_one_step_is_exact`). As in
     :func:`verify_manifest`, the pairs are recomputed while it is read."""
 
     def pairs(doc, base):
+        approx = LiftedApproximator.from_dict(doc, base)
         out = {}
-        for i, c in enumerate(LiftedApproximator.from_dict(doc, base).certificates or []):
+        for i, c in enumerate(approx.certificates or []):
             out[f"component{i}_certificate"] = (c.total_bound, c.recompute_total())
             out[f"component{i}_lipschitz_product"] = (c.lipschitz_product, c.recompute_product())
+        for i, flow in enumerate(approx.components):
+            if (flow.method, flow.steps) == ("euler", 1):
+                grid = flow.field.grid
+                exact = grid is not None and _one_step_is_exact(grid, approx.d)
+                out[f"component{i}_one_step_exact"] = (True, exact)
         return out
 
     return _check_stated(read_manifest(path, pairs))

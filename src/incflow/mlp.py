@@ -32,11 +32,14 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
-# Rows per block in ``MLP.eval`` and in ``grid_realize``'s fine check. Each
-# row is evaluated independently and CSR products sum each row in the same
-# order whatever the block size, so blocking bounds the values held at once
-# without changing a bit.
+# Rows per block in ``grid_realize``'s fine check, and values (rows times
+# the network's width) per block in ``MLP.eval``. Each row is evaluated
+# independently and CSR products sum each row in the same order whatever
+# the block size, so blocking bounds the values held at once without
+# changing a bit; a budget of values gives a narrow network few large
+# blocks and a wide one many small ones.
 _EVAL_ROWS = 512
+_EVAL_VALUES = 1 << 16
 
 
 class MLP:
@@ -96,8 +99,8 @@ class MLP:
     def eval(self, x):
         """Forward pass. ``x`` is one point ``(d,)`` or a batch ``(m, d)``.
 
-        Rows are pushed through in blocks of ``_EVAL_ROWS``, so the hidden
-        activations held at once do not grow with the batch.
+        Rows are pushed through in blocks of ``_EVAL_VALUES // width``, so
+        the hidden activations held at once do not grow with the batch.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -109,12 +112,13 @@ class MLP:
         if not np.all(np.isfinite(X)):
             raise ValueError("non-finite input")
         out = np.empty((X.shape[0], self.output_dim))
-        for start in range(0, X.shape[0], _EVAL_ROWS):
-            Z = X[start:start + _EVAL_ROWS]
+        rows = max(1, _EVAL_VALUES // self.width)
+        for start in range(0, X.shape[0], rows):
+            Z = X[start:start + rows]
             for W, b in self.layers[:-1]:
                 Z = relu((W @ Z.T).T + b)
             W, b = self.layers[-1]
-            out[start:start + _EVAL_ROWS] = (W @ Z.T).T + b
+            out[start:start + rows] = (W @ Z.T).T + b
         return out[0] if single else out
 
     __call__ = eval

@@ -265,6 +265,35 @@ def test_verify_lift_manifest(tmp_path):
         assert main(["verify", str(out / "manifest.json")]) == 4, key
 
 
+def test_verify_rechecks_a_one_step_integrator(tmp_path, capsys):
+    # one Euler step is a lift's flow only where its grid values lie in
+    # [0, 1]; sin_windowed's are signed, so the edited claim exits 4
+    for fid, mode in [("abs2x1", "componentwise"), ("affine_pair", "joint"),
+                      ("sin_windowed", "componentwise")]:
+        out = tmp_path / fid
+        cfg = write_cfg(tmp_path, f"{fid}.json", {
+            "function": {"id": fid}, "n": 4, "test_points": 11, "mode": mode,
+            "out_dir": str(out),
+        })
+        assert main(["lift-approx", cfg]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out / "manifest.json")]) == 0, fid
+        checks = json.loads(capsys.readouterr().out)
+        doc = json.loads((out / "manifest.json").read_text())
+        integrator = doc["components"][0]["integrator"]
+        if fid != "sin_windowed":
+            assert integrator == {"method": "euler", "steps": 1}
+            assert checks["component0_one_step_exact"]["ok"] is True
+            continue
+        assert integrator == {"method": "rk4", "steps": 256}
+        assert "component0_one_step_exact" not in checks
+        integrator.update(method="euler", steps=1)
+        (out / "manifest.json").write_text(json.dumps(doc))
+        assert main(["verify", str(out / "manifest.json")]) == 4
+        check = json.loads(capsys.readouterr().out)["component0_one_step_exact"]
+        assert check == {"stated": True, "recomputed": False, "ok": False}
+
+
 @pytest.mark.parametrize("mode", ["componentwise", "joint"])
 def test_verify_lift_manifest_with_edited_D_exits_2(tmp_path, capsys, mode):
     out = tmp_path / "runlift"

@@ -122,6 +122,117 @@ def test_radial_clip_vanishes_outside_declared_support():
         assert_zero_outside_support(g, g.support_box, seed)
 
 
+# The builtins' evaluators as they were written before they were made
+# lean: the oracle every bit of the lean ones is checked against.
+def _former_plateau(t):
+    t = np.asarray(t, dtype=float)
+    return np.clip(np.minimum((t - 0.125) * 4.0, (0.875 - t) * 4.0), 0.0, 1.0)
+
+
+def _former_radial_profile(s, r_inner, r_outer):
+    return np.clip((r_outer - np.asarray(s, dtype=float)) / (r_outer - r_inner), 0.0, 1.0)
+
+
+def _former_radial_clip(inner, center, r_inner, r_outer):
+    c = np.asarray(center, dtype=float)
+
+    def ev(X):
+        s = np.linalg.norm(X - c, axis=1)
+        return inner(X) * _former_radial_profile(s, r_inner, r_outer)[:, None]
+
+    return ev
+
+
+def _former_rotation(center=(0.5, 0.5), rate=math.pi):
+    c = np.asarray(center, dtype=float)
+    return lambda X: np.stack([-rate * (X[:, 1] - c[1]), rate * (X[:, 0] - c[0])], axis=1)
+
+
+def _former_squeeze(line_x=0.5):
+    def ev(X):
+        out = np.zeros_like(X)
+        out[:, 0] = -X[:, 0] + line_x
+        return out
+
+    return ev
+
+
+def _former_sin_bump(amplitude=0.2):
+    def ev(X):
+        out = np.zeros_like(X)
+        out[:, 0] = (amplitude * np.sin(2 * np.pi * X[:, 0]) * _former_plateau(X[:, 0])
+                     * _former_plateau(X[:, 1]))
+        return out
+
+    return ev
+
+
+_FORMER_BUILTINS = {
+    "zero": ({}, lambda X: np.zeros_like(X)),
+    "rotation": ({}, _former_rotation()),
+    "rotation_2": ({"center": [0.4, 0.55], "rate": 2.7}, _former_rotation((0.4, 0.55), 2.7)),
+    "squeeze": ({}, _former_squeeze()),
+    "squeeze_2": ({"line_x": 0.3}, _former_squeeze(0.3)),
+    "sin_bump": ({}, _former_sin_bump()),
+    "sin_bump_2": ({"amplitude": 0.37}, _former_sin_bump(0.37)),
+    "rotation_clipped": ({}, _former_radial_clip(_former_rotation(), (0.5, 0.5), 0.125, 0.25)),
+    "rotation_clipped_2": (
+        {"center": [0.45, 0.5], "rate": 2.2, "r_inner": 0.1, "r_outer": 0.3},
+        _former_radial_clip(_former_rotation((0.45, 0.5), 2.2), (0.45, 0.5), 0.1, 0.3)),
+    "squeeze_clipped": ({}, _former_radial_clip(_former_squeeze(), (0.5, 0.5), 0.125, 0.25)),
+    "squeeze_clipped_2": (
+        {"line_x": 0.45, "center": [0.5, 0.45], "r_inner": 0.1, "r_outer": 0.3},
+        _former_radial_clip(_former_squeeze(0.45), (0.5, 0.45), 0.1, 0.3)),
+}
+
+
+def _probe_rows():
+    """Rows inside the supports, on their boundaries (the 1/16 lattice holds
+    the plateau edges and the default clips' circles, which the angles trace
+    as well), outside them, signed zeros and every non-finite kind."""
+    rng = np.random.default_rng(17)
+    angles = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    nonfinite = [np.nan, np.inf, -np.inf]
+    special = [[a, b] for a in nonfinite + [-0.0, 0.0, 0.5]
+               for b in nonfinite + [-0.0, 0.0, 0.5]]
+    return np.vstack([
+        lattice([17, 17]),
+        rng.uniform(0.25, 0.75, (200, 2)),
+        rng.uniform(-1.0, 2.0, (200, 2)),
+        0.5 + np.concatenate([0.125 * ring, 0.25 * ring, 0.3 * ring]),
+        [[1e300, -1e300], [-5e-324, 5e-324]],
+        special,
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(_FORMER_BUILTINS))
+def test_lean_builtin_evaluators_keep_every_bit(name):
+    params, former = _FORMER_BUILTINS[name]
+    f = builtin_field(name.removesuffix("_2"), params)
+    X = _probe_rows()
+    with np.errstate(all="ignore"):  # inf - inf, sin(inf) and the like
+        got, want = f.eval(X), former(X)
+        one, one_want = f.eval(X[-1]), former(X[-1:])[0]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(one.view(np.int64), one_want.view(np.int64))
+
+
+def test_radial_clip_leaves_the_inner_array_unchanged():
+    # an inner evaluator may hand back an array it keeps; the clip must
+    # scale a copy of it
+    cached = np.arange(12.0).reshape(6, 2) - 5.0
+    kept = cached.copy()
+    f = radial_bump_clip(VectorField(2, lambda X: cached, 1.0), (0.5, 0.5), 0.125, 0.25,
+                         max_abs=7.0)
+    X = np.array([[0.5, 0.5], [0.6, 0.5], [0.7, 0.5], [0.9, 0.9], [0.5, 0.3], [2.0, 2.0]])
+    out = f.eval(X)
+    assert np.array_equal(cached, kept)
+    want = _former_radial_clip(lambda X: kept, (0.5, 0.5), 0.125, 0.25)(X)
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    assert np.array_equal(out[[0, 3, 5]], [kept[0], [0.0, 0.0], [0.0, 0.0]])
+
+
 def test_field_lipschitz_bounds_dominate_on_pairs():
     rng = np.random.default_rng(1)
     X = rng.random((10_000, 2))
@@ -189,7 +300,7 @@ def test_box_clip_vanishes_outside_declared_support():
     for fid, mode in [("abs2x1", "componentwise"), ("sin_windowed", "componentwise"),
                       ("affine_pair", "componentwise"), ("affine_pair", "joint")]:
         comps, d, D, L = lift_function(fid)
-        approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode, steps=8)
+        approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode)
         clipped += [c.field for c in approx.components]
     for seed, g in enumerate(clipped, start=5):
         assert g.support_box is None

@@ -131,9 +131,9 @@ GOLDEN = {
     "grid_to_mlp_4x4": "048455077fd3a6c340c84b2c650a7d4157772a3fc3e3bcd46fc0279ef900be8e",
     "grid_to_mlp_3x2x5": "111037f3e0eb11589297a861b1386a7b178d436a7a2f647dff9403a90ebb6bb0",
     "grid_realize_swirl_16x16": "38fd85daf1fe7e4ed533c32c43fbe1125b0fd79ed91f9469bf440209e3f50567",
-    "lift_apply_componentwise": "17fdea1dbac25c979e5dc5ec730fc377cca33db7caeba68efa5bbcacbc337724",
-    "lift_files_componentwise": "26f2c543d2b9811d2524571680abacf01428f53d8871a92893df68b55a5cd08c",
-    "lift_apply_joint": "17fdea1dbac25c979e5dc5ec730fc377cca33db7caeba68efa5bbcacbc337724",
-    "lift_files_joint": "b55545eb3285c35038be634575c35253d887dd3953d18c82ada3030453f42b55",
+    "lift_apply_componentwise": "a06aaf91ecfd59eeea664be36a9f19d2d79bdec7e42f05029c35a5f2547e1e0f",
+    "lift_files_componentwise": "f41c0937f639da927881ee6e8dc83f78abf0e27cc84303182723b61feb74fcfb",
+    "lift_apply_joint": "a06aaf91ecfd59eeea664be36a9f19d2d79bdec7e42f05029c35a5f2547e1e0f",
+    "lift_files_joint": "ea7f9f54ca5fb97b27b8e63304d200df54be4694377a2d7e88308993a8b840db",
     "fit_single_flow_composite": "1f89417fcdb528622b02386283698c02c7bfc1fd8ac4622dbe8a8b025a88a90a",
 }

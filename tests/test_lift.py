@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from incflow.flow import FlowMap
+from incflow.flow import DEFAULT_STEPS, FlowMap, reference_flow
 from incflow.lift import (
     LIFT_FUNCTIONS,
     LiftedApproximator,
@@ -157,6 +157,35 @@ def test_lift_grid_has_one_cell_per_lift_axis(mode):
         assert np.abs(approx.apply(xs) - want).max() <= 1e-12, fid
         checked.append(fid)
     assert checked == ["abs2x1", "square", "sin01", "affine_pair"]
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_one_step_lift_is_its_exact_flow(n):
+    # a grid lift valued in [0, 1] is one Euler step, and agrees with the
+    # 4096-step reference flow of the same field, inside the cube and a
+    # tenth of it out; a signed target's trajectories leave the cube, so
+    # it keeps the RK4 flow. A joint lift with D = 1 is the componentwise
+    # flow (test_componentwise_lift_equals_joint_lift_per_component), so
+    # joint mode is integrated for D > 1 only.
+    xs = np.linspace(-0.1, 1.1, 49)[:, None]
+    checked = []
+    for mode in ("componentwise", "joint"):
+        for fid in LIFT_FUNCTIONS:
+            comps, d, D, L = lift_function(fid)
+            approx, _ = approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
+            for c in approx.components:
+                if fid == "sin_windowed":
+                    assert (c.method, c.steps) == ("rk4", DEFAULT_STEPS)
+                    continue
+                assert (c.method, c.steps) == ("euler", 1), fid
+                if mode == "joint" and D == 1:
+                    continue
+                Z = np.hstack([xs, np.zeros((len(xs), c.dim - d))])
+                ref = reference_flow(c.field).apply(Z)
+                assert np.abs(c.apply(Z) - ref).max() <= 1e-12, (mode, fid)
+                checked.append((mode, fid))
+    assert checked == [("componentwise", f) for f in ("abs2x1", "square", "sin01")] + [
+        ("componentwise", "affine_pair")] * 2 + [("joint", "affine_pair")]
 
 
 def test_joint_mode_matches_componentwise():

@@ -15,6 +15,7 @@ from incflow.fields import (
 )
 from incflow.mlp import (
     _EVAL_ROWS,
+    _EVAL_VALUES,
     MLP,
     affine_mlp,
     build_bump,
@@ -340,11 +341,14 @@ def test_sparse_and_dense_twins_agree_bit_for_bit():
 
 
 def test_blocked_eval_is_bit_equal_to_row_by_row():
+    # rows per block are the value budget over the width: two full blocks
+    # and one row, for a wide network and for the width-3 cutoff
     rng = np.random.default_rng(5)
-    net = grid_to_mlp(GridInterpolant((4, 3), rng.standard_normal((20, 2))))
-    X = rng.uniform(-0.2, 1.2, size=(2 * _EVAL_ROWS + 1, 2))
-    out = net.eval(X)
-    assert np.array_equal(out, np.array([net.eval(x) for x in X]))
+    for net in (grid_to_mlp(GridInterpolant((4, 3), rng.standard_normal((20, 2)))),
+                build_bump(0.3)):
+        X = rng.uniform(-0.2, 1.2, size=(2 * (_EVAL_VALUES // net.width) + 1, net.input_dim))
+        out = net.eval(X)
+        assert np.array_equal(out, np.array([net.eval(x) for x in X]))
 
 
 def test_eval_memory_is_bounded_by_one_block():
@@ -357,6 +361,6 @@ def test_eval_memory_is_bounded_by_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one block's activations, a few times over; the whole batch at once
-    # holds eight times as many
+    # a block holds _EVAL_VALUES values (364 rows at this width); the bound
+    # is four 512-row blocks' activations, the whole batch at once eight
     assert peak < 4 * _EVAL_ROWS * net.width * 8

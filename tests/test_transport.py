@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from incflow.fields import rotation_field
-from incflow.flow import FlowMap, builtin_generator
+from incflow.fields import LipschitzModulus, builtin_field, rotation_field
+from incflow.flow import (
+    FlowMap, approximate_generator, builtin_generator, load_generator, save_generator,
+)
 from incflow.transport import (
     EmpiricalMeasure,
     concentration_experiment,
@@ -229,6 +231,30 @@ def test_concentration_partition_invariance():
     got_full = [r["w1"] for r in full["rows"] if r["N"] == 32]
     got_alone = [r["w1"] for r in alone["rows"]]
     assert got_full == got_alone
+
+
+@pytest.mark.parametrize("source", ["builtin", "manifest"])
+def test_concentration_pushes_every_trial_at_once(source, tmp_path):
+    # one pushforward of every trial's noise gives each trial the rows of
+    # its own pushforward: the generator maps rows independently
+    if source == "builtin":
+        gen = builtin_generator("counterexample")
+    else:
+        stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
+        moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in stages]
+        gen = load_generator(save_generator(approximate_generator(stages, moduli, 8)[0],
+                                            str(tmp_path)))
+        assert all(np.abs(s.field.grid.values).max() > 0 for s in gen.stages)
+    kw = dict(N_list=[8, 32], trials=3, delta=0.1, seed=13, M=64)
+    got = concentration_experiment(gen, _uniform, _uniform, **kw)["rows"]
+
+    proxy = EmpiricalMeasure(_uniform(np.random.default_rng([13, 0]), 64))
+    want = []
+    for N in kw["N_list"]:
+        for t in range(kw["trials"]):
+            noise = EmpiricalMeasure(_uniform(np.random.default_rng([13, N, t]), N))
+            want.append((N, t, w1_exact(proxy, pushforward(gen, noise)).w1))
+    assert np.array_equal([(r["N"], r["trial"], r["w1"]) for r in got], want)
 
 
 def test_concentration_validation():
