@@ -65,17 +65,17 @@ _SAMPLER = {"kind": (("uniform",), "uniform"), "dim": (int, None, 1)}
 _SCHEMAS = {
     "approx-flow": {
         "stages": ([(_STAGE, _REQUIRED)], _REQUIRED, 1, FL.DEFAULT_T_BUDGET),
-        "n": (int, _REQUIRED, 1),
-        "steps": (int, 256, 1),
-        "eval_grid": (int, 33, 1),
+        "n": (int, _REQUIRED, 1, 256),
+        "steps": (int, 256, 1, FL.REFERENCE_STEPS),
+        "eval_grid": (int, 33, 1, 257),
         "out_dir": (str, _REQUIRED),
     },
     "lift-approx": {
         "function": ({"id": (tuple(LI.LIFT_FUNCTIONS), None), "csv": (str, None),
                       "lipschitz": (float, None, 0.0)}, _REQUIRED),
-        "n": (int, _REQUIRED, 1),
+        "n": (int, _REQUIRED, 1, 1024),
         "mode": (("componentwise", "joint"), "componentwise"),
-        "test_points": (int, 1001, 1),
+        "test_points": (int, 1001, 1, 1_000_000),
         "out_dir": (str, _REQUIRED),
     },
     "generate": {
@@ -83,22 +83,22 @@ _SCHEMAS = {
                       _REQUIRED),
         "noise": (_SAMPLER, {}),
         "target": (_SAMPLER, {}),
-        "N_list": ([(int, _REQUIRED, 1)], [16, 64, 256], 1),
-        "trials": (int, 32, 1),
+        "N_list": ([(int, _REQUIRED, 1, 8192)], [16, 64, 256], 1),
+        "trials": (int, 32, 1, 1024),
         "delta": (float, 0.1, 0.0),
         "seed": (int, _REQUIRED, 0),
-        "M": (int, 4096, 1),
+        "M": (int, 4096, 1, 8192),
         "C": (float, 1.0),
         "out_dir": (str, _REQUIRED),
     },
     "probe-flowability": {
         "seed": (int, 0, 0),
-        "steps": (int, PR.PROBE_STEPS, 1),
-        "grid_n": (int, 33, 2),
-        "k_max": (int, 4, 1),
+        "steps": (int, PR.PROBE_STEPS, 1, FL.REFERENCE_STEPS),
+        "grid_n": (int, 33, 2, 257),
+        "k_max": (int, 4, 1, 16),
         "contraction_radius": (float, 0.01, math.ulp(0.0)),  # the least float > 0
-        "fit": ({"enabled": (bool, False), "budget": (int, 20_000, 1),
-                 "n_grid": (int, 4, 1)}, {}),
+        "fit": ({"enabled": (bool, False), "budget": (int, 20_000, 1, 1_000_000),
+                 "n_grid": (int, 4, 1, 16)}, {}),
         "out_dir": (str, _REQUIRED),
     },
 }

@@ -550,8 +550,9 @@ def _dotted(schema, prefix=""):
             yield from _dotted(typ[0][0], f"{prefix}{key}[].")
 
 
-def test_readme_config_tables_match_the_schemas():
-    # a table row goes to the last line before it that opens with a subcommand
+def _readme_tables():
+    """{subcommand: {key: range column}} from the README's config tables; a
+    table row goes to the last line before it that opens with a subcommand."""
     tables, command = {}, None
     with open(_README) as fh:
         for line in fh:
@@ -559,9 +560,16 @@ def test_readme_config_tables_match_the_schemas():
             if head and head.group(1) in _SCHEMAS:
                 command = head.group(1)
             elif line.startswith("| `"):
-                tables.setdefault(command, set()).update(
-                    re.findall(r"`([^`]+)`", line.split("|")[1]))
-    assert tables == {cmd: set(_dotted(schema)) for cmd, schema in _SCHEMAS.items()}
+                cells = line.split("|")
+                for key in re.findall(r"`([^`]+)`", cells[1]):
+                    tables.setdefault(command, {})[key] = cells[4]
+    return tables
+
+
+def test_readme_config_tables_match_the_schemas():
+    tables = _readme_tables()
+    assert {cmd: set(rows) for cmd, rows in tables.items()} == {
+        cmd: set(_dotted(schema)) for cmd, schema in _SCHEMAS.items()}
 
 
 def test_readme_config_examples_each_pass_one_table():
@@ -627,6 +635,7 @@ def _mutations(base, path, rule):
         out += [("bound", math.nextafter(lo, -math.inf))] if lo is not None else []
     elif typ is int:
         out += [("bound", lo - 1)] if lo is not None else []
+        out += [("bound", hi + 1)] if hi is not None else []
     if isinstance(path[-1], str):
         out.append(("sibling", None))
     return out
@@ -640,6 +649,44 @@ def _set(cfg, path, name, value):
         node["bogus_key"] = 1
     else:
         node[path[-1]] = value
+
+
+# every size key's maximum: (subcommand, key path, maximum)
+_MAXIMA = [(cmd, path, rule[3]) for cmd, paths in _PATHS.items() for path, rule in paths
+           if rule[0] is int and len(rule) > 3]
+
+
+# the int keys that size a run's work (a sampler's dim must equal the generator's)
+_SIZE_KEYS = {
+    "approx-flow": [("n",), ("steps",), ("eval_grid",)],
+    "lift-approx": [("n",), ("test_points",)],
+    "generate": [("N_list", 0), ("trials",), ("M",)],
+    "probe-flowability": [("steps",), ("grid_n",), ("k_max",), ("fit", "budget"),
+                          ("fit", "n_grid")],
+}
+
+
+def test_every_size_key_has_a_maximum_stated_in_the_readme():
+    assert sorted((cmd, path) for cmd, path, _ in _MAXIMA) == sorted(
+        (cmd, path) for cmd, paths in _SIZE_KEYS.items() for path in paths)
+    tables = _readme_tables()
+    for cmd, path, hi in _MAXIMA:
+        # a list of ints states its items' range in the list's row
+        key = "".join(f".{k}" if isinstance(k, str) else "[]" for k in path)[1:]
+        assert re.search(rf"\b{hi}\b", tables[cmd][key.removesuffix("[]")]), (cmd, key, hi)
+
+
+@pytest.mark.parametrize("command,path,hi", _MAXIMA, ids=str)
+def test_one_past_each_maximum_exits_2(tmp_path, capsys, command, path, hi):
+    out = tmp_path / "run"
+    cfg = copy.deepcopy(dict(_CHEAP_RUNS[command], out_dir=str(out)))
+    _set(cfg, path, "bound", hi)
+    _check(cfg, _SCHEMAS[command])  # the maximum itself is accepted
+    _set(cfg, path, "bound", hi + 1)
+    assert main([command, write_cfg(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"must be <= {hi}, got {hi + 1}" in err
+    assert not out.exists()
 
 
 @settings(max_examples=500, deadline=None,

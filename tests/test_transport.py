@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.spatial.distance import cdist
 
 from incflow.fields import LipschitzModulus, builtin_field, rotation_field
@@ -128,6 +129,7 @@ def test_coupling_marginals_all_paths():
     nu = EmpiricalMeasure(rng.random((5, 2)))
     rep = w1_exact(mu, nu)
     assert rep.marginal_residual <= 1e-10
+    assert abs(rep.gap) <= 1e-12
     # and the reported cost equals the coupling's cost
     C = cdist(mu.points, nu.points)
     recomputed = sum(m * C[i, j] for i, j, m in rep.coupling)
@@ -147,15 +149,94 @@ def test_assignment_coupling_order(m, n):
     assert np.all(rep.coupling_mass == 1.0 / max(m, n))
 
 
-def test_replication_path_agrees_with_lp():
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Count the calls of each solver ``w1_exact`` can take."""
+    import incflow.transport as T
+
+    calls = dict.fromkeys(("linear_sum_assignment", "linprog"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(T, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(T, name, counted)
+    return calls
+
+
+def test_replication_path_agrees_with_lp(solver_calls):
     rng = np.random.default_rng(4)
     big = EmpiricalMeasure(rng.random((12, 2)))
     small = EmpiricalMeasure(rng.random((4, 2)))
-    fast = w1_exact(big, small).w1
-    # force the LP path with an epsilon-perturbed weight vector
-    w = np.full(12, 1.0 / 12)
-    lp = w1_exact(EmpiricalMeasure(big.points, w + 0.0), small)
-    assert fast == pytest.approx(lp.w1, abs=1e-9)
+    fast = w1_exact(big, small)
+    assert solver_calls == {"linear_sum_assignment": 1, "linprog": 0}
+    assert fast.gap is None
+    # the same measure with its first atom split into two halves: the
+    # weights are not uniform, so the LP path solves it
+    w = np.append(np.full(12, 1.0 / 12), 1.0 / 24)
+    w[0] = 1.0 / 24
+    split = EmpiricalMeasure(np.vstack([big.points, big.points[:1]]), w)
+    lp = w1_exact(split, small)
+    assert solver_calls["linear_sum_assignment"] == 1 and solver_calls["linprog"] >= 1
+    assert fast.w1 == pytest.approx(lp.w1, abs=1e-9)
+    assert abs(lp.gap) <= 1e-12
+
+
+def dense_lp_w1(a, b, wa, wb):
+    """The transportation LP over every arc, with every marginal row kept."""
+    m, n = len(a), len(b)
+    res = linprog(
+        cdist(a, b).ravel(),
+        A_eq=np.vstack([np.kron(np.eye(m), np.ones((1, n))), np.kron(np.ones((1, m)), np.eye(n))]),
+        b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    return res.fun
+
+
+def _weights(rng, k, zeros=0):
+    w = rng.random(k)
+    w[rng.choice(k, zeros, replace=False)] = 0.0
+    return w / w.sum()
+
+
+def _lp_instance(case):
+    rng = np.random.default_rng(list(map(ord, case)))
+    if case == "random":
+        return rng.random((23, 2)), _weights(rng, 23), rng.random((17, 2)), _weights(rng, 17)
+    if case == "zero_weights":
+        return rng.random((15, 2)), _weights(rng, 15, 4), rng.random((11, 2)), _weights(rng, 11, 3)
+    if case == "ties":  # duplicate points on both sides, uniform sizes that do not divide
+        a, b = rng.random((4, 2)), rng.random((3, 2))
+        a, b = a[rng.integers(0, 4, 14)], np.vstack([b[rng.integers(0, 3, 9)], a[:1]])
+        return a, np.full(14, 1 / 14), b, np.full(10, 1 / 10)
+    if case == "m1":
+        return rng.random((1, 2)), np.ones(1), rng.random((9, 2)), _weights(rng, 9)
+    if case == "n1":
+        return rng.random((9, 2)), _weights(rng, 9), rng.random((1, 2)), np.ones(1)
+    if case == "cg_rounds":  # more targets than the start's nearest arcs reach
+        return rng.random((12, 2)), _weights(rng, 12), rng.random((40, 2)), _weights(rng, 40)
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["random", "zero_weights", "ties", "m1", "n1", "cg_rounds"])
+def test_lp_path_against_dense_lp(case, solver_calls):
+    a, wa, b, wb = _lp_instance(case)
+    mu, nu = EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb)
+    rep = w1_exact(mu, nu)
+    assert solver_calls["linear_sum_assignment"] == 0 and solver_calls["linprog"] >= 1
+    if case == "cg_rounds":  # the first restricted LP is not optimal
+        assert solver_calls["linprog"] >= 2
+    assert rep.w1 == pytest.approx(dense_lp_w1(a, b, wa, wb), abs=1e-10)
+    i, j = rep.coupling_i, rep.coupling_j
+    assert np.all(np.diff(i * len(b) + j) > 0)  # sorted by (i, j), one entry per arc
+    ra = np.bincount(i, weights=rep.coupling_mass, minlength=len(a))
+    rb = np.bincount(j, weights=rep.coupling_mass, minlength=len(b))
+    assert np.abs(ra - wa).max() <= 1e-12 and np.abs(rb - wb).max() <= 1e-12
+    assert abs(rep.gap) <= 1e-12
+    again = w1_exact(mu, nu)
+    for key in ("w1", "coupling_i", "coupling_j", "coupling_mass", "marginal_residual", "gap"):
+        assert np.array_equal(getattr(again, key), getattr(rep, key)), key
 
 
 def test_w1_triangle_inequality():
