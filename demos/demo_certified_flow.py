@@ -4,8 +4,8 @@ The pipeline: sample the field on an (n+1)^2 vertex grid, interpolate
 over the coordinate-order simplices, realize the interpolant as an exact
 ReLU network, clip its support with the cutoff network, and take the
 time-1 flow. The certified error bound 2 ||omega(d/2n)|| e^L is computed
-from the field's modulus alone; the measured error compares against a
-4096-step reference integration of the true field.
+from the field's modulus alone; the measured error compares against the
+true field's exact flow, a rotation of each circle about the center.
 """
 
 import numpy as np

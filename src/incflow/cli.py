@@ -60,6 +60,7 @@ def _load_config(path: str) -> dict:
 _REQUIRED = object()
 _PARAMS = "an object of numbers or lists of numbers"  # a stage's field parameters
 
+_MAX_LATTICE_POINTS = 1025 ** 2  # the finer check of a 2-d grid at the largest n, 256
 _STAGE = {"id": (tuple(F.BUILTIN_FIELDS), _REQUIRED), "params": (_PARAMS, {})}
 _SAMPLER = {"kind": (("uniform",), "uniform"), "dim": (int, None, 1)}
 _SCHEMAS = {
@@ -93,7 +94,6 @@ _SCHEMAS = {
     },
     "probe-flowability": {
         "seed": (int, 0, 0),
-        "steps": (int, PR.PROBE_STEPS, 1, FL.REFERENCE_STEPS),
         "grid_n": (int, 33, 2, 257),
         "k_max": (int, 4, 1, 16),
         "contraction_radius": (float, 0.01, math.ulp(0.0)),  # the least float > 0
@@ -186,6 +186,12 @@ def cmd_approx_flow(cfg: dict) -> int:
         raise ConfigError(f"stage field: {e}") from e
     if len({f.dim for f in flds}) > 1:
         raise ConfigError(f"stage dimensions disagree: {[f.dim for f in flds]}")
+    # the lattices the run builds: the measurement, the grid approximant's
+    # 4x finer check and the cutoff's 33-point sup estimate
+    side, d = max(cfg["eval_grid"], 4 * n + 1, 33), flds[0].dim
+    if side ** d > _MAX_LATTICE_POINTS:
+        raise ConfigError(f"max(eval_grid, 4n+1, 33)**dim must be <= {_MAX_LATTICE_POINTS}, "
+                          f"got {side}**{d}")
     os.makedirs(out_dir, exist_ok=True)
 
     moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
@@ -330,7 +336,7 @@ def cmd_probe(cfg: dict) -> int:
     out_dir, fit = cfg["out_dir"], cfg["fit"]
     os.makedirs(out_dir, exist_ok=True)
 
-    gen = PR.build_counterexample(steps=cfg["steps"])
+    gen = PR.build_counterexample()
     records = PR.detect_periodic(gen, grid_n=cfg["grid_n"], k_max=cfg["k_max"])
 
     period2 = [r for r in records if r.classification == "periodic" and r.period == 2]

@@ -412,10 +412,13 @@ class VectorField:
     the box outside which an analytic field (a builtin or a radial clip)
     declares it vanishes exactly. None means undeclared, as for every
     derived field (grid, box clip, lift). ``ref`` is a JSON-serializable
-    construction record used by manifests.
+    construction record used by manifests. ``flow``, where the field's flow
+    has a closed form, is its exact time-t map ``flow(X, t)`` on the rows
+    of X; None otherwise.
     """
 
-    def __init__(self, dim, evaluator, lipschitz_bound, support_box=None, ref=None):
+    def __init__(self, dim, evaluator, lipschitz_bound, support_box=None, ref=None,
+                 flow=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise ValueError(f"a field needs dimension >= 1, got {self.dim}")
@@ -425,6 +428,7 @@ class VectorField:
             support_box = np.asarray(support_box, dtype=float).reshape(2, self.dim)
         self.support_box = support_box
         self.ref = ref if ref is not None else {"backend": "opaque"}
+        self.flow = flow
         self.grid: GridInterpolant | None = None
         self.mlp: MLP | None = None
         self.report: "ApproximationReport | None" = None
@@ -448,6 +452,7 @@ def zero_field(dim: int = 2) -> VectorField:
         0.0,
         support_box=np.array([[0.5] * dim, [0.5] * dim]),
         ref={"backend": "analytic", "id": "zero", "params": {"dim": dim}},
+        flow=lambda X, t: X.copy(),
     )
 
 
@@ -469,7 +474,15 @@ def rotation_field(center=(0.5, 0.5), rate: float = math.pi) -> VectorField:
         support_box=None,
         ref={"backend": "analytic", "id": "rotation",
              "params": {"center": c.tolist(), "rate": rate}},
+        flow=lambda X, t: _rotate(X, c, t * rate),
     )
+
+
+def _rotate(X, c, angle):
+    """The rows of X turned about c by ``angle`` (a scalar or one per row)."""
+    D = X - c
+    cos, sin = np.cos(angle), np.sin(angle)
+    return c + np.stack([cos * D[:, 0] - sin * D[:, 1], sin * D[:, 0] + cos * D[:, 1]], axis=1)
 
 
 def squeeze_field(line_x: float = 0.5) -> VectorField:
@@ -480,12 +493,18 @@ def squeeze_field(line_x: float = 0.5) -> VectorField:
         out[:, 0] = -X[:, 0] + line_x  # not line_x - x: that keeps a NaN's sign
         return out
 
+    def flow(X, t):
+        out = X.copy()
+        out[:, 0] = line_x + (X[:, 0] - line_x) * math.exp(-t)
+        return out
+
     return VectorField(
         2,
         ev,
         1.0,
         support_box=None,
         ref={"backend": "analytic", "id": "squeeze", "params": {"line_x": line_x}},
+        flow=flow,
     )
 
 
@@ -502,15 +521,12 @@ def radial_bump_clip(
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
     c = np.asarray(center, dtype=float)
-    inner, ramp = field._evaluator, r_outer - r_inner
+    inner = field._evaluator
 
     def ev(X):
-        D = X - c
-        # 1 on [0, r_inner], linear to 0 on [r_inner, r_outer], 0 beyond
-        profile = ((r_outer - np.sqrt(np.add.reduce(D * D, axis=1))) / ramp).clip(0.0, 1.0)
-        return inner(X) * profile[:, None]
+        return inner(X) * _radial_profile(X, c, r_inner, r_outer)[:, None]
 
-    L = field.lipschitz_bound + max_abs / ramp
+    L = field.lipschitz_bound + max_abs / (r_outer - r_inner)
     return VectorField(
         field.dim,
         ev,
@@ -525,6 +541,12 @@ def radial_bump_clip(
             "inner": field.ref,
         },
     )
+
+
+def _radial_profile(X, c, r_inner, r_outer):
+    """Per row of X: 1 on [0, r_inner] from c, linear to 0 on [r_inner, r_outer], 0 beyond."""
+    D = X - c
+    return ((r_outer - np.sqrt(np.add.reduce(D * D, axis=1))) / (r_outer - r_inner)).clip(0.0, 1.0)
 
 
 def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorField:
@@ -718,20 +740,101 @@ def grid_relu_approximate(
 
 
 def _build_rotation_clipped(center=(0.5, 0.5), rate=math.pi, r_inner=0.125, r_outer=0.25):
+    """The rotation times the radial profile p. The rotation is tangent to
+    the circles about c, so |x - c| and with it p stay fixed along each
+    trajectory: the flow turns x about c by t rate p(|x - c|)."""
     base = rotation_field(center, rate)
     f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=abs(rate) * r_outer)
     f.ref = {"backend": "analytic", "id": "rotation_clipped", "params": {
         "center": list(center), "rate": rate, "r_inner": r_inner, "r_outer": r_outer}}
+    c = np.asarray(center, dtype=float)
+    f.flow = lambda X, t: _rotate(X, c, t * rate * _radial_profile(X, c, r_inner, r_outer))
     return f
 
 
 def _build_squeeze_clipped(line_x=0.5, center=(0.5, 0.5), r_inner=0.125, r_outer=0.25):
+    """The squeeze times the radial profile; its flow has a closed form
+    when the line runs through the center, the default."""
     base = squeeze_field(line_x)
     max_abs = abs(center[0] - line_x) + r_outer
     f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=max_abs)
     f.ref = {"backend": "analytic", "id": "squeeze_clipped", "params": {
         "line_x": line_x, "center": list(center), "r_inner": r_inner, "r_outer": r_outer}}
+    if line_x == center[0]:
+        f.flow = _squeeze_disc_flow(np.asarray(center, dtype=float), r_inner, r_outer)
     return f
+
+
+def _squeeze_disc_flow(c, r_inner, r_outer):
+    """Exact time-t map of the squeeze onto x = c_0 times the radial profile
+    p about c.
+
+    The flow keeps b = y - c_1, and u = x - c_0 obeys u' = -u p(s) with
+    s = |x - c| = sqrt(u^2 + b^2). On the plateau (p = 1) u decays as e^-t.
+    On the ramp p = (R - s)/w, with R = r_outer and w = r_outer - r_inner,
+    so s' = -(s^2 - b^2)(R - s)/(w s) and, by partial fractions, the time
+    from |u| = v0 to v is w (G(v0) - G(v)) with
+
+        G = ln(s - |b|)/(2(R - |b|)) + ln(s + |b|)/(2(R + |b|)) - R ln(R - s)/(R^2 - b^2).
+
+    G is evaluated with s - |b| = v^2/(s + |b|): the subtraction would give
+    ln(0) once v^2 falls below an ulp of b^2. A bisection on v inverts the
+    time; each row stops when its bracket holds no float between its ends,
+    so a row's result does not depend on its batch.
+    """
+    R, w = float(r_outer), float(r_outer - r_inner)
+
+    def G(v, a):
+        s = np.sqrt(v * v + a * a)
+        return np.log(v) / (R - a) - (a * np.log(s + a) + R * np.log(R - s)) / (R * R - a * a)
+
+    def ramp(v, a, p, tau, v_in):
+        """|u| after time tau (one per row) from |u| = v at profile value p,
+        for rows that stay on the ramp, above |u| = v_in: d ln|u|/dt = -p(s)
+        lies between -1 and -p forward, between 0 and p backward."""
+        lo = np.maximum(v * np.minimum(np.exp(-tau), 1.0), v_in)
+        hi, g0 = v * np.exp(-tau * p), G(v, a)
+        while True:
+            mid = 0.5 * (lo + hi)
+            act = np.flatnonzero((lo < mid) & (mid < hi))
+            if act.size == 0:
+                return mid
+            # mid lies past the time tau (or past the rim, a NaN): the root lies below it
+            past = ~(w * (g0[act] - G(mid[act], a[act])) >= tau[act])
+            lo[act] = np.where(past, lo[act], mid[act])
+            hi[act] = np.where(past, mid[act], hi[act])
+
+    def flow(X, t):
+        out = X.copy()
+        p = _radial_profile(X, c, r_inner, r_outer)
+        u = X[:, 0] - c[0]
+        live = np.flatnonzero((p > 0) & (u != 0))
+        u, a, p = u[live], np.abs(X[live, 1] - c[1]), p[live]
+        # |u| where s = r_inner; 0 where |b| >= r_inner and the plateau is never met
+        v_in = np.sqrt((r_inner * r_inner - a * a).clip(0.0))
+        v, flat = np.abs(u), (p == 1.0) & (v_in > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if t >= 0:
+                # the time the ramp rows take to reach the plateau
+                T = np.where(flat, 0.0, np.inf)
+                r = ~flat & (v_in > 0)
+                T[r] = w * (G(v[r], a[r]) - G(v_in[r], a[r]))
+                end = t >= T  # rows that end on the plateau
+                v[end] = np.where(flat[end], v[end], v_in[end]) * np.exp(T[end] - t)
+                t0 = np.zeros_like(v)
+            else:
+                # the (negative) time at which the plateau rows reach the ramp
+                t0 = np.where(flat, np.log(v / v_in), 0.0)
+                end = flat & (t >= t0)
+                v[end] *= math.exp(-t)
+            # the rest spend t - t0 on the ramp, from s = r_inner or from the start
+            r = ~end
+            start = np.where(flat[r], v_in[r], v[r])
+            v[r] = ramp(start, a[r], p[r], t - t0[r], v_in[r])
+        out[live, 0] = c[0] + np.copysign(v, u)
+        return out
+
+    return flow
 
 
 # builders called with a stage's params as keyword arguments, so an unknown

@@ -1,11 +1,14 @@
 """Time-1 flows of autonomous fields, their composition into incremental
 generators, and the error/Lipschitz certificates attached to them.
 
-Integration is fixed-step RK4. The flows of the underlying fields are
-exact mathematical objects, so integration error is tracked separately
-from the certified approximation bound: certificates are statements about
-the exact flows, and the reference integrator (4096 steps) stands in for
-them in empirical checks.
+A flow is evaluated by its field's closed-form time-t map where the field
+carries one (``method="exact"``: the linear builtins and the disc-clipped
+rotation and squeeze), and by fixed-step RK4 otherwise. The flows of the
+underlying fields are exact mathematical objects, so integration error is
+tracked separately from the certified approximation bound: certificates
+are statements about the exact flows, and :func:`reference_flow` (the
+closed form, or RK4 with 4096 steps) stands in for them in empirical
+checks.
 """
 
 from __future__ import annotations
@@ -67,7 +70,9 @@ class FlowMap:
     ``direction='backward'`` integrates the negated field, which inverts
     the forward map exactly for the underlying flow (autonomy gives
     time-reversal symmetry); with a fixed-step integrator the round trip
-    closes up to integrator tolerance.
+    closes up to integrator tolerance. ``method='exact'`` evaluates the
+    field's closed-form map ``field.flow`` at t = +-1 in one step; a field
+    without one is a ValueError.
     """
 
     field: VectorField
@@ -78,11 +83,14 @@ class FlowMap:
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if self.method not in ("rk4", "euler"):
-            raise ValueError("method must be 'rk4' or 'euler'")
+        if self.method not in ("rk4", "euler", "exact"):
+            raise ValueError("method must be 'rk4', 'euler' or 'exact'")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) \
                 or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
+        if self.method == "exact" and (self.field.flow is None or self.steps != 1):
+            raise ValueError("an exact flow takes one step of a field with a closed-form "
+                             f"flow; field {self.field.ref}, steps {self.steps}")
 
     @property
     def dim(self) -> int:
@@ -101,17 +109,25 @@ class FlowMap:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x).copy()
-        sign = 1.0 if self.direction == "forward" else -1.0
         finite = np.isfinite(X).all(axis=1)
         live = ~finite
         live[finite] = (self.field.eval(X[finite]) != 0).any(axis=1)
         if live.all() and len(X):
-            X = integrate(self.field.eval, X, self.steps, sign, self.method)
+            X = self._integrate(X)
         elif live.any():
-            X[live] = integrate(self.field.eval, X[live], self.steps, sign, self.method)
+            X[live] = self._integrate(X[live])
         return X[0] if single else X
 
     __call__ = apply
+
+    def _integrate(self, X: np.ndarray) -> np.ndarray:
+        sign = 1.0 if self.direction == "forward" else -1.0
+        if self.method != "exact":
+            return integrate(self.field.eval, X, self.steps, sign, self.method)
+        X = self.field.flow(X, sign)
+        if not np.isfinite(X).all():
+            raise FlowIntegrationError(0)
+        return X
 
     def inverse(self) -> "FlowMap":
         flipped = "backward" if self.direction == "forward" else "forward"
@@ -156,7 +172,10 @@ def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0, method: str = "rk
 
 
 def reference_flow(field: VectorField, steps: int = REFERENCE_STEPS) -> FlowMap:
-    """Fine-step RK4 stand-in for the exact flow of an analytic field."""
+    """The exact flow of a field: its closed-form map where it has one, a
+    ``steps``-step RK4 stand-in otherwise."""
+    if field.flow is not None:
+        return FlowMap(field, steps=1, method="exact")
     return FlowMap(field, steps=steps)
 
 
@@ -367,21 +386,21 @@ def empirical_lipschitz(mapping, samples: int = 10_000, seed: int = 0) -> float:
 # builtin generators
 
 
-BUILTIN_GENERATORS = ("identity2", "counterexample", "rotation_only", "squeeze_only")
+_GENERATOR_STAGES = {  # builtin field ids, stage 1 first
+    "identity2": ("zero", "zero"),
+    "counterexample": ("squeeze_clipped", "rotation_clipped"),
+    "rotation_only": ("rotation_clipped",),
+    "squeeze_only": ("squeeze_clipped",),
+}
+BUILTIN_GENERATORS = tuple(_GENERATOR_STAGES)
 
 
-def builtin_generator(gen_id: str, steps: int = DEFAULT_STEPS) -> IncrementalGenerator:
-    if gen_id == "identity2":
-        z = builtin_field("zero")
-        return IncrementalGenerator([FlowMap(z, steps=steps), FlowMap(z, steps=steps)])
-    if gen_id == "counterexample":
-        return IncrementalGenerator([FlowMap(builtin_field("squeeze_clipped"), steps=steps),
-                                     FlowMap(builtin_field("rotation_clipped"), steps=steps)])
-    if gen_id == "rotation_only":
-        return IncrementalGenerator([FlowMap(builtin_field("rotation_clipped"), steps=steps)])
-    if gen_id == "squeeze_only":
-        return IncrementalGenerator([FlowMap(builtin_field("squeeze_clipped"), steps=steps)])
-    raise KeyError(f"unknown generator id {gen_id!r}; known: {BUILTIN_GENERATORS}")
+def builtin_generator(gen_id: str) -> IncrementalGenerator:
+    """A builtin generator; each stage is the exact flow of its field."""
+    if gen_id not in _GENERATOR_STAGES:
+        raise KeyError(f"unknown generator id {gen_id!r}; known: {BUILTIN_GENERATORS}")
+    return IncrementalGenerator([FlowMap(builtin_field(f), steps=1, method="exact")
+                                 for f in _GENERATOR_STAGES[gen_id]])
 
 
 # ---------------------------------------------------------------------------

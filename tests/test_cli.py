@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import incflow
 from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, main
+from incflow.flow import builtin_generator, save_generator
 
 _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -76,7 +77,7 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     # JSON parsing accepts NaN and Infinity; a float key must be finite
     ("probe-flowability", {"contraction_radius": float("inf")}),
     # the fit sub-config is checked before the orbit scan starts
-    ("probe-flowability", {"grid_n": 3, "k_max": 1, "steps": 8,
+    ("probe-flowability", {"grid_n": 3, "k_max": 1,
                            "fit": {"enabled": True, "budget": 0}}),
     ("probe-flowability", {"fit": {"enabled": True, "n_grid": 0}}),
     ("probe-flowability", {"fit": {"enabled": 1}}),
@@ -123,7 +124,7 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     # every key is in its subcommand's table, so a misspelled one is an error too
     ("approx-flow", {"stages": [{"id": "zero"}], "n": 1, "steps": 1, "eval_grid": 2,
                      "bogus_key": 1}),
-    ("probe-flowability", {"grid_n": 2, "k_max": 1, "steps": 1, "fit": {"budgte": 5}}),
+    ("probe-flowability", {"grid_n": 2, "k_max": 1, "fit": {"budgte": 5}}),
     # stage params are a builder's keyword arguments, numbers and not bools
     ("approx-flow", {"stages": [{"id": "squeeze_clipped", "params": {"bogus": 1}}], "n": 1,
                      "steps": 1, "eval_grid": 2}),
@@ -385,7 +386,7 @@ _CHEAP_RUNS = {
     "lift-approx": {"function": {"id": "abs2x1"}, "n": 1, "test_points": 2},
     "generate": {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
                  "N_list": [4]},
-    "probe-flowability": {"grid_n": 2, "k_max": 1, "steps": 1},
+    "probe-flowability": {"grid_n": 2, "k_max": 1},
 }
 
 
@@ -476,6 +477,15 @@ def _damage_manifest(run, defect):
             doc["stages"][0]["integrator"]["steps"] = True
         elif defect == "cert_product_missing":
             del doc["certificate"]["lipschitz_product"]
+        elif defect.startswith("exact_"):
+            # a closed-form integrator stated for a field that has none
+            doc["stages"][0]["integrator"] = {"method": "exact", "steps": 1}
+            doc["stages"][0]["field"] = {
+                "exact_grid": doc["stages"][0]["field"],
+                "exact_sin_bump": {"backend": "analytic", "id": "sin_bump", "params": {}},
+                "exact_off_center_squeeze": {"backend": "analytic", "id": "squeeze_clipped",
+                                             "params": {"line_x": 0.45}},
+            }[defect]
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -485,7 +495,8 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("command", ["verify", "generate"])
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
-    "grid_ref_without_file", "steps_float", "steps_bool", "cert_product_missing"])
+    "grid_ref_without_file", "steps_float", "steps_bool", "cert_product_missing",
+    "exact_grid", "exact_sin_bump", "exact_off_center_squeeze"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -503,6 +514,34 @@ def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_builtin_generator_manifest_verifies_and_generates_alike(tmp_path, capsys):
+    # a saved builtin generator states its exact stages and reads back as itself
+    path = save_generator(builtin_generator("counterexample"), str(tmp_path / "gen"))
+    assert main(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    runs = []
+    for k, source in enumerate([{"builtin": "counterexample"}, {"manifest": path}]):
+        out = tmp_path / f"run{k}"
+        assert main(["generate", write_cfg(tmp_path, f"gen{k}.json", {
+            "generator": source, "seed": 3, "M": 64, "trials": 2, "N_list": [4, 16],
+            "out_dir": str(out)})]) == 0
+        runs.append((out / "metrics.csv").read_text())
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("key,size", [("eval_grid", 257), ("n", 256)])
+def test_approx_flow_lattice_past_the_point_bound_exits_2(tmp_path, capsys, key, size):
+    # an 8-d zero stage: 257**8 or 1025**8 points, ~1e20 bytes, checked
+    # before anything is allocated
+    out = tmp_path / "run"
+    cfg = {"stages": [{"id": "zero", "params": {"dim": 8}}], "n": 1, "eval_grid": 2,
+           key: size, "out_dir": str(out)}
+    assert main(["approx-flow", write_cfg(tmp_path, "cfg.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -525,7 +564,7 @@ def test_generate_run(tmp_path):
 def test_probe_flowability_run(tmp_path):
     out = tmp_path / "runprobe"
     cfg = write_cfg(tmp_path, "cfg.json", {
-        "seed": 0, "steps": 256, "grid_n": 9, "k_max": 2,
+        "seed": 0, "grid_n": 9, "k_max": 2,
         "fit": {"enabled": False}, "out_dir": str(out),
     })
     assert main(["probe-flowability", cfg]) == 0
@@ -661,8 +700,7 @@ _SIZE_KEYS = {
     "approx-flow": [("n",), ("steps",), ("eval_grid",)],
     "lift-approx": [("n",), ("test_points",)],
     "generate": [("N_list", 0), ("trials",), ("M",)],
-    "probe-flowability": [("steps",), ("grid_n",), ("k_max",), ("fit", "budget"),
-                          ("fit", "n_grid")],
+    "probe-flowability": [("grid_n",), ("k_max",), ("fit", "budget"), ("fit", "n_grid")],
 }
 
 

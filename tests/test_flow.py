@@ -9,6 +9,7 @@ from incflow.fields import (
     VectorField,
     builtin_field,
     builtin_suite,
+    lattice,
     rotation_field,
     squeeze_field,
     zero_field,
@@ -167,7 +168,7 @@ def test_generator_single_stage_reduces_to_flow():
 def test_generator_stage_order_is_first_to_last():
     # squeeze then rotation: starting on the invariant line, one pass is a
     # half turn, two passes return (iteration oracle for the period-2 design)
-    gen = builtin_generator("counterexample", steps=512)
+    gen = builtin_generator("counterexample")
     q = np.array([0.5, 0.5 + 1.0 / 16])
     once = gen.apply(q)
     assert np.abs(once - np.array([0.5, 0.5 - 1.0 / 16])).max() <= 1e-8
@@ -336,6 +337,14 @@ def test_flowmap_validation():
             FlowMap(zero_field(2), steps=steps)
     with pytest.raises(ValueError):
         IncrementalGenerator([])
+    # an exact flow is one step of a field's closed-form map
+    off_center = builtin_field("squeeze_clipped", {"line_x": 0.55})
+    for f in (builtin_field("sin_bump"), off_center):
+        assert f.flow is None
+        with pytest.raises(ValueError):
+            FlowMap(f, steps=1, method="exact")
+    with pytest.raises(ValueError):
+        FlowMap(builtin_field("rotation_clipped"), steps=2, method="exact")
 
 
 def test_manifest_roundtrip_evaluation(tmp_path):
@@ -371,3 +380,99 @@ def test_analytic_generator_manifest_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.random((100, 2))
     assert np.abs(back.apply(X) - gen.apply(X)).max() <= 1e-15
+    assert np.array_equal(back.apply(X), gen.apply(X))
+    doc = json.loads(open(path).read())
+    assert [s["integrator"] for s in doc["stages"]] == [{"method": "exact", "steps": 1}] * 2
+    assert verify_manifest(path)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# closed-form flows
+
+_CLOSED_FORMS = ("zero", "rotation", "squeeze", "rotation_clipped", "squeeze_clipped")
+
+
+def _random_params(fid, rng):
+    c = rng.uniform(0.35, 0.65, 2).tolist()
+    r_inner = float(rng.uniform(0.05, 0.15))
+    radii = {"r_inner": r_inner, "r_outer": r_inner + float(rng.uniform(0.05, 0.15))}
+    rate = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+    return {
+        "zero": {"dim": int(rng.integers(1, 4))},
+        "rotation": {"center": c, "rate": rate},
+        "squeeze": {"line_x": c[0]},
+        "rotation_clipped": {"center": c, "rate": rate, **radii},
+        # the closed form needs the line through the center
+        "squeeze_clipped": {"line_x": c[0], "center": c, **radii},
+    }[fid]
+
+
+def _closed_form_case(fid, seed):
+    """A field with a closed-form flow, at its defaults (seed 0) or at
+    seeded random parameters, and points: a lattice plus random points,
+    and for the clipped fields rows on the profile's kinks, near the rim
+    and the center line and with |y - c_1| at and beyond r_inner."""
+    rng = np.random.default_rng([seed, _CLOSED_FORMS.index(fid)])
+    params = _random_params(fid, rng) if seed else {}
+    f = builtin_field(fid, params)
+    X = np.vstack([lattice([17] * f.dim), rng.random((100, f.dim))])
+    if fid.endswith("_clipped"):
+        c = np.asarray(params.get("center", (0.5, 0.5)))
+        r_in, r_out = params.get("r_inner", 0.125), params.get("r_outer", 0.25)
+        ang = rng.uniform(0.0, 2 * math.pi, 8)
+        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        X = np.vstack([X, c + r_in * ring, c + (r_out - 1e-9) * ring,
+                       c + [[1e-12, 0.3 * r_in], [-1e-200, 0.0], [0.05, r_in], [1e-9, r_in],
+                            [-0.03, 0.5 * (r_in + r_out)]]])
+    return f, X
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fid", _CLOSED_FORMS)
+def test_closed_form_matches_fine_rk4(fid, seed):
+    # RK4 with 4096 steps is within ~1e-8 of the flow where a trajectory
+    # runs along a kink of the radial profile (|x - c| = r_inner or r_outer)
+    # and ~1e-10 elsewhere; 1e-7 leaves a margin over both
+    f, X = _closed_form_case(fid, seed)
+    exact = FlowMap(f, steps=1, method="exact")
+    for fl in (exact, exact.inverse()):
+        rk4 = FlowMap(f, fl.direction, steps=4096)
+        assert np.abs(fl.apply(X) - rk4.apply(X)).max() <= 1e-7, (fid, fl.direction)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fid", _CLOSED_FORMS)
+def test_closed_form_group_law(fid, seed):
+    f, X = _closed_form_case(fid, seed)
+    for s, t in [(0.3, 0.7), (1.0, 1.0), (-0.4, 1.0), (1.5, -2.0), (-1.0, -0.25)]:
+        assert np.abs(f.flow(f.flow(X, t), s) - f.flow(X, s + t)).max() <= 1e-12, (s, t)
+    exact = FlowMap(f, steps=1, method="exact")
+    assert np.abs(exact.inverse().apply(exact.apply(X)) - X).max() <= 1e-12
+    assert np.abs(exact.apply(exact.inverse().apply(X)) - X).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fid", _CLOSED_FORMS)
+def test_closed_form_batch_is_row_by_row(fid, seed):
+    f, X = _closed_form_case(fid, seed)
+    for fl in (FlowMap(f, steps=1, method="exact"), FlowMap(f, "backward", 1, "exact")):
+        batch = fl.apply(X)
+        assert np.array_equal(batch, np.stack([fl.apply(x) for x in X]))
+        assert np.array_equal(batch[::3], fl.apply(X[::3]))
+    assert np.array_equal(f.flow(X, 0.7), np.vstack([f.flow(X[i:i + 1], 0.7)
+                                                     for i in range(len(X))]))
+
+
+def test_closed_form_keeps_rows_outside_support_bit_identical():
+    rng = np.random.default_rng(9)
+    far = rng.uniform(-0.5, 1.5, size=(4000, 2))
+    for fid in ("rotation_clipped", "squeeze_clipped"):
+        f = builtin_field(fid)
+        out = far[np.abs(far - 0.5).max(axis=1) > 0.25]  # outside the disc's box
+        rim = 0.5 + 0.25 * np.stack([np.cos(a := rng.uniform(0, 7, 50)), np.sin(a)], axis=1)
+        X = np.vstack([out, rim[(f.eval(rim) == 0).all(axis=1)]])
+        for fl in (FlowMap(f, steps=1, method="exact"), FlowMap(f, "backward", 1, "exact")):
+            assert np.array_equal(fl.apply(X), X), fid
+    # the squeeze's fixed line, inside the disc too
+    line = np.stack([np.full(50, 0.5), rng.uniform(0.0, 1.0, 50)], axis=1)
+    assert np.array_equal(builtin_generator("squeeze_only").apply(line), line)

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from incflow.fields import (
-    GridInterpolant, LipschitzModulus, grid_field, grid_realize, grid_to_mlp,
+    GridInterpolant, LipschitzModulus, builtin_field, grid_field, grid_realize, grid_to_mlp,
 )
-from incflow.flow import integrate
+from incflow.flow import FlowMap, IncrementalGenerator, integrate
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
-from incflow.probe import build_counterexample, fit_single_flow
+from incflow.probe import fit_single_flow
 
 
 def _digest(*arrays) -> str:
@@ -115,8 +115,14 @@ def test_lift_affine_pair_bits(mode, tmp_path):
 
 def test_fit_single_flow_bits():
     # both restarts on the two-stage composite; each spends 150
-    # evaluations and ends in a poll that the budget cuts short
-    res = fit_single_flow(build_counterexample(steps=256), budget=300, seed=0)
+    # evaluations and ends in a poll that the budget cuts short. The
+    # composite is integrated by RK4, whose bits use + - * / and sqrt
+    # only; its exact maps call sin, cos, exp and log.
+    composite = IncrementalGenerator([
+        FlowMap(builtin_field("squeeze_clipped"), steps=256),
+        FlowMap(builtin_field("rotation_clipped"), steps=256),
+    ])
+    res = fit_single_flow(composite, budget=300, seed=0)
     digest = _digest(res.candidate_field.grid.values, [res.residual_sup], [res.evaluations])
     assert digest == GOLDEN["fit_single_flow_composite"]
 

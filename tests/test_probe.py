@@ -19,7 +19,7 @@ from incflow.probe import (
 
 @pytest.fixture(scope="module")
 def composite():
-    return build_counterexample(steps=512)
+    return build_counterexample()
 
 
 def test_counterexample_identity_outside_disc(composite):
@@ -116,7 +116,7 @@ def lattice_run():
 
     def run(gen_id):
         if gen_id not in runs:
-            counted = CountingMap(builtin_generator(gen_id, steps=512).apply)
+            counted = CountingMap(builtin_generator(gen_id).apply)
             seen = []
 
             def spy(*args):
@@ -134,7 +134,7 @@ def lattice_run():
 
 @pytest.mark.parametrize("gen_id", ["counterexample", "rotation_only"])
 def test_edge_refinement_matches_reference_bisection(gen_id, lattice_run):
-    apply = builtin_generator(gen_id, steps=512).apply
+    apply = builtin_generator(gen_id).apply
     [((_, a_edge, b_edge, axis, k, _, _), (a, b))] = lattice_run(gen_id)[2]
     rows = np.arange(a.shape[0])
     assert np.all(b[rows, axis] - a[rows, axis] < 1e-12)
@@ -166,7 +166,7 @@ def test_edge_refinement_stops_at_float_spacing():
     assert a[0, 0] <= c <= b[0, 0]
 
 
-def test_detect_periodic_finds_line(lattice_run):
+def test_detect_periodic_finds_line(composite, lattice_run):
     records, applies, _ = lattice_run("counterexample")
     # lattice (2) + refinement rounds + refined iterates (2)
     assert applies <= 26
@@ -175,7 +175,10 @@ def test_detect_periodic_finds_line(lattice_run):
     assert all(r.period == 2 for r in periodic)
     # the composition's period-2 points concentrate on the line x = 1/2
     assert max(abs(r.start[0] - 0.5) for r in periodic) <= 1e-4
-    refined = [r for r in periodic if r.data.get("refined")]
+    # the 17-point lattice has seeds on the line, where the exact map's
+    # F^2 - id has no sign change to refine; the 16-point one straddles it
+    refined = [r for r in detect_periodic(composite, grid_n=16, k_max=2)
+               if r.classification == "periodic" and r.data.get("refined")]
     assert refined
     assert min(abs(r.start[0] - 0.5) for r in refined) <= 1e-6
     # genuine period 2: far from the start after one application
@@ -211,8 +214,7 @@ def test_contraction_audit_counterexample(composite):
 
 
 def test_contraction_audit_batch_matches_per_probe_loop():
-    # batching is what is checked, so a coarse integrator is enough
-    composite = build_counterexample(steps=64)
+    composite = build_counterexample()
     q = np.array([0.5, 0.5 + 1.0 / 16])
     radius, k, n_iters = 0.01, 2, 2
     audit = contraction_audit(composite, q, radius=radius, n_iters=n_iters)
