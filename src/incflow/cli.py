@@ -186,11 +186,11 @@ def cmd_approx_flow(cfg: dict) -> int:
         raise ConfigError(f"stage field: {e}") from e
     if len({f.dim for f in flds}) > 1:
         raise ConfigError(f"stage dimensions disagree: {[f.dim for f in flds]}")
-    # the lattices the run builds: the measurement, the grid approximant's
-    # 4x finer check and the cutoff's 33-point sup estimate
-    side, d = max(cfg["eval_grid"], 4 * n + 1, 33), flds[0].dim
+    # the lattices the run builds: the measurement and the grid approximant's
+    # 4x finer check
+    side, d = max(cfg["eval_grid"], 4 * n + 1), flds[0].dim
     if side ** d > _MAX_LATTICE_POINTS:
-        raise ConfigError(f"max(eval_grid, 4n+1, 33)**dim must be <= {_MAX_LATTICE_POINTS}, "
+        raise ConfigError(f"max(eval_grid, 4n+1)**dim must be <= {_MAX_LATTICE_POINTS}, "
                           f"got {side}**{d}")
     os.makedirs(out_dir, exist_ok=True)
 

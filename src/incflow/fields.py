@@ -755,6 +755,8 @@ def _build_rotation_clipped(center=(0.5, 0.5), rate=math.pi, r_inner=0.125, r_ou
 def _build_squeeze_clipped(line_x=0.5, center=(0.5, 0.5), r_inner=0.125, r_outer=0.25):
     """The squeeze times the radial profile; its flow has a closed form
     when the line runs through the center, the default."""
+    if np.shape(center) != (2,):
+        raise ValueError("squeeze_clipped is two-dimensional")
     base = squeeze_field(line_x)
     max_abs = abs(center[0] - line_x) + r_outer
     f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=max_abs)

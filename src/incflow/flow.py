@@ -24,11 +24,9 @@ import numpy as np
 from .fields import (
     Modulus,
     VectorField,
-    box_bump_clip,
     builtin_field,
     field_from_ref,
     grid_relu_approximate,
-    lattice,
 )
 
 __all__ = [
@@ -321,26 +319,17 @@ def approximate_flowable(
     n: int,
     steps: int = DEFAULT_STEPS,
 ) -> tuple[FlowMap, ErrorCertificate]:
-    """Grid-approximate a supported field, clip to the unit cube, and wrap
-    as a flow.
+    """Grid-approximate a field supported in the unit cube and wrap it as a flow.
 
-    Returns the flow of the clipped ReLU-realizable approximant together
-    with the single-stage certificate 2 ||omega(d/2n)||_inf e^{L}. The
-    cutoff width is delta = min(0.2, ||omega(d/2n)|| / C) with C an
-    estimate of sup|V| + sup|approximant|, so the cutoff's own error
-    contribution stays inside the certified bound.
+    Returns the flow of the ReLU-realizable grid approximant together with
+    the single-stage certificate 2 ||omega(d/2n)||_inf e^{L}. The field
+    vanishes on the cube's boundary vertices, so the approximant is zero on
+    and outside the cube: its flow fixes every face point and keeps the
+    cube.
     """
-    d = field.dim
-    gridvf, net, report = grid_relu_approximate(field, n, modulus)
-    omega = np.asarray(modulus(d / (2.0 * n)))
-    omega_sup = float(np.max(np.abs(omega)))
-    # grid_relu_approximate has required a declared support box
-    big = float(np.abs(gridvf.grid.values).max())
-    big += float(np.abs(field.eval(lattice([33] * d, *field.support_box))).max())
-    delta = max(min(0.2, omega_sup / big) if big > 0 else 0.5, 1e-9)
-    clipped = box_bump_clip(gridvf, delta)
-    clipped.report = report
-    return FlowMap(clipped, steps=steps), ErrorCertificate.from_stages(
+    gridvf, _, _ = grid_relu_approximate(field, n, modulus)
+    omega = np.asarray(modulus(field.dim / (2.0 * n)))
+    return FlowMap(gridvf, steps=steps), ErrorCertificate.from_stages(
         [(omega, field.lipschitz_bound)], n
     )
 
@@ -353,8 +342,8 @@ def approximate_generator(
 ) -> tuple[IncrementalGenerator, ErrorCertificate]:
     """Stagewise approximation of a composition of flows.
 
-    Each stage field is approximated and clipped independently; the
-    certificate is the composition bound over the true stage fields.
+    Each stage field is grid-approximated independently; the certificate
+    is the composition bound over the true stage fields.
     """
     if len(fields) != len(moduli):
         raise ValueError("need one modulus per stage field")

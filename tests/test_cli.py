@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 import incflow
 from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, main
-from incflow.flow import builtin_generator, save_generator
+from incflow.fields import LipschitzModulus, box_bump_clip, builtin_field, lattice
+from incflow.flow import (
+    FlowMap,
+    IncrementalGenerator,
+    approximate_generator,
+    builtin_generator,
+    load_generator,
+    save_generator,
+)
 
 _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -140,6 +148,8 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
     # an int literal past the float range, where a float is due
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
                   "N_list": [4], "delta": 10**400}),
+    # a center of the wrong length
+    ("approx-flow", {"stages": [{"id": "squeeze_clipped", "params": {"center": []}}], "n": 2}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -470,7 +480,7 @@ def _damage_manifest(run, defect):
         if defect == "unknown_backend":
             doc["stages"][0]["field"]["backend"] = "bogus"
         elif defect == "grid_ref_without_file":
-            del doc["stages"][0]["field"]["inner"]["file"]
+            del doc["stages"][0]["field"]["file"]
         elif defect == "steps_float":
             doc["stages"][0]["integrator"]["steps"] = 2.5
         elif defect == "steps_bool":
@@ -530,6 +540,31 @@ def test_builtin_generator_manifest_verifies_and_generates_alike(tmp_path, capsy
             "out_dir": str(out)})]) == 0
         runs.append((out / "metrics.csv").read_text())
     assert runs[0] == runs[1]
+
+
+def test_manifest_with_box_clipped_stages_verifies_and_generates(tmp_path, capsys):
+    # approx-flow manifests written before the stage flows dropped their
+    # cutoff state each stage field as box_bump_clip(grid, delta), backend
+    # "box_clip"; the one reader rebuilds such a stage as it was written
+    flds = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
+    moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in flds]
+    gen, cert = approximate_generator(flds, moduli, 4, steps=8)
+    old = IncrementalGenerator([FlowMap(box_bump_clip(s.field, 0.2), steps=8)
+                                for s in gen.stages], cert)
+    path = save_generator(old, str(tmp_path / "old"))
+    doc = json.loads(open(path).read())
+    assert [s["field"]["backend"] for s in doc["stages"]] == ["box_clip", "box_clip"]
+    assert [s["field"]["inner"]["file"] for s in doc["stages"]] == [
+        "stage0_grid.bin", "stage1_grid.bin"]
+    assert main(["verify", path]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    pts = lattice([17, 17])
+    assert np.array_equal(load_generator(path).apply(pts), old.apply(pts))
+    out = tmp_path / "gen"
+    assert main(["generate", write_cfg(tmp_path, "gen.json", {
+        "generator": {"manifest": path}, "seed": 0, "M": 8, "trials": 1, "N_list": [4],
+        "out_dir": str(out)})]) == 0
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2
 
 
 @pytest.mark.parametrize("key,size", [("eval_grid", 257), ("n", 256)])

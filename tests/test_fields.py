@@ -290,13 +290,22 @@ def test_box_clip_vanishes_outside_declared_support():
     assert outside.sum() > 5000
     assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), 2)))
     assert_zero_outside_support(f, (lo, hi), 4)
-    # the box-clipped grid fields the CLI integrates: approx-flow stages
-    # (clip box [0, 1]) and lift components (clip box padded by a cell)
+    # approx-flow stages are grid fields, exactly 0 on the faces
+    # of the cube and outside it
     stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped"),
               builtin_field("sin_bump")]
     moduli = [LipschitzModulus(np.full(2, g.lipschitz_bound)) for g in stages]
     gen, _ = approximate_generator(stages, moduli, 4, steps=8)
-    clipped = [stage.field for stage in gen.stages]
+    faces = rng.uniform(0.0, 1.0, size=(1000, 2))
+    faces[np.arange(1000), rng.integers(2, size=1000)] = rng.integers(2, size=1000)
+    for seed, stage in enumerate(gen.stages, start=1):
+        g = stage.field
+        assert g.support_box is None and g.ref["backend"] == "grid"
+        assert np.array_equal(g.eval(faces), np.zeros((1000, 2)))
+        assert_zero_outside_support(g, ([0.0, 0.0], [1.0, 1.0]), seed)
+    # the box-clipped grid fields the CLI integrates: lift components (clip
+    # box padded by a cell)
+    clipped = []
     for fid, mode in [("abs2x1", "componentwise"), ("sin_windowed", "componentwise"),
                       ("affine_pair", "componentwise"), ("affine_pair", "joint")]:
         comps, d, D, L = lift_function(fid)

@@ -289,6 +289,33 @@ def test_approximate_flowable_certificate_scales_inversely_with_n():
     assert bounds[16] == pytest.approx(bounds[8] / 2, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_stage_flows_keep_the_cube_and_fix_its_faces(n):
+    # each stage flow approx-flow builds is a self-map of [0,1]^2 that
+    # leaves every point of the boundary where it is
+    rng = np.random.default_rng(n)
+    inside = rng.random((2000, 2))
+    faces = rng.random((260, 2))
+    faces[np.arange(260), rng.integers(2, size=260)] = rng.integers(2, size=260)
+    for name, f in builtin_suite().items():
+        flow, _ = approximate_flowable(f, LipschitzModulus(np.full(2, f.lipschitz_bound)), n)
+        Y = flow.apply(inside)
+        assert ((Y >= 0.0) & (Y <= 1.0)).all(), (name, n)
+        assert np.array_equal(flow.apply(faces), faces), (name, n)
+
+
+def test_stage_flow_error_at_least_halves_from_n8_to_n32():
+    # the computed stage flow converges to the exact flow as the grid refines
+    pts = lattice([33, 33])
+    for name in ("rotation_clipped", "squeeze_clipped", "sin_bump"):
+        f = builtin_field(name)
+        mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
+        ref = reference_flow(f).apply(pts)
+        err = {n: np.abs(approximate_flowable(f, mod, n)[0].apply(pts) - ref).max()
+               for n in (8, 32)}
+        assert err[32] <= err[8] / 2, (name, err)
+
+
 def test_empirical_lipschitz_identity_and_zero():
     ident = FlowMap(zero_field(2))
     assert empirical_lipschitz(ident, samples=2000, seed=0) == pytest.approx(1.0, abs=1e-12)
