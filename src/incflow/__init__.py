@@ -28,6 +28,7 @@ from .fields import (
     builtin_suite,
     grid_relu_approximate,
     grid_to_mlp,
+    lift_field,
     radial_bump_clip,
     rotation_field,
     sin_bump_field,
@@ -55,7 +56,6 @@ from .lift import (
     LiftedApproximator,
     approximate_lipschitz_function,
     exact_lift,
-    lift_field,
 )
 from .transport import (
     EmpiricalMeasure,

@@ -1,5 +1,5 @@
-"""Lipschitz vector fields: analytic library, support clipping, and the
-constructive grid-based ReLU approximant.
+"""Lipschitz vector fields: analytic library, support clipping, the
+constructive grid-based ReLU approximant, and lifts one dimension up.
 
 A :class:`VectorField` bundles an evaluator with an upper bound on its
 l_inf Lipschitz constant, which every certificate downstream needs. An
@@ -26,9 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import sparse
 
-from .mlp import (
-    _EVAL_ROWS, MLP, affine_mlp, build_bump, bump_values, compose, relu,
-)
+from .mlp import _EVAL_ROWS, MLP, affine_mlp, bump_values, compose, relu
 
 __all__ = [
     "Modulus",
@@ -46,6 +44,7 @@ __all__ = [
     "radial_bump_clip",
     "box_bump_clip",
     "sin_bump_field",
+    "lift_field",
     "grid_field",
     "grid_realize",
     "grid_relu_approximate",
@@ -550,12 +549,12 @@ def _radial_profile(X, c, r_inner, r_outer):
 
 
 def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorField:
-    """Compose the field coordinatewise with the exact cutoff network.
+    """Compose the field coordinatewise with the exact cutoff.
 
     The clipped field evaluates ``V(b(x_1), ..., b(x_d))`` where ``b`` is
     the cutoff scaled to ``box``; it equals the field on the cutoff's
-    identity region. If the field carries an MLP realization the clipped
-    field does too, by exact network composition.
+    identity region. No builder clips a field any more: this rebuilds the
+    stages of ``approx-flow`` manifests written when they were clipped.
     """
     if not 0.0 < delta < 2.0:
         raise ValueError(f"delta must lie strictly in (0, 2), got {delta}")
@@ -580,14 +579,49 @@ def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorFie
             "inner": field.ref,
         },
     )
-    if field.mlp is not None:
-        bump = build_bump(delta, field.dim)
-        pre = affine_mlp(np.eye(field.dim) / w, np.full(field.dim, -lo / w))
-        post = affine_mlp(np.eye(field.dim) * w, np.full(field.dim, lo))
-        scaled = compose(post, compose(bump, pre))
-        clipped.mlp = compose(field.mlp, scaled)
     clipped.grid = field.grid
     return clipped
+
+
+def lift_field(g, d: int, lipschitz=None) -> VectorField:
+    """The field V(x, y) = (0, g(x)) on R^(d+D), x in R^d and y in R^D.
+
+    ``g`` is the list of the D scalar components g_i, whose bounds
+    ``lipschitz`` give V the declared bound max(1, max_i L_i), or a grid
+    field on R^d with D output columns. V takes over that grid field's
+    grid and exact slope, and its network as embed_y o net o proj_x; its
+    record names the grid's, so :func:`field_from_ref` rebuilds it.
+
+    V moves no x and does not depend on y, so its time-t map is
+    Z + t V(Z), exact from every start and for either sign of t. V
+    declares no support box.
+    """
+    grid = isinstance(g, VectorField)
+    if grid:
+        if g.dim != d:
+            raise ValueError(f"a lift of a grid field on R^{g.dim} needs d = {g.dim}, got {d}")
+        D, values, L = g.grid.out_dim, g._evaluator, g.lipschitz_bound
+        ref = {"backend": "lift", "d": d, "inner": g.ref}
+    else:
+        comps = list(g)
+        D, L = len(comps), max(1.0, float(np.max(lipschitz)))
+        ref = {"backend": "lifted", "function": "opaque", "d": d}
+
+        def values(X):
+            return np.column_stack([np.asarray(c(X), dtype=float).reshape(-1) for c in comps])
+
+    def ev(Z):
+        out = np.zeros_like(Z)
+        out[:, d:] = values(Z[:, :d])
+        return out
+
+    vf = VectorField(d + D, ev, L, ref=ref, flow=lambda Z, t: Z + t * ev(Z))
+    if grid:
+        vf.grid = g.grid
+        if g.mlp is not None:
+            proj_x, embed_y = affine_mlp(np.eye(d, d + D)), affine_mlp(np.eye(d + D, D, -d))
+            vf.mlp = compose(embed_y, compose(g.mlp, proj_x))
+    return vf
 
 
 def _plateau(t):
@@ -674,8 +708,9 @@ def grid_realize(
 
     This is the unchecked core shared by :func:`grid_relu_approximate`
     (which additionally requires the field's declared support box to lie
-    in the cube) and the one-dimension-higher lifting, whose fields are
-    only sampled on the cube; the fields it returns declare no support box.
+    in the cube) and the lifts, whose x-grids sample a map R^d -> R^D on
+    the cube (``eval_fn`` may return any number of columns); the fields it
+    returns declare no support box.
     The certified per-component error is the modulus at dim/(2n), verified
     empirically on a 4x finer grid.
     """
@@ -884,6 +919,8 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
     if backend == "box_clip":
         inner = field_from_ref(ref["inner"], base_dir)
         return box_bump_clip(inner, ref["delta"], tuple(ref["box"]))
+    if backend == "lift":
+        return lift_field(field_from_ref(ref["inner"], base_dir), ref["d"])
     if backend == "radial_clip":
         inner = field_from_ref(ref["inner"], base_dir)
         return radial_bump_clip(

@@ -2,8 +2,8 @@
 generators, and the error/Lipschitz certificates attached to them.
 
 A flow is evaluated by its field's closed-form time-t map where the field
-carries one (``method="exact"``: the linear builtins and the disc-clipped
-rotation and squeeze), and by fixed-step RK4 otherwise. The flows of the
+carries one (``method="exact"``: the linear builtins, the disc-clipped
+rotation and squeeze, and every lift), and by fixed-step RK4 otherwise. The flows of the
 underlying fields are exact mathematical objects, so integration error is
 tracked separately from the certified approximation bound: certificates
 are statements about the exact flows, and :func:`reference_flow` (the
@@ -81,8 +81,8 @@ class FlowMap:
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if self.method not in ("rk4", "euler", "exact"):
-            raise ValueError("method must be 'rk4', 'euler' or 'exact'")
+        if self.method not in ("rk4", "exact"):
+            raise ValueError("method must be 'rk4' or 'exact'")
         if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) \
                 or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
@@ -121,7 +121,7 @@ class FlowMap:
     def _integrate(self, X: np.ndarray) -> np.ndarray:
         sign = 1.0 if self.direction == "forward" else -1.0
         if self.method != "exact":
-            return integrate(self.field.eval, X, self.steps, sign, self.method)
+            return integrate(self.field.eval, X, self.steps, sign)
         X = self.field.flow(X, sign)
         if not np.isfinite(X).all():
             raise FlowIntegrationError(0)
@@ -146,8 +146,8 @@ class FlowMap:
                    integrator["steps"], integrator["method"])
 
 
-def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0, method: str = "rk4") -> np.ndarray:
-    """Fixed-step integration of x' = sign * f(x) over unit time from the rows of ``X``.
+def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
+    """Fixed-step RK4 integration of x' = sign * f(x) over unit time from the rows of ``X``.
 
     The package's one step loop: :meth:`FlowMap.apply` runs it on a
     field's ``eval``, the fit poll of the probe on a batched grid
@@ -156,14 +156,11 @@ def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0, method: str = "rk
     """
     h = sign / steps
     for k in range(steps):
-        if method == "euler":
-            X = X + h * f(X)
-        else:
-            k1 = f(X)
-            k2 = f(X + 0.5 * h * k1)
-            k3 = f(X + 0.5 * h * k2)
-            k4 = f(X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = f(X)
+        k2 = f(X + 0.5 * h * k1)
+        k3 = f(X + 0.5 * h * k2)
+        k4 = f(X + h * k3)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(X).all():
             raise FlowIntegrationError(k)
     return X

@@ -1,17 +1,16 @@
 """One-extra-dimension lifting: realize Lipschitz maps R^d -> R^D as
 time-1 flows.
 
-A scalar g on [0,1]^d induces the (d+1)-dimensional field
-V(x, y) = (0, ..., 0, g(x)). Its exact time-1 flow sends (x, y) to
-(x, y + g(x)), so embedding x at (x, 0), flowing for unit time, and
-projecting onto the last coordinate recovers g(x) exactly. Approximating
-the lifted field on a grid turns this identity into a constructive
-approximation scheme whose error is pure field-approximation error: the
-first d components of the lifted field are identically zero, so the
-exact flow of an analytic lift is one Euler step (:func:`exact_lift`).
-A grid lift whose lift-component vertex values lie in [0, 1] is one
-Euler step too, its exact flow; any other grid lift is integrated as a
-256-step RK4 flow.
+A map g on [0,1]^d induces the (d+D)-dimensional field
+V(x, y) = (0, g(x)) (:func:`~incflow.fields.lift_field`). Its exact
+time-1 flow sends (x, y) to (x, y + g(x)), so embedding x at (x, 0),
+flowing for unit time, and projecting onto the last D coordinates
+recovers g(x) exactly. V moves no x and is constant in y, so every lift
+carries that closed form and is one exact step (:func:`exact_lift` for
+analytic components). A grid lift is the lift of the interpolant of g
+on the d-dimensional x-grid: its output is linear interpolation of g's
+vertex values, whatever their sign, and its error is pure interpolation
+error.
 
 Both lift modes are one class, :class:`LiftedApproximator`, whose flows'
 outputs are concatenated: componentwise mode (the default) has D flows
@@ -26,13 +25,11 @@ import numpy as np
 
 from .fields import (
     LipschitzModulus,
-    VectorField,
     _plateau,
-    box_bump_clip,
     grid_realize,
+    lift_field,
 )
 from .flow import (
-    DEFAULT_STEPS,
     ErrorCertificate,
     FlowMap,
     _check_stated,
@@ -41,7 +38,6 @@ from .flow import (
 )
 
 __all__ = [
-    "lift_field",
     "LiftedApproximator",
     "exact_lift",
     "approximate_lipschitz_function",
@@ -52,31 +48,6 @@ __all__ = [
     "load_lifted",
     "verify_lifted_manifest",
 ]
-
-
-def lift_field(comps, d: int, lipschitz) -> VectorField:
-    """Field (x, y) -> (0, g_1(x), ..., g_D(x)) on R^(d+D) of the D
-    scalar components ``comps``, x in R^d and y in R^D.
-
-    The declared Lipschitz bound is max(1, max_i L_i) over the component
-    bounds ``lipschitz``. Lifted fields are not compactly supported in
-    general (g need not vanish on the cube boundary) and declare no
-    support box; they are sampled on the cube by the grid machinery and
-    clipped afterwards.
-    """
-
-    def ev(Z):
-        out = np.zeros_like(Z)
-        for i, g in enumerate(comps):
-            out[:, d + i] = np.asarray(g(Z[:, :d]), dtype=float).reshape(-1)
-        return out
-
-    return VectorField(
-        d + len(comps),
-        ev,
-        max(1.0, float(np.max(lipschitz))),
-        ref={"backend": "lifted", "function": "opaque", "d": d},
-    )
 
 
 _KINDS = {"componentwise": "lifted_approximator", "joint": "joint_lifted_approximator"}
@@ -142,7 +113,13 @@ class LiftedApproximator:
     @classmethod
     def from_dict(cls, doc: dict, base_dir=None) -> "LiftedApproximator":
         """Inverse of :meth:`to_dict`; grid payload files resolve against
-        ``base_dir``. The stated ``D`` must match the flows' dimensions."""
+        ``base_dir``. The stated ``D`` must match the flows' dimensions. A
+        component over a box-clipped (d+D)-dimensional grid is the format
+        written before lifts were the flows of x-grids, and is refused
+        whatever its integrator."""
+        if any(c["field"]["backend"] == "box_clip" for c in doc["components"]):
+            raise ValueError("a lift component over a box-clipped (d+D)-dim grid is the format "
+                             "before lifts became x-grid lifts; run lift-approx again")
         flows = [FlowMap.from_dict(c, base_dir) for c in doc["components"]]
         certs = doc.get("certificates")
         certs = [ErrorCertificate.from_dict(c) for c in certs] if certs else None
@@ -159,10 +136,10 @@ JointLiftedApproximator = LiftedApproximator
 
 
 def exact_lift(components, d: int, lipschitz) -> LiftedApproximator:
-    """Lift analytic scalar components with the exact one-step integrator."""
+    """Lift analytic scalar components, each flowed by its one exact step."""
     lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (len(components),))
     flows = [
-        FlowMap(lift_field([g], d, L), steps=1, method="euler")
+        FlowMap(lift_field([g], d, L), steps=1, method="exact")
         for g, L in zip(components, lipschitz)
     ]
     return LiftedApproximator(flows, d)
@@ -180,22 +157,15 @@ def approximate_lipschitz_function(
 
     ``f`` is the list of the D scalar components f_i of f: R^d -> R^D.
     Componentwise mode lifts each f_i into d+1 dimensions (the default):
-    it is the joint lift with D=1, once per component. The joint
-    (d+D)-dimensional lift is available as ``mode='joint'`` but scales
-    poorly in D. Each lift axis gets a single grid cell: the lifted field
-    is constant in y, so on every simplex the interpolant is linear
-    interpolation in x whatever the y resolution, and the certificate
-    depends on the x resolution only.
-
-    The cutoff is scaled to an enlarged box so that its identity region
-    covers [0,1]^(d+D): on the cube the approximator's error is then pure
-    interpolation error, which is what the certified rate describes, and
-    the field is still compactly supported just outside the cube. A lift
-    whose grid values lie in [0, 1] is integrated by one Euler step, its
-    exact flow; any other by ``DEFAULT_STEPS`` RK4 steps.
+    it is the joint lift with D=1, once per component; ``mode='joint'``
+    lifts all D components on R^(d+D) at once. Either way a lift samples
+    its components on the d-dimensional x-grid only, since the lifted
+    field is constant in y, and is one exact step of the lift of that
+    grid field: the approximator is linear interpolation of the vertex
+    values, on the cube and off it.
 
     Returns the approximator together with the worst-component
-    certificate 2 ||omega((d+1)/(2n))|| e^{max(1, L_i)}; per-component
+    certificate 2 ||omega(d/(2n))|| e^{max(1, L_i)}; per-component
     certificates ride on the approximator.
     """
     if n < 1:
@@ -213,41 +183,18 @@ def approximate_lipschitz_function(
     return LiftedApproximator(list(flows), d, list(certs), mode), worst
 
 
-def _one_step_is_exact(grid, d: int) -> bool:
-    """Whether one Euler step is the exact time-1 flow, from every start
-    (x, 0), of a lift grid on R^(d+D) that :func:`_lift_flow` built.
-
-    Such a grid's first d components are 0 and each lift axis has one cell,
-    so on [0,1]^(d+D) the interpolant is a function g(x) of x alone, and
-    its cutoff, on the box (-1, 2), is the identity there. If every lift-component vertex value
-    lies in [0, 1], the trajectory y(t) = t g(x) stays in the cube, and the
-    time-1 flow (x, g(x)) is one Euler step up to its one rounding.
-    """
-    lift = grid.values[:, d:]
-    return bool(((lift >= 0.0) & (lift <= 1.0)).all())
-
-
 def _lift_flow(comps, n, d, lipschitz):
-    """Flow of the grid-approximated joint lift (x, y) -> (0, g(x)) of the
-    D = len(comps) components on R^(d+D), with its one-stage certificate
-    2 ||omega((d+D)/(2n))|| e^{max(1, L_i)}."""
-    field = lift_field(comps, d, lipschitz)
-    dim = field.dim
-    omega_vec = np.zeros(dim)
-    omega_vec[d:] = lipschitz
-    modulus = LipschitzModulus(omega_vec)
-    omega = modulus(dim / (2.0 * n))
-    gridvf, _, report = grid_realize(field.eval, dim, n, modulus,
-                                     ns=(n,) * d + (1,) * len(comps))
-    big = 2.0 * float(np.abs(gridvf.grid.values).max())
-    delta = max(min(0.2, float(np.max(omega)) / big) if big > 0 else 0.2, 1e-9)
-    # pad 1 >= delta and every cell width: folds land a cell out, where the hats are zero
-    clipped = box_bump_clip(gridvf, delta, box=(-1.0, 2.0))
-    clipped.report = report
-    cert = ErrorCertificate.from_stages([(omega, field.lipschitz_bound)], n)
-    if _one_step_is_exact(gridvf.grid, d):
-        return FlowMap(clipped, steps=1, method="euler"), cert
-    return FlowMap(clipped, steps=DEFAULT_STEPS), cert
+    """The one exact step of the lift of the D = len(comps) components'
+    grid field on the d-dimensional x-grid, with its one-stage certificate
+    2 ||omega(d/(2n))|| e^{max(1, L_i)}."""
+    modulus = LipschitzModulus(lipschitz)
+    gridvf, _, _ = grid_realize(
+        lambda X: np.column_stack([np.asarray(g(X), dtype=float).reshape(-1) for g in comps]),
+        d, n, modulus)
+    # the lifted field's modulus: zero on the x components
+    omega = np.concatenate([np.zeros(d), modulus(d / (2.0 * n))])
+    cert = ErrorCertificate.from_stages([(omega, max(1.0, float(np.max(lipschitz))))], n)
+    return FlowMap(lift_field(gridvf, d), steps=1, method="exact"), cert
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +214,7 @@ def _sin01(X):
 
 
 def _sin_windowed(X):
-    # signed target: its lifted trajectories exit the grid cube below
-    # y = 0 wherever it is negative, so only the certificate bound (not
-    # the clean 1/n rate) applies to it
+    # signed target: its lifted trajectories leave the cube below y = 0
     return np.sin(2.0 * np.pi * X[:, 0]) * _plateau(X[:, 0])
 
 
@@ -319,10 +264,8 @@ def load_lifted(path: str) -> LiftedApproximator:
 
 
 def verify_lifted_manifest(path: str) -> dict:
-    """Recheck that a lifted manifest's certificates are recomputable, and
-    that each component stating a one-step Euler integrator has a grid for
-    which one step is its flow (:func:`_one_step_is_exact`). As in
-    :func:`verify_manifest`, the pairs are recomputed while it is read."""
+    """Recheck that a lifted manifest's certificates are recomputable. As
+    in :func:`verify_manifest`, the pairs are recomputed while it is read."""
 
     def pairs(doc, base):
         approx = LiftedApproximator.from_dict(doc, base)
@@ -330,11 +273,6 @@ def verify_lifted_manifest(path: str) -> dict:
         for i, c in enumerate(approx.certificates or []):
             out[f"component{i}_certificate"] = (c.total_bound, c.recompute_total())
             out[f"component{i}_lipschitz_product"] = (c.lipschitz_product, c.recompute_product())
-        for i, flow in enumerate(approx.components):
-            if (flow.method, flow.steps) == ("euler", 1):
-                grid = flow.field.grid
-                exact = grid is not None and _one_step_is_exact(grid, approx.d)
-                out[f"component{i}_one_step_exact"] = (True, exact)
         return out
 
     return _check_stated(read_manifest(path, pairs))

@@ -277,14 +277,6 @@ def _flow_theta_rows(thetas, block, X, n_grid, steps):
     return integrate(rhs, X, steps)
 
 
-def _flow_theta_batch(thetas, pts, n_grid, steps):
-    """Time-1 RK4 flows of every point under the grid field of every theta
-    row, shape (B, m, 2)."""
-    B, m = thetas.shape[0], pts.shape[0]
-    block = np.repeat(np.arange(B), m)
-    return _flow_theta_rows(thetas, block, np.tile(pts, (B, 1)), n_grid, steps).reshape(B, m, 2)
-
-
 def _touched_flow(theta, pts, n_grid):
     """The fit flow of the grid field of ``theta`` from ``pts``, and the
     (row, vertex) mask of the hats that are nonzero at one of the row's

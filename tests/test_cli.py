@@ -14,15 +14,20 @@ from hypothesis import strategies as st
 
 import incflow
 from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, main
-from incflow.fields import LipschitzModulus, box_bump_clip, builtin_field, lattice
+from incflow.fields import (
+    GridInterpolant, LipschitzModulus, box_bump_clip, builtin_field, lattice,
+)
 from incflow.flow import (
+    ErrorCertificate,
     FlowMap,
     IncrementalGenerator,
+    ManifestError,
     approximate_generator,
     builtin_generator,
     load_generator,
     save_generator,
 )
+from incflow.lift import load_lifted
 
 _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -276,9 +281,10 @@ def test_verify_lift_manifest(tmp_path):
         assert main(["verify", str(out / "manifest.json")]) == 4, key
 
 
-def test_verify_rechecks_a_one_step_integrator(tmp_path, capsys):
-    # one Euler step is a lift's flow only where its grid values lie in
-    # [0, 1]; sin_windowed's are signed, so the edited claim exits 4
+def test_every_lift_manifest_states_one_exact_step(tmp_path, capsys):
+    # every lift, the signed sin_windowed too, is one exact step of the lift
+    # of its x-grid field, whose payload the manifest names; an integrator
+    # edited to the removed Euler method cannot be rebuilt
     for fid, mode in [("abs2x1", "componentwise"), ("affine_pair", "joint"),
                       ("sin_windowed", "componentwise")]:
         out = tmp_path / fid
@@ -289,20 +295,41 @@ def test_verify_rechecks_a_one_step_integrator(tmp_path, capsys):
         assert main(["lift-approx", cfg]) == 0
         capsys.readouterr()
         assert main(["verify", str(out / "manifest.json")]) == 0, fid
-        checks = json.loads(capsys.readouterr().out)
+        assert json.loads(capsys.readouterr().out)["ok"] is True
         doc = json.loads((out / "manifest.json").read_text())
-        integrator = doc["components"][0]["integrator"]
-        if fid != "sin_windowed":
-            assert integrator == {"method": "euler", "steps": 1}
-            assert checks["component0_one_step_exact"]["ok"] is True
-            continue
-        assert integrator == {"method": "rk4", "steps": 256}
-        assert "component0_one_step_exact" not in checks
-        integrator.update(method="euler", steps=1)
+        for k, c in enumerate(doc["components"]):
+            assert c["integrator"] == {"method": "exact", "steps": 1}, fid
+            assert c["field"] == {"backend": "lift", "d": 1, "inner": {
+                "backend": "grid", "n": [4], "file": f"component{k}_grid.bin"}}, fid
+        doc["components"][0]["integrator"]["method"] = "euler"
         (out / "manifest.json").write_text(json.dumps(doc))
-        assert main(["verify", str(out / "manifest.json")]) == 4
-        check = json.loads(capsys.readouterr().out)["component0_one_step_exact"]
-        assert check == {"stated": True, "recomputed": False, "ok": False}
+        assert main(["verify", str(out / "manifest.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("method,steps", [("euler", 1), ("rk4", 256)])
+def test_lift_manifest_over_a_clipped_lift_grid_exits_2(tmp_path, capsys, method, steps):
+    # the format before lifts were the flows of x-grids: a box_clip field over
+    # a (d+D)-dim grid with one cell per lift axis, written here by hand
+    out = tmp_path / "old"
+    out.mkdir()
+    GridInterpolant((4, 1), np.zeros((10, 2))).save(out / "component0_grid.bin")
+    cert = ErrorCertificate.from_stages([(np.array([0.0, 0.5]), 2.0)], 4)
+    doc = {"kind": "lifted_approximator", "d": 1, "D": 1, "certificates": [cert.to_dict()],
+           "components": [{"direction": "forward",
+                           "integrator": {"method": method, "steps": steps},
+                           "field": {"backend": "box_clip", "box": [-1.0, 2.0], "delta": 0.2,
+                                     "inner": {"backend": "grid", "n": [4, 1],
+                                               "file": "component0_grid.bin"}}}]}
+    path = out / "manifest.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
+    assert "before lifts became x-grid lifts" in err
+    with pytest.raises(ManifestError, match="before lifts became x-grid lifts"):
+        load_lifted(str(path))
 
 
 @pytest.mark.parametrize("mode", ["componentwise", "joint"])

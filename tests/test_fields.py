@@ -27,7 +27,6 @@ from incflow.fields import (
     zero_field,
 )
 from incflow.flow import approximate_generator
-from incflow.lift import approximate_lipschitz_function, lift_function
 from incflow.mlp import _EVAL_ROWS, relu
 from incflow.probe import _grid_field_from_theta
 
@@ -303,17 +302,6 @@ def test_box_clip_vanishes_outside_declared_support():
         assert g.support_box is None and g.ref["backend"] == "grid"
         assert np.array_equal(g.eval(faces), np.zeros((1000, 2)))
         assert_zero_outside_support(g, ([0.0, 0.0], [1.0, 1.0]), seed)
-    # the box-clipped grid fields the CLI integrates: lift components (clip
-    # box padded by a cell)
-    clipped = []
-    for fid, mode in [("abs2x1", "componentwise"), ("sin_windowed", "componentwise"),
-                      ("affine_pair", "componentwise"), ("affine_pair", "joint")]:
-        comps, d, D, L = lift_function(fid)
-        approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode)
-        clipped += [c.field for c in approx.components]
-    for seed, g in enumerate(clipped, start=5):
-        assert g.support_box is None
-        assert_zero_outside_support(g, cutoff_zero_box(g), seed)
 
 
 def test_box_clip_delta_validation():

@@ -124,14 +124,12 @@ def test_support_skip_matches_full_integration():
                          (stage, cube, np.vstack([strip, strip[:, ::-1]]))):
         assert ((zero >= box[0]) & (zero <= box[1])).all() and (f.eval(zero) == 0).all()
         X = np.vstack([_mixed_batch(box, rng), zero])
-        for method in ("rk4", "euler"):
-            for direction, sign in (("forward", 1.0), ("backward", -1.0)):
-                skip = FlowMap(f, direction, steps=32, method=method)
-                got = skip.apply(X)
-                assert np.array_equal(got, integrate(f.eval, X, 32, sign, method))
-                assert not np.array_equal(got, X)
-                assert np.array_equal(skip.apply(X[0]),
-                                      integrate(f.eval, X[:1], 32, sign, method)[0])
+        for direction, sign in (("forward", 1.0), ("backward", -1.0)):
+            skip = FlowMap(f, direction, steps=32)
+            got = skip.apply(X)
+            assert np.array_equal(got, integrate(f.eval, X, 32, sign))
+            assert not np.array_equal(got, X)
+            assert np.array_equal(skip.apply(X[0]), integrate(f.eval, X[:1], 32, sign)[0])
 
 
 def test_support_box_too_small_for_its_field_does_not_freeze_rows():
@@ -372,6 +370,9 @@ def test_flowmap_validation():
             FlowMap(f, steps=1, method="exact")
     with pytest.raises(ValueError):
         FlowMap(builtin_field("rotation_clipped"), steps=2, method="exact")
+    # a flow is RK4 or exact: the Euler method went with the clipped lifts
+    with pytest.raises(ValueError):
+        FlowMap(zero_field(2), steps=1, method="euler")
 
 
 def test_manifest_roundtrip_evaluation(tmp_path):

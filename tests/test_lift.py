@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from incflow.flow import DEFAULT_STEPS, FlowMap, reference_flow
+from incflow.fields import lift_field
+from incflow.flow import REFERENCE_STEPS, FlowMap
 from incflow.lift import (
     LIFT_FUNCTIONS,
     LiftedApproximator,
     approximate_lipschitz_function,
     exact_lift,
     function_from_samples,
-    lift_field,
     lift_function,
     load_lifted,
     save_lifted,
@@ -39,7 +39,7 @@ def test_lift_field_formula():
 
 def test_exact_flow_lands_on_graph():
     f = lift_field([lambda X: X[:, 0] ** 2], 1, [2.0])
-    fl = FlowMap(f, steps=1, method="euler")
+    fl = FlowMap(f, steps=1, method="exact")
     z = fl.apply(np.array([0.5, 0.0]))
     assert np.array_equal(z, np.array([0.5, 0.25]))
 
@@ -56,7 +56,8 @@ def test_single_euler_equals_fine_rk4_for_analytic_lifts():
     f = lift_field([lambda X: np.sin(2 * np.pi * X[:, 0])], 1, [2 * math.pi])
     rng = np.random.default_rng(1)
     Z = np.hstack([rng.random((100, 1)), np.zeros((100, 1))])
-    euler = FlowMap(f, steps=1, method="euler").apply(Z)
+    # the lift's closed form Z + V(Z) is one Euler step
+    euler = FlowMap(f, steps=1, method="exact").apply(Z)
     rk4 = FlowMap(f, steps=256).apply(Z)
     assert np.abs(euler - rk4).max() <= 1e-12
 
@@ -136,56 +137,72 @@ def test_affine_components_reproduced():
     assert np.abs(approx.apply(xs) - truth).max() <= 1e-9
 
 
+def _signed_csv_target():
+    """A signed target read from samples, as `lift-approx` reads a CSV."""
+    xs = np.linspace(0.0, 1.0, 13)
+    return function_from_samples(xs, 0.7 * np.cos(3.0 * np.pi * xs) - 0.2, 8.0)
+
+
+def _targets():
+    return [(fid, lift_function(fid)) for fid in LIFT_FUNCTIONS] + [
+        ("csv", _signed_csv_target())]
+
+
 @pytest.mark.parametrize("mode", ["componentwise", "joint"])
-def test_lift_grid_has_one_cell_per_lift_axis(mode):
-    # the lifted field is constant in y, so its grid needs one cell along
-    # each lift axis; on the cube the lift is then linear interpolation in x
-    # of g's vertex values, exact wherever those values keep the flow inside
-    n = 16
-    verts = np.linspace(0.0, 1.0, n + 1)[:, None]
+def test_lift_is_the_interpolation_of_its_vertex_values(mode):
+    # every lift is one exact step of the lift of its x-grid field, so it
+    # is linear interpolation of g at the n+1 vertices whatever their sign
+    # (sin_windowed and the CSV target are signed), and each component
+    # states that step
     xs = np.linspace(0.0, 1.0, 1001)[:, None]
-    checked = []
-    for fid in LIFT_FUNCTIONS:
-        comps, d, D, L = lift_function(fid)
-        approx, _ = approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
-        for c in approx.components:
-            assert c.field.grid.ns == (n,) * d + (1,) * (c.dim - d), fid
-        vals = [np.asarray(g(verts)) for g in comps]
-        if min(v.min() for v in vals) < 0.0 or max(v.max() for v in vals) > 1.0:
-            continue
-        want = np.stack([np.interp(xs[:, 0], verts[:, 0], v) for v in vals], axis=1)
-        assert np.abs(approx.apply(xs) - want).max() <= 1e-12, fid
-        checked.append(fid)
-    assert checked == ["abs2x1", "square", "sin01", "affine_pair"]
+    for n in (5, 16):
+        verts = np.linspace(0.0, 1.0, n + 1)[:, None]
+        for fid, (comps, d, D, L) in _targets():
+            approx, cert = approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
+            for c in approx.components:
+                assert c.to_dict()["integrator"] == {"method": "exact", "steps": 1}, fid
+                assert c.field.ref["backend"] == "lift" and c.field.grid.ns == (n,) * d, fid
+            want = np.stack([np.interp(xs[:, 0], verts[:, 0], g(verts)) for g in comps], axis=1)
+            got = approx.apply(xs)
+            assert np.abs(got - want).max() <= 1e-12, (fid, n)
+            truth = np.stack([g(xs) for g in comps], axis=1)
+            assert np.abs(got - truth).max() <= cert.total_bound, (fid, n)
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_one_step_lift_is_its_exact_flow(n):
-    # a grid lift valued in [0, 1] is one Euler step, and agrees with the
-    # 4096-step reference flow of the same field, inside the cube and a
-    # tenth of it out; a signed target's trajectories leave the cube, so
-    # it keeps the RK4 flow. A joint lift with D = 1 is the componentwise
-    # flow (test_componentwise_lift_equals_joint_lift_per_component), so
-    # joint mode is integrated for D > 1 only.
-    xs = np.linspace(-0.1, 1.1, 49)[:, None]
+    # every lift is one step of the closed form Z + V(Z), the flow from every
+    # start, in the cube and out of it in x and in y: the 4096-step RK4 flow
+    # adds g(x)/4096 4096 times, so the two agree up to the rounding of those
+    # sums. A joint lift with D = 1 is the componentwise flow
+    # (test_componentwise_lift_equals_joint_lift_per_component).
+    rng = np.random.default_rng(n)
+    x = np.linspace(-0.1, 1.1, 49)[:, None]
     checked = []
     for mode in ("componentwise", "joint"):
-        for fid in LIFT_FUNCTIONS:
-            comps, d, D, L = lift_function(fid)
+        for fid, (comps, d, D, L) in _targets():
+            if mode == "joint" and D == 1:
+                continue
             approx, _ = approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
             for c in approx.components:
-                if fid == "sin_windowed":
-                    assert (c.method, c.steps) == ("rk4", DEFAULT_STEPS)
-                    continue
-                assert (c.method, c.steps) == ("euler", 1), fid
-                if mode == "joint" and D == 1:
-                    continue
-                Z = np.hstack([xs, np.zeros((len(xs), c.dim - d))])
-                ref = reference_flow(c.field).apply(Z)
-                assert np.abs(c.apply(Z) - ref).max() <= 1e-12, (mode, fid)
+                Z = np.hstack([x, rng.uniform(-1.0, 2.0, size=(len(x), c.dim - d))])
+                ref = FlowMap(c.field, steps=REFERENCE_STEPS).apply(Z)
+                assert np.abs(c.apply(Z) - ref).max() <= 1e-11, (mode, fid)
+                assert np.abs(c.inverse().apply(c.apply(Z)) - Z).max() <= 1e-15, (mode, fid)
                 checked.append((mode, fid))
-    assert checked == [("componentwise", f) for f in ("abs2x1", "square", "sin01")] + [
-        ("componentwise", "affine_pair")] * 2 + [("joint", "affine_pair")]
+    assert checked == [("componentwise", f) for f in LIFT_FUNCTIONS if f != "affine_pair"] + [
+        ("componentwise", "affine_pair")] * 2 + [("componentwise", "csv"), ("joint", "affine_pair")]
+
+
+@pytest.mark.parametrize("mode", ["componentwise", "joint"])
+def test_lift_network_equals_its_field(mode):
+    # each grid lift carries the ReLU network embed_y o net o proj_x of its x-grid
+    rng = np.random.default_rng(6)
+    for fid, (comps, d, D, L) in _targets():
+        approx, _ = approximate_lipschitz_function(comps, 8, d, D, L, mode=mode)
+        for c in approx.components:
+            Z = np.vstack([rng.random((200, c.dim)), rng.uniform(-1.5, 2.5, size=(200, c.dim))])
+            assert np.abs(c.field.mlp(Z) - c.field.eval(Z)).max() <= 1e-12, fid
 
 
 def test_joint_mode_matches_componentwise():

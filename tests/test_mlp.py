@@ -9,9 +9,9 @@ from scipy import sparse
 from incflow.fields import (
     GridInterpolant,
     LipschitzModulus,
-    box_bump_clip,
     grid_realize,
     grid_to_mlp,
+    lift_field,
 )
 from incflow.mlp import (
     _EVAL_ROWS,
@@ -285,7 +285,7 @@ def test_sparse_layers_stay_csr_and_report_dense_sizes():
         compose(affine_mlp([[1.0, 1.0]]), affine_mlp([[1.0], [-1.0]])),  # merged [[1 - 1]]
         grid_net,
         grid_to_mlp(GridInterpolant((3, 2, 2), rng.standard_normal((36, 3)))),
-        box_bump_clip(field, 0.4).mlp,
+        lift_field(field, 2).mlp,  # embed_y o grid_net o proj_x, two compositions
     ]
     for got in nets:
         assert all(type(W) is sparse.csr_array for W, _ in got.layers)

@@ -277,13 +277,22 @@ def test_fit_result_recomputable():
     assert again == pytest.approx(res.residual_sup, abs=1e-12)
 
 
+def _flow_theta_batch(thetas, pts, n_grid, steps):
+    """Time-1 RK4 flows of every point under the grid field of every theta
+    row, shape (B, m, 2)."""
+    B, m = thetas.shape[0], pts.shape[0]
+    block = np.repeat(np.arange(B), m)
+    return probe._flow_theta_rows(thetas, block, np.tile(pts, (B, 1)), n_grid,
+                                  steps).reshape(B, m, 2)
+
+
 def test_fit_poll_flows_match_flowmap_per_candidate():
     # the poll's batched integration is bit-for-bit the FlowMap of each
     # candidate's grid field
     rng = np.random.default_rng(4)
     thetas = 0.4 * rng.standard_normal((6, 2 * 5 * 5))
     pts = rng.random((30, 2))
-    batch = probe._flow_theta_batch(thetas, pts, 4, 16)
+    batch = _flow_theta_batch(thetas, pts, 4, 16)
     for theta, got in zip(thetas, batch):
         flow = FlowMap(probe._grid_field_from_theta(theta, 4), steps=16)
         assert np.array_equal(got, flow.apply(pts))
@@ -291,7 +300,7 @@ def test_fit_poll_flows_match_flowmap_per_candidate():
 
 def _full_poll(cands, pts, target, n_grid):
     """The oracle of the fit poll: flow every candidate from every point."""
-    out = probe._flow_theta_batch(cands, pts, n_grid, probe.FIT_FLOW_STEPS)
+    out = _flow_theta_batch(cands, pts, n_grid, probe.FIT_FLOW_STEPS)
     return np.abs(out - target[None]).max(axis=(1, 2))
 
 
