@@ -462,8 +462,10 @@ def load_generator(path: str) -> IncrementalGenerator:
 
 def verify_manifest(path: str) -> dict:
     """Recheck that a saved manifest's certificate and Lipschitz product
-    are recomputable from the manifest alone. The pairs are recomputed
-    while the manifest is read, so a stage column whose e^L overflows is a
+    are recomputable from the manifest alone, and that the certificate has
+    one column per stage: a dropped stage whose e^L is 1 leaves both
+    products as stated. The pairs are recomputed while the manifest is
+    read, so a stage column whose e^L overflows is a
     :class:`ManifestError`: the program never writes such a manifest."""
 
     def pairs(doc, base):
@@ -473,6 +475,7 @@ def verify_manifest(path: str) -> dict:
             out["certificate_total"] = (cert.total_bound, cert.recompute_total())
             out["certificate_lipschitz_product"] = (cert.lipschitz_product,
                                                     cert.recompute_product())
+            out["certificate_stages"] = (len(cert.per_stage), len(gen.stages))
         return out
 
     return _check_stated(read_manifest(path, pairs))

@@ -38,6 +38,7 @@ _EDGE_TOL = 1e-12  # stopping width of a refined edge bracket
 _EDGE_MAX_ROUNDS = 45  # ends brackets that float spacing keeps wider than _EDGE_TOL
 FIT_EVAL_GRID_N = 9  # fit lattice points per axis
 FIT_FLOW_STEPS = 16  # RK4 steps of every flow in the fit
+FIT_SCREEN_ROWS = 8  # rows of x's largest residuals that screen a fit poll's candidates
 
 
 def build_counterexample() -> IncrementalGenerator:
@@ -300,32 +301,49 @@ def _touched_flow(theta, pts, n_grid):
 def _sup_poll(pts, target_vals, n_grid):
     """The fit objective ``poll(cands, x)``: for each candidate row, the sup
     over ``pts`` of |Flow(candidate) - target|_inf, where the candidates
-    are moves from the current parameters ``x``.
+    are moves from the current parameters ``x``. The value is exact for a
+    candidate whose sup is below x's own, ``fx``; any other candidate gets
+    some value >= fx, and its remaining rows are never flowed.
 
     A candidate integrates only the rows it can change. A row whose flow
     under x keeps the hat of every vertex the candidate changed at 0, at
     all its RK4 stage points, gets the same bits under the candidate:
     each of those vertices' terms in the hat-sum is 0 * value = +-0, and
     adding +-0 to a running sum that starts at +0.0 changes no bit. Such a
-    row keeps x's residual, so the objective is bit-identical to flowing
-    every row. The changed vertices are read as ``cands != x``, which is
-    exact: a coordinate move leaves every other coordinate's bits alone.
-    The flow of x, its row residuals and touched mask are recomputed only
-    when x changes.
+    row keeps x's residual. The changed vertices are read as
+    ``cands != x``, which is exact: a coordinate move leaves every other
+    coordinate's bits alone.
+
+    A candidate that cannot change one of the rows at fx keeps a sup of at
+    least fx, and is not flowed at all. The others are flowed first on the
+    screen, the ``FIT_SCREEN_ROWS`` rows of x's largest residuals (with
+    every tie of the smallest of them, so the rows at fx are all in it),
+    and on the other rows only while their sup stays below fx. A sup over
+    some of the rows is a lower bound of the whole sup, so a candidate the
+    screen stops is >= fx. ``_poll_search`` reads only which candidates
+    fall below fx and the least of them, so its path keeps the bits of
+    the exact objective. The flow of x, its row residuals, touched mask
+    and screen are recomputed only when x changes.
     """
-    key = base_res = touched = None
+    key = base_res = touched = screen = None
 
     def poll(cands, x):
-        nonlocal key, base_res, touched
+        nonlocal key, base_res, touched, screen
         if key != x.tobytes():
             base, touched = _touched_flow(x, pts, n_grid)
             base_res, key = np.abs(base - target_vals).max(axis=1), x.tobytes()
+            screen = base_res >= np.sort(base_res)[-FIT_SCREEN_ROWS:][0]
+        fx = base_res.max()
         changed = (cands != x).reshape(len(cands), -1, 2).any(axis=2)
-        cand, row = np.nonzero((changed[:, None, :] & touched).any(axis=2))
+        reach = (changed[:, None, :] & touched).any(axis=2)
+        live = reach[:, base_res == fx].all(axis=1)
         res = np.tile(base_res, (len(cands), 1))
-        if cand.size:
-            out = _flow_theta_rows(cands, cand, pts[row], n_grid, FIT_FLOW_STEPS)
-            res[cand, row] = np.abs(out - target_vals[row]).max(axis=1)
+        for rows in (screen, ~screen):
+            cand, row = np.nonzero(reach & rows & live[:, None])
+            if cand.size:
+                out = _flow_theta_rows(cands, cand, pts[row], n_grid, FIT_FLOW_STEPS)
+                res[cand, row] = np.abs(out - target_vals[row]).max(axis=1)
+            live &= res.max(axis=1) < fx
         return res.max(axis=1)
 
     return poll
@@ -341,7 +359,11 @@ def _poll_search(poll, x0, budget, rng):
     after a failed poll. The step starts at 0.2; the search ends when the
     budget is spent or the step falls to 1e-9. ``poll(cands, x)`` scores
     candidates that are moves from the current point x, which it is
-    given so that it can reuse x's flow.
+    given so that it can reuse x's flow. It must return the exact
+    objective of every candidate below x's own value fx, and any value
+    >= fx for the others: the search reads only ``argmin(f)``, ``f < fx``
+    and ``fc < best_f`` (with best_f < fx), which such values decide as
+    the exact ones do, so the path keeps its bits.
     """
     x = x0.copy()
     fx = float(poll(x[None], x)[0])
@@ -390,11 +412,13 @@ def fit_single_flow(
     FIT_FLOW_STEPS RK4 steps, minimized by full-poll compass search
     with shrinking steps from two restarts: the zero field and the
     displacement chord x -> target(x) - x sampled at the vertices (a
-    crude logarithm guess). A poll integrates, in one call, only the
-    (candidate, lattice point) pairs whose flow the candidate's changed
-    vertices can reach (``_sup_poll``); the objective keeps every bit of
-    flowing all of them. Deterministic given the seed, which is pinned
-    into the protocol record.
+    crude logarithm guess). A poll integrates only the (candidate, lattice
+    point) pairs whose flow the candidate's changed vertices can reach,
+    first on the lattice points where the current fit is worst and on the
+    rest only for candidates still below it (``_sup_poll``). The search
+    path, the residual and the field keep every bit of flowing all pairs.
+    Deterministic given the seed, which is pinned into the protocol
+    record.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -554,6 +554,42 @@ def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("defect, check", [
+    ("drop_stage", "certificate_stages"),
+    ("drop_lift_component", "certificates"),
+    ("drop_lift_certificate", "certificates"),
+])
+def test_certificate_columns_must_match_the_stages(tmp_path, capsys, defect, check):
+    # the n=4 squeeze grid is 0 at every vertex, so dropping that stage
+    # leaves an e^0 column whose products still match; only the column
+    # count against the stages (or components) shows the edit
+    run = tmp_path / "run"
+    if defect == "drop_stage":
+        argv = ["approx-flow", write_cfg(tmp_path, "cfg.json", {
+            "stages": [{"id": "squeeze_clipped"}, {"id": "sin_bump"}], "n": 4,
+            "eval_grid": 5, "out_dir": str(run)})]
+    else:
+        argv = ["lift-approx", write_cfg(tmp_path, "cfg.json", {
+            "function": {"id": "affine_pair"}, "n": 4, "test_points": 11,
+            "out_dir": str(run)})]
+    assert main(argv) == 0
+    manifest = run / "manifest.json"
+    assert main(["verify", str(manifest)]) == 0
+    doc = json.loads(manifest.read_text())
+    if defect == "drop_stage":
+        del doc["stages"][0]
+    elif defect == "drop_lift_component":
+        del doc["components"][1]
+        doc["D"] -= 1
+    else:
+        del doc["certificates"][1]
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(manifest)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert [k for k, c in report.items() if k != "ok" and not c["ok"]] == [check]
+
+
 def test_builtin_generator_manifest_verifies_and_generates_alike(tmp_path, capsys):
     # a saved builtin generator states its exact stages and reads back as itself
     path = save_generator(builtin_generator("counterexample"), str(tmp_path / "gen"))

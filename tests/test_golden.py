@@ -25,7 +25,7 @@ from incflow.fields import (
 )
 from incflow.flow import FlowMap, IncrementalGenerator, integrate
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
-from incflow.probe import fit_single_flow
+from incflow.probe import fit_gap_experiment, fit_single_flow
 
 
 def _digest(*arrays) -> str:
@@ -127,6 +127,17 @@ def test_fit_single_flow_bits():
     assert digest == GOLDEN["fit_single_flow_composite"]
 
 
+def test_fit_gap_experiment_bits():
+    # both targets, the self-recovery one too, at equal budget and seed.
+    # The composite is the two-stage map's closed forms, which call sin,
+    # cos, exp and log, so this case may move by an ulp on another libm.
+    res = fit_gap_experiment(seed=0, budget=400, n_grid=4)
+    assert (res["self_recovery_init"], res["composite_init"]) == ("chord", "zero")
+    digest = _digest([res["self_recovery_residual"], res["composite_residual"],
+                      res["gap_ratio"]])
+    assert digest == GOLDEN["fit_gap_experiment"]
+
+
 GOLDEN = {
     "integrate_rk4": "cfea4557f2d8b83380553e585bfccf324d4c54a3a211604ed8aca727d289578a",
     "hat_sum_d1": "a88e2db6f5609cb15070e264950441eda5fe477823cdf9f1af0717b26b2eed94",
@@ -141,4 +152,5 @@ GOLDEN = {
     "lift_apply_joint": "b6cedb1408b1b26d0da75153a586e504fe3f33d3e6b12b5d64b55009183540f8",
     "lift_files_joint": "6921e3f01e11788932432e6a5b958bd6e804968a5ae3bcad8c95b9e1023f0cee",
     "fit_single_flow_composite": "1f89417fcdb528622b02386283698c02c7bfc1fd8ac4622dbe8a8b025a88a90a",
+    "fit_gap_experiment": "ce8a1799dd6e2f5ab1481cd8fe08626cdbb9695c98a236ce90dec02e56fe8909",
 }

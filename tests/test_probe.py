@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from incflow.fields import builtin_field, lattice
-from incflow.flow import FlowMap, builtin_generator
+from incflow.flow import FlowMap, IncrementalGenerator, builtin_generator
 import incflow.probe as probe
 from incflow.probe import (
     OrbitRecord,
@@ -304,22 +304,52 @@ def _full_poll(cands, pts, target, n_grid):
     return np.abs(out - target[None]).max(axis=(1, 2))
 
 
-def test_locality_poll_matches_full_poll():
-    rng = np.random.default_rng(31)
-    P = 2 * 5 * 5
-    coord = np.vstack([np.eye(P), -np.eye(P)])
-    pts = lattice((9, 9))
-    target = np.stack([1.0 - pts[:, 1], pts[:, 0]], axis=1)
-    poll = probe._sup_poll(pts, target, 4)
-    xs = [np.zeros(P), 0.2 * rng.standard_normal(P), 0.5 * rng.standard_normal(P)]
-    xs[1][::7] = -0.0  # x + 0.0 turns these to +0.0, which != does not see
-    for x in xs + xs[:1]:  # back to the first x after the others
-        R = rng.standard_normal((4, P))
-        R /= np.abs(R).max(axis=1, keepdims=True)
-        cands = x + 0.1 * np.vstack([coord, R])
-        combo = x + 0.1 * coord[[3, 17, 60, 99]].sum(axis=0)
-        for batch in (cands, cands[:37], cands[-4:], combo[None], x[None]):
-            assert np.array_equal(poll(batch, x), _full_poll(batch, pts, target, 4))
+def _assert_poll_contract(poll, batch, x, pts, target):
+    """``poll(batch, x)`` against the full-poll oracle: bit-equal wherever
+    the oracle is below x's own sup fx, >= fx elsewhere, with the same
+    argmin when a candidate improves, and exactly fx for a candidate whose
+    changed vertices x's flow never touches. Returns the got values, the
+    oracle's and fx."""
+    got, want = poll(batch, x), _full_poll(batch, pts, target, 4)
+    fx = _full_poll(x[None], pts, target, 4)[0]
+    below = want < fx
+    assert np.array_equal(got[below], want[below])
+    assert np.all(got[~below] >= fx)
+    assert np.array_equal(got < fx, below)
+    if below.any():
+        assert np.argmin(got) == np.argmin(want)
+    touched = probe._touched_flow(x, pts, 4)[1].any(axis=0)
+    idle = ~((batch != x).reshape(len(batch), -1, 2).any(axis=2) & touched).any(axis=1)
+    assert np.all(got[idle] == fx)
+    return got, want, fx
+
+
+def test_locality_poll_matches_full_poll(monkeypatch):
+    # a one-row screen leaves most rows of an improving candidate to the
+    # second pass, and ties at fx (the rotation target's corners) to the
+    # screen's tie rule
+    for screen_rows in (probe.FIT_SCREEN_ROWS, 1):
+        monkeypatch.setattr(probe, "FIT_SCREEN_ROWS", screen_rows)
+        rng = np.random.default_rng(31)
+        P = 2 * 5 * 5
+        coord = np.vstack([np.eye(P), -np.eye(P)])
+        pts = lattice((9, 9))
+        target = np.stack([1.0 - pts[:, 1], pts[:, 0]], axis=1)
+        poll = probe._sup_poll(pts, target, 4)
+        xs = [np.zeros(P), 0.2 * rng.standard_normal(P), 0.5 * rng.standard_normal(P)]
+        xs[1][::7] = -0.0  # x + 0.0 turns these to +0.0, which != does not see
+        improved = screened = 0
+        for x in xs + xs[:1]:  # back to the first x after the others
+            R = rng.standard_normal((4, P))
+            R /= np.abs(R).max(axis=1, keepdims=True)
+            cands = x + 0.1 * np.vstack([coord, R])
+            combo = x + 0.1 * coord[[3, 17, 60, 99]].sum(axis=0)
+            for batch in (cands, cands[:37], cands[-4:], combo[None], x[None]):
+                got, _, fx = _assert_poll_contract(poll, batch, x, pts, target)
+                improved += int((got < fx).sum())
+                screened += int((got >= fx).sum())
+        # both sides of the contract are exercised
+        assert improved and screened
 
 
 def test_locality_poll_candidate_touching_no_row():
@@ -331,9 +361,75 @@ def test_locality_poll_candidate_touching_no_row():
     assert not touched[:, 24].any() and touched.any(axis=0).sum() > 4
     poll = probe._sup_poll(pts, pts, 4)
     cands = x + 0.3 * np.eye(50)[[48, 49, 0]]  # vertex 24 twice, then vertex 0
-    got = poll(cands, x)
-    assert np.array_equal(got, _full_poll(cands, pts, pts, 4))
-    assert got[0] == got[1] == poll(x[None], x)[0] != got[2]
+    got, want, fx = _assert_poll_contract(poll, cands, x, pts, pts)
+    assert got[0] == got[1] == poll(x[None], x)[0] == fx
+    # vertex 0 does change x's flow, and does not improve on it
+    assert want[2] != fx and got[2] >= fx
+
+
+def test_fit_poll_second_pass_decides(monkeypatch):
+    # with a one-row screen, some improving moves end worst on a row outside
+    # the screen that they moved, which only the second pass flows
+    monkeypatch.setattr(probe, "FIT_SCREEN_ROWS", 1)
+    rng = np.random.default_rng(11)
+    pts = lattice((9, 9))
+    target = np.stack([1.0 - pts[:, 1], pts[:, 0]], axis=1)
+    x = 0.3 * rng.standard_normal(50)
+    R = rng.standard_normal((16, 50))
+    cands = x + 0.2 * R / np.abs(R).max(axis=1, keepdims=True)
+    flows = _flow_theta_batch(np.vstack([x, cands]), pts, 4, probe.FIT_FLOW_STEPS)
+    base, *rows = np.abs(flows - target).max(axis=2)
+    worst = np.argmax(rows, axis=1)
+    assert any(r.max() < base.max() and w != base.argmax() and r[w] != base[w]
+               for r, w in zip(rows, worst))
+    _assert_poll_contract(probe._sup_poll(pts, target, 4), cands, x, pts, target)
+
+
+def _unscreened_poll(pts, target_vals, n_grid):
+    """The fit poll without the screen: every (candidate, row) pair that the
+    candidate's changed vertices reach is flowed, so every value is exact."""
+
+    def poll(cands, x):
+        base, touched = probe._touched_flow(x, pts, n_grid)
+        res = np.tile(np.abs(base - target_vals).max(axis=1), (len(cands), 1))
+        changed = (cands != x).reshape(len(cands), -1, 2).any(axis=2)
+        cand, row = np.nonzero((changed[:, None, :] & touched).any(axis=2))
+        if cand.size:
+            out = probe._flow_theta_rows(cands, cand, pts[row], n_grid, probe.FIT_FLOW_STEPS)
+            res[cand, row] = np.abs(out - target_vals[row]).max(axis=1)
+        return res.max(axis=1)
+
+    return poll
+
+
+def test_fit_poll_screen_flows_under_half_the_rows():
+    # the pinned composite fit of test_golden, with its flowed rows counted
+    composite = IncrementalGenerator([
+        FlowMap(builtin_field("squeeze_clipped"), steps=256),
+        FlowMap(builtin_field("rotation_clipped"), steps=256),
+    ])
+    flow_rows = probe._flow_theta_rows
+    runs = []
+    for unscreened in (False, False, True):
+        rows = [0]
+
+        def counted(thetas, block, X, n_grid, steps):
+            rows[0] += len(X)
+            return flow_rows(thetas, block, X, n_grid, steps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(probe, "_flow_theta_rows", counted)
+            if unscreened:
+                mp.setattr(probe, "_sup_poll", _unscreened_poll)
+            res = fit_single_flow(composite, budget=300, seed=0)
+        runs.append((res, rows[0]))
+    (screened, n1), (again, n2), (oracle, n_oracle) = runs
+    for res in (again, oracle):
+        assert res.residual_sup == screened.residual_sup
+        assert res.evaluations == screened.evaluations
+        assert np.array_equal(res.candidate_field.grid.values,
+                              screened.candidate_field.grid.values)
+    assert n1 == n2 and 0 < 2 * n1 < n_oracle
 
 
 def test_fit_validation():
