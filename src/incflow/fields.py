@@ -629,11 +629,73 @@ def _plateau(t):
     return np.minimum((t - 0.125) * 4.0, (0.875 - t) * 4.0).clip(0.0, 1.0)
 
 
+def _bisect(lo, hi, above):
+    """Per row, the float its root rounds to, bisecting from the bracket
+    [lo, hi] (overwritten). ``above(mid, act)`` says for the rows ``act``
+    whether the root lies above their ``mid``. A row stops when no float
+    lies strictly between its ends, so its result does not depend on its
+    batch."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        act = np.flatnonzero((lo < mid) & (mid < hi))
+        if act.size == 0:
+            return mid
+        up = above(mid[act], act)
+        lo[act] = np.where(up, mid[act], lo[act])
+        hi[act] = np.where(up, hi[act], mid[act])
+
+
+# the Gauss-Legendre rule of the sin_bump flow's ramp integral, on [-1, 1]
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_TAN_PI_8, _SIN_PI_4 = math.tan(math.pi / 8), math.sin(math.pi / 4)
+
+
+def _sin_bump_phi(x):
+    """Phi of :func:`sin_bump_field` at the rows of x in (1/8, 1/2)."""
+    phi = np.empty_like(x)
+    flat = x >= 0.375
+    phi[flat] = -np.log(np.tan(np.pi * (0.5 - x[flat])) / _TAN_PI_8) / (2 * np.pi)
+    phi[~flat] = _sin_bump_ramp_phi(x[~flat])
+    return phi
+
+
+def _sin_bump_ramp_phi(x):
+    """Phi of :func:`sin_bump_field` at the rows of x in (1/8, 3/8]; the
+    quadrature sums each row along its own axis, so its bits do not
+    depend on the batch."""
+    half = 0.5 * (0.375 - x)
+    s = x[:, None] + half[:, None] * (1.0 + _GAUSS_NODES)
+    d = s - 0.125
+    h = -2.0 * np.cos(np.pi * (s + 0.125)) * (np.sin(np.pi * d) / d) \
+        / (_SIN_PI_4 * np.sin(2 * np.pi * s))
+    quad = half * (h * _GAUSS_WEIGHTS).sum(axis=1)
+    return -0.25 * (np.log(0.25 / (x - 0.125)) / _SIN_PI_4 + quad)
+
+
 def sin_bump_field(amplitude: float = 0.2) -> VectorField:
     """Horizontal sine wave windowed to the interior of the unit square.
 
     V(x, y) = (A sin(2 pi x) q(x) q(y), 0) with q the plateau profile;
-    the l_inf Lipschitz bound is A (2 pi + 8).
+    the l_inf Lipschitz bound is |A| (2 pi + 8).
+
+    The flow keeps y, and x obeys x' = c f(x) with c = A q(y) and
+    f = sin(2 pi x) q(x). As f(1 - x) = -f(x), x -> 1 - x carries rows
+    on (1/2, 7/8) to (1/8, 1/2), where f > 0 and x(t) = Phi^-1(Phi(x_0) + c t)
+    with Phi the integral of 1/f from 3/8:
+
+    - on the plateau [3/8, 1/2), Phi = -ln(tan(pi (1/2 - x)) / tan(pi/8)) / (2 pi),
+      inverted by an arctan;
+    - on the ramp (1/8, 3/8], with r = sin(pi/4),
+      Phi = -(ln((1/4) / (x - 1/8)) / r + int_x^{3/8} h) / 4 with
+      h(s) = -2 cos(pi (s + 1/8)) [sin(pi (s - 1/8)) / (s - 1/8)] / (r sin 2 pi s),
+      which is 1/((s - 1/8) sin 2 pi s) - 1/((s - 1/8) r) without its
+      cancellation. A 20-point Gauss-Legendre rule integrates h: its poles
+      nearest [1/8, 3/8] are s = 0 and 1/2, a Bernstein ellipse of
+      rho = 2 + sqrt 3, so the rule errs by about rho^-40 ~ 1e-23.
+
+    A bisection on x inverts Phi on the ramp; each row stops when its
+    bracket holds no float between its ends, so a row's result does not
+    depend on its batch.
     """
 
     def ev(X):
@@ -642,12 +704,31 @@ def sin_bump_field(amplitude: float = 0.2) -> VectorField:
         out[:, 0] = amplitude * np.sin(2 * np.pi * x) * _plateau(x) * _plateau(X[:, 1])
         return out
 
+    def flow(X, t):
+        out = X.copy()
+        c = amplitude * _plateau(X[:, 1])
+        x = X[:, 0]
+        live = np.flatnonzero((c != 0) & (x > 0.125) & (x < 0.875) & (x != 0.5))
+        upper = x[live] > 0.5
+        u = np.where(upper, 1.0 - x[live], x[live])
+        target = _sin_bump_phi(u) + c[live] * t
+        v = np.empty_like(u)
+        flat = target >= 0
+        v[flat] = 0.5 - np.arctan(_TAN_PI_8 * np.exp(-2 * np.pi * target[flat])) / np.pi
+        ramp = ~flat
+        goal = target[ramp]
+        v[ramp] = _bisect(np.full_like(goal, 0.125), np.full_like(goal, 0.375),
+                          lambda mid, act: _sin_bump_ramp_phi(mid) < goal[act])
+        out[live, 0] = np.where(upper, 1.0 - v, v)
+        return out
+
     return VectorField(
         2,
         ev,
-        amplitude * (2 * np.pi + 8.0),
+        abs(amplitude) * (2 * np.pi + 8.0),
         support_box=np.array([[0.125, 0.125], [0.875, 0.875]]),
         ref={"backend": "analytic", "id": "sin_bump", "params": {"amplitude": amplitude}},
+        flow=flow,
     )
 
 
@@ -831,15 +912,9 @@ def _squeeze_disc_flow(c, r_inner, r_outer):
         lies between -1 and -p forward, between 0 and p backward."""
         lo = np.maximum(v * np.minimum(np.exp(-tau), 1.0), v_in)
         hi, g0 = v * np.exp(-tau * p), G(v, a)
-        while True:
-            mid = 0.5 * (lo + hi)
-            act = np.flatnonzero((lo < mid) & (mid < hi))
-            if act.size == 0:
-                return mid
-            # mid lies past the time tau (or past the rim, a NaN): the root lies below it
-            past = ~(w * (g0[act] - G(mid[act], a[act])) >= tau[act])
-            lo[act] = np.where(past, lo[act], mid[act])
-            hi[act] = np.where(past, mid[act], hi[act])
+        # the root lies above mid while mid is short of the time tau (a
+        # mid past the rim, a NaN, is not)
+        return _bisect(lo, hi, lambda mid, act: w * (g0[act] - G(mid, a[act])) >= tau[act])
 
     def flow(X, t):
         out = X.copy()

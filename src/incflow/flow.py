@@ -3,12 +3,13 @@ generators, and the error/Lipschitz certificates attached to them.
 
 A flow is evaluated by its field's closed-form time-t map where the field
 carries one (``method="exact"``: the linear builtins, the disc-clipped
-rotation and squeeze, and every lift), and by fixed-step RK4 otherwise. The flows of the
-underlying fields are exact mathematical objects, so integration error is
-tracked separately from the certified approximation bound: certificates
-are statements about the exact flows, and :func:`reference_flow` (the
-closed form, or RK4 with 4096 steps) stands in for them in empirical
-checks.
+rotation and centered squeeze, ``sin_bump`` and every lift), and by
+fixed-step RK4 otherwise (grid fields and the off-center clipped
+squeeze). The flows of the underlying fields are exact mathematical
+objects, so integration error is tracked separately from the certified
+approximation bound: certificates are statements about the exact flows,
+and :func:`reference_flow` (the closed form, or RK4 with 4096 steps)
+stands in for them in empirical checks.
 """
 
 from __future__ import annotations

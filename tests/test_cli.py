@@ -519,7 +519,6 @@ def _damage_manifest(run, defect):
             doc["stages"][0]["integrator"] = {"method": "exact", "steps": 1}
             doc["stages"][0]["field"] = {
                 "exact_grid": doc["stages"][0]["field"],
-                "exact_sin_bump": {"backend": "analytic", "id": "sin_bump", "params": {}},
                 "exact_off_center_squeeze": {"backend": "analytic", "id": "squeeze_clipped",
                                              "params": {"line_x": 0.45}},
             }[defect]
@@ -533,7 +532,7 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
     "grid_ref_without_file", "steps_float", "steps_bool", "cert_product_missing",
-    "exact_grid", "exact_sin_bump", "exact_off_center_squeeze"])
+    "exact_grid", "exact_off_center_squeeze"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -552,6 +551,33 @@ def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_exact_sin_bump_manifest_reads_as_its_closed_form(tmp_path, capsys):
+    # sin_bump carries its closed-form flow, so a stage stating exact/1 for
+    # it reads in both readers and applies that map
+    f = builtin_field("sin_bump")
+    path = save_generator(IncrementalGenerator([FlowMap(f, steps=1, method="exact")]),
+                          str(tmp_path / "gen"))
+    assert json.loads(open(path).read())["stages"][0]["integrator"] == {
+        "method": "exact", "steps": 1}
+    assert main(["verify", path]) == 0
+    (stage,) = load_generator(path).stages
+    X = lattice([17, 17])
+    assert stage.method == "exact" and np.array_equal(stage.apply(X), f.flow(X, 1.0))
+    assert main(["generate", write_cfg(tmp_path, "gen.json", {
+        "generator": {"manifest": path}, "seed": 0, "M": 8, "trials": 1, "N_list": [4],
+        "out_dir": str(tmp_path / "run")})]) == 0
+
+
+def test_negative_sin_bump_amplitude_certifies(tmp_path):
+    # the bound is |A| (2 pi + 8), and the flow runs for either sign of c = A q(y)
+    run = tmp_path / "run"
+    assert main(["approx-flow", write_cfg(tmp_path, "cfg.json", {
+        "stages": [{"id": "sin_bump", "params": {"amplitude": -0.2}}], "n": 16,
+        "out_dir": str(run)})]) == 0
+    assert json.loads((run / "acceptance.json").read_text())["certificate_dominates"] is True
+    assert main(["verify", str(run / "manifest.json")]) == 0
 
 
 @pytest.mark.parametrize("defect, check", [

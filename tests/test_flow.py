@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,10 +365,9 @@ def test_flowmap_validation():
         IncrementalGenerator([])
     # an exact flow is one step of a field's closed-form map
     off_center = builtin_field("squeeze_clipped", {"line_x": 0.55})
-    for f in (builtin_field("sin_bump"), off_center):
-        assert f.flow is None
-        with pytest.raises(ValueError):
-            FlowMap(f, steps=1, method="exact")
+    assert off_center.flow is None
+    with pytest.raises(ValueError):
+        FlowMap(off_center, steps=1, method="exact")
     with pytest.raises(ValueError):
         FlowMap(builtin_field("rotation_clipped"), steps=2, method="exact")
     # a flow is RK4 or exact: the Euler method went with the clipped lifts
@@ -504,3 +504,82 @@ def test_closed_form_keeps_rows_outside_support_bit_identical():
     # the squeeze's fixed line, inside the disc too
     line = np.stack([np.full(50, 0.5), rng.uniform(0.0, 1.0, 50)], axis=1)
     assert np.array_equal(builtin_generator("squeeze_only").apply(line), line)
+
+
+def test_builtin_suite_reference_flows_are_exact():
+    # the acceptance checks measure against reference_flow: no builtin of the
+    # suite falls back to the 4096-step RK4 stand-in
+    for name, f in builtin_suite().items():
+        assert reference_flow(f).method == "exact", name
+
+
+# ---------------------------------------------------------------------------
+# the sin_bump closed form: a quadrature of the time along x and a bisection
+
+
+def _sin_bump_case(seed):
+    """sin_bump at its default amplitude (seed 0) or a seeded random one,
+    negative for seed 2, with the 33^2 lattice plus 4,000 uniform points."""
+    rng = np.random.default_rng([seed, 25])
+    params = {"amplitude": float(rng.uniform(0.15, 0.37)) * (-1) ** (seed + 1)} if seed else {}
+    return builtin_field("sin_bump", params), np.vstack([lattice([33, 33]),
+                                                         rng.random((4000, 2))])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sin_bump_closed_form_matches_fine_rk4(seed):
+    # the quadrature errs by ~1e-23 and the bisection by an ulp; RK4 with
+    # 4096 steps is within ~1e-9 of the flow, so 1e-7 leaves a margin
+    f, X = _sin_bump_case(seed)
+    exact = FlowMap(f, steps=1, method="exact")
+    for fl in (exact, exact.inverse()):
+        rk4 = FlowMap(f, fl.direction, steps=4096)
+        assert np.abs(fl.apply(X) - rk4.apply(X)).max() <= 1e-7, (seed, fl.direction)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sin_bump_closed_form_group_law(seed):
+    f, X = _sin_bump_case(seed)
+    for s, t in [(0.3, 0.7), (1.0, 1.0), (-0.4, 1.0), (1.5, -2.0), (-1.0, -0.25)]:
+        assert np.abs(f.flow(f.flow(X, t), s) - f.flow(X, s + t)).max() <= 1e-12, (s, t)
+    exact = FlowMap(f, steps=1, method="exact")
+    assert np.abs(exact.inverse().apply(exact.apply(X)) - X).max() <= 1e-12
+    assert np.abs(exact.apply(exact.inverse().apply(X)) - X).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_sin_bump_closed_form_batch_is_row_by_row(seed):
+    f, X = _sin_bump_case(seed)
+    for fl in (FlowMap(f, steps=1, method="exact"), FlowMap(f, "backward", 1, "exact")):
+        batch = fl.apply(X)
+        assert np.array_equal(batch[::8], np.stack([fl.apply(x) for x in X[::8]]))
+        assert np.array_equal(batch[::3], fl.apply(X[::3]))
+    rows = X[1::8]
+    assert np.array_equal(f.flow(rows, 0.7), np.vstack([f.flow(rows[i:i + 1], 0.7)
+                                                        for i in range(len(rows))]))
+
+
+def test_sin_bump_closed_form_keeps_zero_rows_bit_identical():
+    # the field is zero for x <= 1/8, x >= 7/8 and y outside (1/8, 7/8); at
+    # x = 1/2 it is sin(pi) ~ 1e-16 in floats, and the flow's fixed point
+    rng = np.random.default_rng(11)
+    out = np.concatenate([[0.125, 0.875], rng.uniform(-0.5, 0.125, 199),
+                          rng.uniform(0.875, 1.5, 199)])
+    inside = rng.uniform(0.125, 0.875, 400)
+    X = np.vstack([np.stack([out, inside], axis=1), np.stack([inside, out], axis=1),
+                   np.stack([np.full(400, 0.5), rng.uniform(-0.5, 1.5, 400)], axis=1)])
+    assert (builtin_field("sin_bump").eval(X[:800]) == 0).all()
+    for amplitude in (0.2, -0.3):
+        f = builtin_field("sin_bump", {"amplitude": amplitude})
+        for t in (1.0, -1.0, 2.5):
+            assert np.array_equal(f.flow(X, t), X), (amplitude, t)
+
+
+def test_sin_bump_closed_form_at_a_large_amplitude_stays_in_the_cube():
+    X = _sin_bump_case(0)[1]
+    f = builtin_field("sin_bump", {"amplitude": 50.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0, -1.0):
+            Y = f.flow(X, t)
+            assert ((Y >= 0.0) & (Y <= 1.0)).all() and np.array_equal(Y[:, 1], X[:, 1]), t
