@@ -67,7 +67,7 @@ _SCHEMAS = {
     "approx-flow": {
         "stages": ([(_STAGE, _REQUIRED)], _REQUIRED, 1, FL.DEFAULT_T_BUDGET),
         "n": (int, _REQUIRED, 1, 256),
-        "steps": (int, 256, 1, FL.REFERENCE_STEPS),
+        "steps": (int, 256, 1, FL.REFERENCE_STEPS),  # accepted and unused: stages are exact
         "eval_grid": (int, 33, 1, 257),
         "out_dir": (str, _REQUIRED),
     },
@@ -195,7 +195,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
-    gen, cert = FL.approximate_generator(flds, moduli, n, steps=cfg["steps"])
+    gen, cert = FL.approximate_generator(flds, moduli, n)
 
     pts = F.lattice([cfg["eval_grid"]] * flds[0].dim)
     ref = pts

@@ -3,13 +3,13 @@ generators, and the error/Lipschitz certificates attached to them.
 
 A flow is evaluated by its field's closed-form time-t map where the field
 carries one (``method="exact"``: the linear builtins, the disc-clipped
-rotation and centered squeeze, ``sin_bump`` and every lift), and by
-fixed-step RK4 otherwise (grid fields and the off-center clipped
-squeeze). The flows of the underlying fields are exact mathematical
-objects, so integration error is tracked separately from the certified
-approximation bound: certificates are statements about the exact flows,
-and :func:`reference_flow` (the closed form, or RK4 with 4096 steps)
-stands in for them in empirical checks.
+rotation and centered squeeze, ``sin_bump``, every grid field and every
+lift), and by fixed-step RK4 otherwise (the off-center clipped squeeze,
+and the probe's fit, whose objective is defined by RK4). Certificates are
+statements about the exact flows, so the stages of
+:func:`approximate_generator` are covered with no integration term, and
+:func:`reference_flow` (the closed form, or RK4 with 4096 steps) stands
+in for the underlying fields' flows in empirical checks.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
+    FlowIntegrationError,
     Modulus,
     VectorField,
     builtin_field,
@@ -51,15 +52,9 @@ __all__ = [
     "read_manifest",
 ]
 
-DEFAULT_STEPS = 256
+DEFAULT_STEPS = 256  # RK4 steps of a FlowMap that states none
 REFERENCE_STEPS = 4096
 DEFAULT_T_BUDGET = 16  # incrementality budget; the dimensional constant is nonconstructive
-
-
-class FlowIntegrationError(RuntimeError):
-    def __init__(self, step: int, message: str | None = None):
-        self.step = step
-        super().__init__(message or f"non-finite state at integration step {step}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +93,25 @@ class FlowMap:
     def apply(self, x) -> np.ndarray:
         """Integrate the rows of ``x`` for unit time.
 
-        Finite rows where the field is exactly zero are returned as they
-        are: they are fixed points, since every stage point equals the row
-        and each step adds zero. They equal the integrated rows in value; a
-        zero coordinate keeps its sign, which adding a signed zero may flip.
-        Every other row is integrated, so a non-finite row raises
-        :class:`FlowIntegrationError` at step 0.
+        An exact flow of a grid-backed field (a grid stage or a lift of an
+        x-grid) is its closed form on every row: that form returns the rows
+        where the field is 0 as they are, and a zero test first would cost
+        a second hat-sum. Every other flow evaluates its field once on the
+        finite rows and maps only the rows where it is nonzero; the others
+        are fixed points, since every RK4 stage point equals the row and
+        each step adds zero. They equal the mapped rows in value; a zero
+        coordinate keeps its sign, which adding a signed zero may flip. A
+        non-finite row raises :class:`FlowIntegrationError` at step 0.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        X = np.atleast_2d(x).copy()
+        X = np.atleast_2d(x)
+        if self.method == "exact" and self.field.grid is not None:
+            if X.shape[1] != self.dim:
+                raise ValueError(f"points have dim {X.shape[1]}, field has {self.dim}")
+            X = self._integrate(X)
+            return X[0] if single else X
+        X = X.copy()
         finite = np.isfinite(X).all(axis=1)
         live = ~finite
         live[finite] = (self.field.eval(X[finite]) != 0).any(axis=1)
@@ -315,19 +319,19 @@ def approximate_flowable(
     field: VectorField,
     modulus: Modulus,
     n: int,
-    steps: int = DEFAULT_STEPS,
 ) -> tuple[FlowMap, ErrorCertificate]:
     """Grid-approximate a field supported in the unit cube and wrap it as a flow.
 
-    Returns the flow of the ReLU-realizable grid approximant together with
-    the single-stage certificate 2 ||omega(d/2n)||_inf e^{L}. The field
-    vanishes on the cube's boundary vertices, so the approximant is zero on
-    and outside the cube: its flow fixes every face point and keeps the
-    cube.
+    Returns the exact flow of the ReLU-realizable grid approximant (its
+    closed form, simplex by simplex) together with the single-stage
+    certificate 2 ||omega(d/2n)||_inf e^{L}, which covers that computed
+    flow with no integration term. The field vanishes on the cube's
+    boundary vertices, so the approximant is zero on and outside the cube:
+    its flow fixes every face point and keeps the cube.
     """
     gridvf, _, _ = grid_relu_approximate(field, n, modulus)
     omega = np.asarray(modulus(field.dim / (2.0 * n)))
-    return FlowMap(gridvf, steps=steps), ErrorCertificate.from_stages(
+    return FlowMap(gridvf, steps=1, method="exact"), ErrorCertificate.from_stages(
         [(omega, field.lipschitz_bound)], n
     )
 
@@ -336,7 +340,6 @@ def approximate_generator(
     fields: list[VectorField],
     moduli: list[Modulus],
     n: int,
-    steps: int = DEFAULT_STEPS,
 ) -> tuple[IncrementalGenerator, ErrorCertificate]:
     """Stagewise approximation of a composition of flows.
 
@@ -345,7 +348,7 @@ def approximate_generator(
     """
     if len(fields) != len(moduli):
         raise ValueError("need one modulus per stage field")
-    stages = [approximate_flowable(f, m, n, steps=steps) for f, m in zip(fields, moduli)]
+    stages = [approximate_flowable(f, m, n) for f, m in zip(fields, moduli)]
     cert = ErrorCertificate.from_stages([c.per_stage[0] for _, c in stages], n)
     return IncrementalGenerator([fl for fl, _ in stages], cert), cert
 

@@ -514,14 +514,11 @@ def _damage_manifest(run, defect):
             doc["stages"][0]["integrator"]["steps"] = True
         elif defect == "cert_product_missing":
             del doc["certificate"]["lipschitz_product"]
-        elif defect.startswith("exact_"):
+        elif defect == "exact_off_center_squeeze":
             # a closed-form integrator stated for a field that has none
             doc["stages"][0]["integrator"] = {"method": "exact", "steps": 1}
-            doc["stages"][0]["field"] = {
-                "exact_grid": doc["stages"][0]["field"],
-                "exact_off_center_squeeze": {"backend": "analytic", "id": "squeeze_clipped",
-                                             "params": {"line_x": 0.45}},
-            }[defect]
+            doc["stages"][0]["field"] = {"backend": "analytic", "id": "squeeze_clipped",
+                                         "params": {"line_x": 0.45}}
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -532,7 +529,7 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
     "grid_ref_without_file", "steps_float", "steps_bool", "cert_product_missing",
-    "exact_grid", "exact_off_center_squeeze"])
+    "exact_off_center_squeeze"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -568,6 +565,49 @@ def test_exact_sin_bump_manifest_reads_as_its_closed_form(tmp_path, capsys):
     assert main(["generate", write_cfg(tmp_path, "gen.json", {
         "generator": {"manifest": path}, "seed": 0, "M": 8, "trials": 1, "N_list": [4],
         "out_dir": str(tmp_path / "run")})]) == 0
+
+
+def _approx_flow_manifest(tmp_path):
+    run = tmp_path / "run"
+    assert main(["approx-flow", write_cfg(tmp_path, "cfg.json", {
+        "stages": [{"id": "squeeze_clipped"}, {"id": "sin_bump"}], "n": 4, "eval_grid": 9,
+        "out_dir": str(run)})]) == 0
+    return run / "manifest.json"
+
+
+def _generate_from(tmp_path, manifest):
+    return main(["generate", write_cfg(tmp_path, "gen.json", {
+        "generator": {"manifest": str(manifest)}, "seed": 0, "M": 8, "trials": 1,
+        "N_list": [4], "out_dir": str(tmp_path / "gen")})])
+
+
+def test_exact_grid_manifest_reads_as_its_closed_form(tmp_path, capsys):
+    # every approx-flow stage is the exact flow of its grid field, stated
+    # exact/1; both readers rebuild it as that field's closed form
+    path = _approx_flow_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    assert [s["integrator"] for s in doc["stages"]] == [{"method": "exact", "steps": 1}] * 2
+    assert main(["verify", str(path)]) == 0
+    X = lattice([17, 17])
+    for stage in load_generator(str(path)).stages:
+        assert stage.method == "exact" and stage.field.ref["backend"] == "grid"
+        assert np.array_equal(stage.apply(X), stage.field.flow(X, 1.0))
+    assert _generate_from(tmp_path, path) == 0
+
+
+def test_rk4_grid_manifest_still_reads(tmp_path, capsys):
+    # a manifest whose grid stages state rk4/256, as approx-flow wrote them
+    # before the stages were exact, verifies and generates, and runs RK4
+    path = _approx_flow_manifest(tmp_path)
+    doc = json.loads(path.read_text())
+    for stage in doc["stages"]:
+        stage["integrator"] = {"method": "rk4", "steps": 256}
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    stages = load_generator(str(path)).stages
+    assert [(s.method, s.steps) for s in stages] == [("rk4", 256)] * 2
+    assert _generate_from(tmp_path, path) == 0
 
 
 def test_negative_sin_bump_amplitude_certifies(tmp_path):
@@ -637,7 +677,7 @@ def test_manifest_with_box_clipped_stages_verifies_and_generates(tmp_path, capsy
     # "box_clip"; the one reader rebuilds such a stage as it was written
     flds = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
     moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in flds]
-    gen, cert = approximate_generator(flds, moduli, 4, steps=8)
+    gen, cert = approximate_generator(flds, moduli, 4)
     old = IncrementalGenerator([FlowMap(box_bump_clip(s.field, 0.2), steps=8)
                                 for s in gen.stages], cert)
     path = save_generator(old, str(tmp_path / "old"))

@@ -294,7 +294,7 @@ def test_box_clip_vanishes_outside_declared_support():
     stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped"),
               builtin_field("sin_bump")]
     moduli = [LipschitzModulus(np.full(2, g.lipschitz_bound)) for g in stages]
-    gen, _ = approximate_generator(stages, moduli, 4, steps=8)
+    gen, _ = approximate_generator(stages, moduli, 4)
     faces = rng.uniform(0.0, 1.0, size=(1000, 2))
     faces[np.arange(1000), rng.integers(2, size=1000)] = rng.integers(2, size=1000)
     for seed, stage in enumerate(gen.stages, start=1):

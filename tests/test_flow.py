@@ -116,7 +116,7 @@ def test_support_skip_matches_full_integration():
     corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])[:, None]
     rot_zero = (corners + 0.2 * rng.random((4, 25, 2)) * ((lo + hi) / 2 - corners)).reshape(-1, 2)
     stage = approximate_generator(
-        [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 8, steps=8
+        [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 8
     )[0].stages[0].field
     assert stage.support_box is None
     cube = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -231,7 +231,7 @@ def test_one_stage_certificate_is_the_hand_formula():
         assert cert.recompute_total() == cert.total_bound
     for f in builtin_suite().values():
         modulus = LipschitzModulus(np.full(2, f.lipschitz_bound))
-        _, cert = approximate_flowable(f, modulus, 4, steps=4)
+        _, cert = approximate_flowable(f, modulus, 4)
         omega_sup = float(np.max(np.abs(modulus(2 / 8.0))))
         assert cert.total_bound == 2.0 * omega_sup * math.exp(f.lipschitz_bound)
         assert cert.lipschitz_product == math.exp(f.lipschitz_bound)
@@ -583,3 +583,171 @@ def test_sin_bump_closed_form_at_a_large_amplitude_stays_in_the_cube():
         for t in (1.0, -1.0):
             Y = f.flow(X, t)
             assert ((Y >= 0.0) & (Y <= 1.0)).all() and np.array_equal(Y[:, 1], X[:, 1]), t
+
+
+# ---------------------------------------------------------------------------
+# the exact flow of a grid field: affine on each Kuhn simplex
+
+
+@pytest.fixture(scope="module")
+def grid_stages():
+    """(stage flow, rows, exact image, RK4/4096 image) of each builtin_suite
+    stage at n in {8, 16}, the rows the 33^2 lattice plus 200 uniform
+    points. The references take most of this section's time: shared."""
+    X = np.vstack([lattice([33, 33]), np.random.default_rng(26).random((200, 2))])
+    cases = {}
+    for name, f in builtin_suite().items():
+        for n in (8, 16):
+            fl, _ = approximate_flowable(f, LipschitzModulus(np.full(2, f.lipschitz_bound)), n)
+            cases[name, n] = fl, X, fl.apply(X), FlowMap(fl.field, steps=4096).apply(X)
+    return cases
+
+
+def test_grid_flow_matches_fine_rk4(grid_stages):
+    # RK4 with 4096 steps errs by O(h^2) where a trajectory crosses a kink
+    # of the grid field, ~1e-8 here; 1e-7 leaves a margin
+    for (name, n), (fl, X, exact, rk4) in grid_stages.items():
+        assert (fl.method, fl.steps) == ("exact", 1), (name, n)
+        assert np.abs(exact - rk4).max() <= 1e-7, (name, n)
+        assert ((exact >= 0.0) & (exact <= 1.0)).all(), (name, n)
+
+
+def test_grid_flow_is_the_limit_of_rk4(grid_stages):
+    # RK4's error falls ~16x from 4096 to 16384 steps, and the exact flow
+    # sits within 1e-8 of the finer one
+    fl, X, exact, rk4 = grid_stages["rotation_clipped", 8]
+    fine = FlowMap(fl.field, steps=16384).apply(X)
+    assert np.abs(exact - fine).max() <= 1e-8
+    assert np.abs(exact - fine).max() < np.abs(rk4 - fine).max() / 4
+
+
+def test_grid_flow_group_law(grid_stages):
+    for (name, n), (fl, X, exact, _) in grid_stages.items():
+        f = fl.field
+        assert np.abs(fl.inverse().apply(exact) - X).max() <= 1e-12, (name, n)
+        assert np.abs(f.flow(f.flow(X, 0.5), 0.5) - exact).max() <= 1e-12, (name, n)
+    f = grid_stages["rotation_clipped", 16][0].field
+    for s, t in [(0.3, 0.7), (-0.4, 1.0), (1.5, -2.0)]:
+        assert np.abs(f.flow(f.flow(X, t), s) - f.flow(X, s + t)).max() <= 1e-12, (s, t)
+
+
+def test_grid_flow_batch_is_row_by_row(grid_stages):
+    for name in ("rotation_clipped", "squeeze_clipped", "sin_bump"):
+        fl, X, exact, _ = grid_stages[name, 8]
+        for flow, image in ((fl, exact), (fl.inverse(), fl.inverse().apply(X))):
+            assert np.array_equal(image[::7], np.stack([flow.apply(x) for x in X[::7]])), name
+            assert np.array_equal(image[::3], flow.apply(X[::3])), name
+
+
+def test_affine_step_matches_scipy_expm():
+    # h phi_1(hB) w is the last column of expm of the augmented matrix
+    # [[hB, hw], [0, 0]]; the Taylor sum agrees with scipy's Pade to rounding
+    from scipy.linalg import expm
+
+    from incflow.fields import _affine_step
+
+    rng = np.random.default_rng(27)
+    for d in (1, 2, 3):
+        B, w = rng.normal(size=(500, d, d)), rng.normal(size=(500, d))
+        h = rng.uniform(0.0, 1.0, 500) / np.abs(B).sum(axis=2).max(axis=1)
+        M = np.zeros((500, d + 1, d + 1))
+        M[:, :d, :d], M[:, :d, d] = B * h[:, None, None], w * h[:, None]
+        ref = expm(M)[:, :d, d]
+        got = _affine_step(B, w, h)
+        assert np.abs(got - ref).max() <= 1e-15 * max(1.0, np.abs(ref).max()), d
+        assert np.array_equal(got[::3], _affine_step(B[::3], w[::3], h[::3])), d
+
+
+def test_grid_flow_in_one_and_three_dimensions():
+    from incflow.fields import GridInterpolant, grid_field
+
+    def wave(X):  # zero on the cube's faces
+        return 0.4 * np.sin(2 * np.pi * X[:, :1]) * np.sin(np.pi * X[:, :1])
+
+    def swirl(X):
+        q = np.prod(np.sin(np.pi * X), axis=1)[:, None]
+        return q * np.stack([0.5 - X[:, 1], X[:, 0] - 0.5, 0.3 * np.cos(3 * X[:, 0])], axis=1)
+
+    rng = np.random.default_rng(28)
+    for fn, ns in ((wave, (16,)), (swirl, (4, 5, 6))):
+        f = grid_field(GridInterpolant.from_callable(fn, ns))
+        X = np.vstack([lattice([5] * len(ns)), rng.random((100, len(ns)))])
+        exact = FlowMap(f, steps=1, method="exact")
+        Y = exact.apply(X)
+        assert np.abs(Y - FlowMap(f, steps=4096).apply(X)).max() <= 1e-7, ns
+        assert np.abs(exact.inverse().apply(Y) - X).max() <= 1e-12, ns
+
+
+def test_grid_flow_along_invariant_grid_lines_does_not_stall(monkeypatch):
+    # the squeeze's y-component is 0 at every vertex, so each face
+    # y = const is invariant, and x = 1/2 is a line of fixed points that
+    # rows approach exponentially; a round bound of 40 passes where the
+    # whole lattice takes about a dozen rounds. At n = 6, y * 6 / 6 is not
+    # always y: the unmoved coordinate keeps its bits all the same
+    import incflow.fields as fields
+
+    monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 40)
+    near = 0.5 + np.array([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 0.1])
+    for n in (6, 8):
+        f = approximate_flowable(builtin_field("squeeze_clipped"), LipschitzModulus([1.0, 1.0]),
+                                 n)[0].field
+        y = np.concatenate([np.arange(n + 1) / n, np.random.default_rng(n).random(20)])
+        X = np.stack([np.repeat(near, len(y)), np.tile(y, 6)], axis=1)
+        for t in (1.0, -1.0):
+            Y = f.flow(X, t)
+            assert np.array_equal(Y[:, 1], X[:, 1]), (n, t)
+            assert np.array_equal(Y[:len(y)], X[:len(y)]), (n, t)
+        assert np.abs(f.flow(X, 1.0) - FlowMap(f, steps=4096).apply(X)).max() <= 1e-7, n
+
+
+def test_grid_flow_round_bound(monkeypatch):
+    # the rotation at the vertex (3/8, 1/2) runs along the grid line
+    # x = 3/8, and its trajectory touches the vertex (1/2, 3/8) along
+    # y = 3/8: the third-order bound takes it through in 33 rounds, the
+    # quadratic one alone in 91. A batch past the bound raises.
+    import incflow.fields as fields
+
+    f = approximate_flowable(builtin_field("rotation_clipped"), LipschitzModulus([9.5, 9.5]), 8)[
+        0].field
+    monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 40)
+    x = np.array([[0.375, 0.5]])
+    assert np.abs(f.flow(x, 1.0) - FlowMap(f, steps=4096).apply(x)).max() <= 1e-7
+    monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 3)
+    with pytest.raises(FlowIntegrationError):
+        FlowMap(f, steps=1, method="exact").apply(lattice([9, 9]))
+
+
+def _closed_form_fields():
+    """Every kind of field with a closed-form flow: the builtins, a lift of
+    each backend and the grid fields of approx-flow's stages; the second
+    item says whether the flow keeps the unit cube."""
+    from incflow.fields import grid_realize, lift_field
+
+    def ramp(X):
+        return np.maximum(X[:, 0] - 0.5, 0.0)
+
+    fields = [(zero_field(2), True), (rotation_field([0.5, 0.5], math.pi), False),
+              (squeeze_field(0.5), False), (lift_field([ramp], 1, [1.0]), False),
+              (lift_field(grid_realize(ramp, 1, 4, LipschitzModulus([1.0]))[0], 1), False)]
+    for f in builtin_suite().values():
+        stage, _ = approximate_flowable(f, LipschitzModulus(np.full(2, f.lipschitz_bound)), 8)
+        fields += [(f, True), (stage.field, True)]
+    return fields
+
+
+def test_closed_forms_return_zero_rows_as_they_are():
+    rng = np.random.default_rng(29)
+    for f, keeps_cube in _closed_form_fields():
+        X = np.vstack([lattice([17, 17]), rng.uniform(-0.5, 1.5, (400, 2)),
+                       [[0.5, 0.5], [0.5, 0.25]]])
+        zero = X[(f.eval(X) == 0).all(axis=1)]
+        assert len(zero), f.ref
+        for t in (1.0, -1.0, 0.5):
+            assert np.array_equal(f.flow(zero, t), zero), (f.ref, t)
+        if keeps_cube:
+            faces = rng.random((400, 2))
+            faces[np.arange(400), rng.integers(2, size=400)] = rng.integers(2, size=400)
+            for t in (1.0, -1.0):
+                Y = f.flow(faces, t)
+                assert np.array_equal(Y[(faces == 0) | (faces == 1)],
+                                      faces[(faces == 0) | (faces == 1)]), (f.ref, t)
