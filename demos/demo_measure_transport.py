@@ -1,8 +1,9 @@
 """Push empirical measures through a generator and score the result with
 exact Wasserstein-1 distances.
 
-The solver is exact (Hungarian, or the LP by column generation with a
-certified duality gap; no entropic smoothing), so the numbers below are
+The solver is exact (Hungarian, successive shortest paths or the LP by
+column generation, the last two with a certified duality gap; no entropic
+smoothing), so the numbers below are
 the transport distances themselves. The concentration table
 shows the 1/N^(1/d) shrinkage of the sampling gap and the bound's
 right-hand side L sqrt(d) C / N^(1/d) + delta + epsilon next to it; the

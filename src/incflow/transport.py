@@ -1,17 +1,22 @@
 """Empirical measures, pushforward through generators, and exact
 Wasserstein-1 scoring with Euclidean ground cost.
 
-The solver is exact: uniform measures whose sizes divide evenly (equal
-sizes included) reduce to an assignment problem (Hungarian) after exact
-atom replication (the transportation polytope has integral vertices, so
-replication loses nothing); everything else is solved as the
+The solver is exact. Uniform measures whose sizes divide evenly reduce to
+a capacitated assignment: each atom of the larger measure goes to one atom
+of the smaller, each of which takes k = max/min of them (the transportation
+polytope has integral vertices, so this loses nothing). For k >= 8 it is
+solved on the max x min cost by successive shortest paths with column
+potentials (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9); for
+k < 8, equal sizes included, by the Hungarian method on the square cost
+after exact atom replication. Everything else is solved as the
 transportation LP by column generation (Peyré & Cuturi, Computational
 Optimal Transport, 2019, §3): HiGHS solves the LP restricted to a set of
 arcs at tight feasibility tolerances, every arc is priced by its reduced
 cost under the restricted duals, and the most negative arcs join the set
-until none is negative. The LP path reports a certified gap: its cost
-minus the c-transform dual of its column potentials, which is exactly
-feasible, so the gap bounds the cost's distance from the optimum.
+until none is negative. The shortest-path and LP paths report a certified
+gap: the cost minus the c-transform dual of their column potentials, which
+is exactly feasible, so the gap bounds the cost's distance from the
+optimum; the Hungarian path reports none.
 Entropic approximations are out of scope.
 """
 
@@ -26,6 +31,7 @@ from scipy.spatial.distance import cdist
 
 __all__ = [
     "EmpiricalMeasure",
+    "TransportError",
     "TransportReport",
     "pushforward",
     "w1_exact",
@@ -73,6 +79,10 @@ class EmpiricalMeasure:
         return bool(np.allclose(self.weights, 1.0 / self.n, rtol=0, atol=1e-14))
 
 
+class TransportError(ArithmeticError):
+    """The transport LP solver failed."""
+
+
 class TransportReport:
     """Outcome of an exact W1 solve."""
 
@@ -83,7 +93,7 @@ class TransportReport:
         self.coupling_j = np.asarray(coupling_j, dtype=np.int64)
         self.coupling_mass = np.asarray(coupling_mass, dtype=float)
         self.marginal_residual = float(marginal_residual)
-        # w1 minus a feasible dual value (LP path); None on the assignment path
+        # w1 minus a feasible dual value; None on the Hungarian path
         self.gap = None if gap is None else float(gap)
 
     @property
@@ -153,7 +163,7 @@ def _solve_lp(cost, wa, wb):
             },
         )
         if not res.success:
-            raise RuntimeError(f"transport LP failed: {res.message}")
+            raise TransportError(f"transport LP failed: {res.message}")
         # row and column potentials; the dropped row's is 0
         u, v = res.eqlin.marginals[:m], np.append(res.eqlin.marginals[m:], 0.0)
         cv = cost - v
@@ -168,6 +178,67 @@ def _solve_lp(cost, wa, wb):
     return i[keep], j[keep], res.x[keep], wa @ cv.min(axis=1) + wb @ v
 
 
+# Uniform pairs whose sizes divide with at least this many replicas of each atom
+# of the smaller measure take the shortest-path solver; the rest stay Hungarian.
+_SSP_MIN_REPLICAS = 8
+
+
+def _capacitated_assignment(cost, k):
+    """Each of the m rows of ``cost`` assigned to one of its n columns, every
+    column taking k = m / n rows, at least total cost, by successive shortest
+    paths over the columns. Returns each row's column and the column
+    potentials v, under which every row's column minimizes c_ij - v_j."""
+    m, n = cost.shape
+    # start: each row takes its nearest column while that column has room, ties
+    # by row index; with v = 0 every row then sits at its least reduced cost
+    nearest = cost.argmin(axis=1)
+    order = np.argsort(nearest, kind="stable")
+    rank = np.arange(m) - np.searchsorted(nearest[order], nearest[order])
+    placed = order[rank < k]
+    col = np.full(m, -1)
+    col[placed] = nearest[placed]
+    count = np.bincount(nearest[placed], minlength=n)
+    v = np.zeros(n)
+    # a full column j passes one of its rows to j2 at real cost X[j, j2], through
+    # row R[j, j2]: the cheapest exchange, cached until j's rows change
+    X = np.zeros((n, n))
+    R = np.zeros((n, n), dtype=np.int64)
+
+    def cache(j):
+        rows = np.flatnonzero(col == j)
+        diff = cost[rows] - cost[rows, j][:, None]
+        X[j], R[j] = diff.min(axis=0), rows[diff.argmin(axis=0)]
+
+    for j in np.flatnonzero(count == k):
+        cache(j)
+    for i in np.flatnonzero(col < 0):
+        # Dijkstra from row i over reduced costs, to the first column with room
+        dist = cost[i] - v
+        pred = np.full(n, -1)
+        done = np.zeros(n, dtype=bool)
+        while True:
+            j = int(np.where(done, np.inf, dist).argmin())
+            if count[j] < k:
+                break
+            done[j] = True
+            alt = X[j] - v + (dist[j] + v[j])
+            better = (alt < dist) & ~done
+            dist[better], pred[better] = alt[better], j
+        v[done] -= dist[j] - dist[done]
+        # augment: each column on the path passes one row on, and j gains one
+        count[j] += 1
+        path = [j]
+        while pred[j] >= 0:
+            col[R[pred[j], j]] = j
+            j = pred[j]
+            path.append(j)
+        col[i] = j
+        for j in path:
+            if count[j] == k:
+                cache(j)
+    return col, v
+
+
 def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
     """Exact W1(mu, nu) with Euclidean ground cost, plus an optimal coupling."""
     if mu.dim != nu.dim:
@@ -176,17 +247,27 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
         raise ValueError("total masses differ beyond 1e-9")
 
     if mu.uniform and nu.uniform and (mu.n % nu.n == 0 or nu.n % mu.n == 0):
-        # each atom of the smaller measure replicated k times makes the
-        # problem a square assignment; it returns each atom of the larger
-        # measure once, in ascending order, so its pairs are already sorted
+        # each atom of the larger measure goes to one atom of the smaller, which
+        # takes k of them; both solvers return each atom of the larger measure
+        # once, in ascending order, so its pairs are already sorted
         big, small, flip = (mu, nu, False) if mu.n >= nu.n else (nu, mu, True)
-        rep = np.repeat(np.arange(small.n), big.n // small.n)
-        cost = cdist(big.points, small.points[rep])
-        i, c = linear_sum_assignment(cost)
+        k = big.n // small.n
+        i = np.arange(big.n)
         mass = np.full(big.n, 1.0 / big.n)
+        if k >= _SSP_MIN_REPLICAS:
+            cost = cdist(big.points, small.points)
+            c, v = _capacitated_assignment(cost, k)
+            j = c
+        else:
+            # each atom of the smaller measure replicated k times makes the
+            # problem a square assignment
+            rep = np.repeat(np.arange(small.n), k)
+            cost = cdist(big.points, small.points[rep])
+            i, c = linear_sum_assignment(cost)
+            j, v = rep[c], None  # the assignment solver returns no potentials
         w1 = float((cost[i, c] * mass).sum())
-        gap = None  # the assignment solver returns no potentials
-        j = rep[c]
+        # the c-transform u_i = min_j (c_ij - v_j) makes (u, v) exactly dual feasible
+        gap = None if v is None else w1 - ((cost - v).min(axis=1).mean() + v.mean())
         if flip:
             i, j = j, i
             order = np.lexsort((j, i))

@@ -495,6 +495,23 @@ def test_overflow_is_a_numeric_failure(tmp_path, capsys, monkeypatch, command, c
     assert err.startswith("numeric failure") and len(err.splitlines()) == 1
 
 
+def test_failed_transport_lp_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # 48 does not divide 1024, so the W1 solve takes the LP, whose HiGHS call fails
+    from scipy.optimize import OptimizeResult
+
+    import incflow.transport as T
+
+    monkeypatch.setattr(T, "linprog", lambda *args, **kwargs: OptimizeResult(
+        success=False, message="stubbed solver failure"))
+    path = write_cfg(tmp_path, "cfg.json", {
+        "generator": {"builtin": "identity2"}, "seed": 0, "M": 1024, "trials": 1,
+        "N_list": [48], "out_dir": str(tmp_path / "run")})
+    assert main(["generate", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure") and len(err.splitlines()) == 1
+    assert "stubbed solver failure" in err
+
+
 def _damage_manifest(run, defect):
     manifest = run / "manifest.json"
     if defect == "truncated_payload":

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
-from incflow.fields import LipschitzModulus, builtin_field, rotation_field
+from incflow.fields import LipschitzModulus, builtin_field, lattice, rotation_field
 from incflow.flow import (
     FlowMap, approximate_generator, builtin_generator, load_generator, save_generator,
 )
@@ -237,6 +237,77 @@ def test_lp_path_against_dense_lp(case, solver_calls):
     again = w1_exact(mu, nu)
     for key in ("w1", "coupling_i", "coupling_j", "coupling_mass", "marginal_residual", "gap"):
         assert np.array_equal(getattr(again, key), getattr(rep, key)), key
+
+
+def _ssp_instance(m, n, tied):
+    rng = np.random.default_rng([28, m, n, tied])
+    if not tied:
+        return rng.random((m, 2)), rng.random((n, 2))
+    # both measures on one 5x5 lattice, with duplicate points: many equal costs
+    grid = lattice((5, 5))
+    return grid[rng.integers(0, 25, m)], grid[rng.integers(0, 25, n)]
+
+
+@pytest.mark.parametrize("m,n,tied", [
+    (8, 1, False), (1, 8, False), (64, 8, False), (8, 64, False), (96, 6, False),
+    (6, 96, False), (128, 2, False), (2, 128, False), (256, 32, False),
+    (96, 12, True), (12, 96, True), (64, 1, True), (256, 16, True),
+])
+def test_shortest_path_against_dense_lp(m, n, tied, solver_calls):
+    # uniform sizes that divide with k = max/min >= 8: successive shortest paths
+    a, b = _ssp_instance(m, n, tied)
+    rep = w1_exact(EmpiricalMeasure(a), EmpiricalMeasure(b))
+    assert solver_calls == {"linear_sum_assignment": 0, "linprog": 0}
+    wa, wb = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    assert rep.w1 == pytest.approx(dense_lp_w1(a, b, wa, wb), abs=1e-10)
+    assert rep.gap is not None and abs(rep.gap) <= 1e-12
+    i, j = rep.coupling_i, rep.coupling_j
+    assert np.all(np.diff(i * n + j) > 0)  # sorted by (i, j), one entry per arc
+    larger = i if m >= n else j
+    assert np.array_equal(np.sort(larger), np.arange(max(m, n)))
+    assert np.all(rep.coupling_mass == 1.0 / max(m, n))
+    ra = np.bincount(i, weights=rep.coupling_mass, minlength=m)
+    rb = np.bincount(j, weights=rep.coupling_mass, minlength=n)
+    assert np.abs(ra - wa).max() <= 1e-12 and np.abs(rb - wb).max() <= 1e-12
+    assert rep.marginal_residual <= 1e-12
+    assert rep.w1 == pytest.approx(float(cdist(a, b)[i, j] @ rep.coupling_mass), abs=1e-15)
+
+
+@pytest.mark.parametrize("m,n,path", [
+    (56, 7, "shortest_path"), (7, 56, "shortest_path"), (49, 7, "hungarian"),
+    (7, 49, "hungarian"), (16, 16, "hungarian"),
+])
+def test_replica_count_picks_the_solver(m, n, path, solver_calls):
+    # k = max/min >= 8 takes the shortest-path solver and reports a gap;
+    # k < 8, equal sizes included, stays one Hungarian assignment without one
+    rng = np.random.default_rng([29, m, n])
+    rep = w1_exact(EmpiricalMeasure(rng.random((m, 2))), EmpiricalMeasure(rng.random((n, 2))))
+    hungarian = path == "hungarian"
+    assert solver_calls == {"linear_sum_assignment": int(hungarian), "linprog": 0}
+    assert (rep.gap is None) == hungarian
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_shortest_path_bits_equal_the_replicated_assignment(N, solver_calls):
+    # seeded counterexample pushforwards scored against a uniform M=1024 proxy,
+    # as generate scores them: the coupling and the w1 bits are those of the
+    # Hungarian assignment on the replicated cost
+    M = 1024
+    proxy = EmpiricalMeasure(np.random.default_rng([30, 0]).random((M, 2)))
+    noise = EmpiricalMeasure(np.random.default_rng([30, N]).random((N, 2)))
+    pushed = pushforward(builtin_generator("counterexample"), noise)
+    rep = w1_exact(proxy, pushed)
+    flipped = w1_exact(pushed, proxy)
+    assert solver_calls == {"linear_sum_assignment": 0, "linprog": 0}
+    replica = np.repeat(np.arange(N), M // N)
+    cost = cdist(proxy.points, pushed.points[replica])
+    i, c = linear_sum_assignment(cost)
+    assert np.array_equal(rep.coupling_i, i) and np.array_equal(rep.coupling_j, replica[c])
+    assert rep.w1 == float((cost[i, c] * np.full(M, 1.0 / M)).sum())
+    assert flipped.w1 == rep.w1
+    order = np.lexsort((i, replica[c]))
+    assert np.array_equal(flipped.coupling_i, replica[c][order])
+    assert np.array_equal(flipped.coupling_j, i[order])
 
 
 def test_w1_triangle_inequality():
