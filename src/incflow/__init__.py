@@ -11,7 +11,6 @@ a composition of two.
 from .mlp import (
     MLP,
     build_bump,
-    bump_values,
     compose,
     lipschitz_upper_bound,
 )
@@ -19,11 +18,8 @@ from .fields import (
     ApproximationReport,
     GridInterpolant,
     GridPayloadError,
-    HolderModulus,
     LipschitzModulus,
-    SmoothRateModulus,
     VectorField,
-    box_bump_clip,
     builtin_field,
     builtin_suite,
     grid_relu_approximate,
@@ -44,8 +40,6 @@ from .flow import (
     approximate_flowable,
     approximate_generator,
     builtin_generator,
-    certify,
-    certify_smooth,
     empirical_lipschitz,
     load_generator,
     reference_flow,

@@ -1,4 +1,4 @@
-"""Lipschitz vector fields: analytic library, support clipping, the
+"""Lipschitz vector fields: analytic library, the radial support clip, the
 constructive grid-based ReLU approximant, and lifts one dimension up.
 
 A :class:`VectorField` bundles an evaluator with an upper bound on its
@@ -27,14 +27,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import sparse
 
-from .mlp import _EVAL_ROWS, MLP, affine_mlp, bump_values, compose, relu
+from .mlp import _EVAL_ROWS, MLP, affine_mlp, compose, relu
 
 __all__ = [
     "FlowIntegrationError",
-    "Modulus",
     "LipschitzModulus",
-    "HolderModulus",
-    "SmoothRateModulus",
     "GridInterpolant",
     "GridPayloadError",
     "lattice",
@@ -44,7 +41,6 @@ __all__ = [
     "rotation_field",
     "squeeze_field",
     "radial_bump_clip",
-    "box_bump_clip",
     "sin_bump_field",
     "lift_field",
     "grid_field",
@@ -65,18 +61,11 @@ class FlowIntegrationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# moduli of regularity
+# modulus of regularity
 
 
-class Modulus:
-    """Componentwise modulus bound t -> omega(t), omega(0)=0, nondecreasing."""
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-
-class LipschitzModulus(Modulus):
-    """omega(t) = L t, componentwise."""
+class LipschitzModulus:
+    """Componentwise modulus of regularity omega(t) = L t."""
 
     def __init__(self, L):
         self.L = np.atleast_1d(np.asarray(L, dtype=float))
@@ -87,49 +76,6 @@ class LipschitzModulus(Modulus):
         if t < 0:
             raise ValueError("modulus argument must be >= 0")
         return self.L * t
-
-
-class HolderModulus(Modulus):
-    """omega(t) = C t^alpha, componentwise."""
-
-    def __init__(self, C, alpha: float):
-        self.C = np.atleast_1d(np.asarray(C, dtype=float))
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
-        self.alpha = float(alpha)
-
-    def __call__(self, t):
-        if t < 0:
-            raise ValueError("modulus argument must be >= 0")
-        return self.C * t**self.alpha
-
-
-class SmoothRateModulus(Modulus):
-    """Certificate-only rate for s-times differentiable fields.
-
-    omega_j(N, L) = 85 (s+1)^d 8^s |V_j|_{C^s} (N L)^(-2s/d). This is a
-    bound calculator; no deep network for the smooth case is constructed.
-    The argument packs the two architecture parameters as a pair (N, L).
-    """
-
-    def __init__(self, s: int, dim: int, cs_norms):
-        if s < 1:
-            raise ValueError("smoothness s must be >= 1")
-        self.s = int(s)
-        self.dim = int(dim)
-        self.cs_norms = np.atleast_1d(np.asarray(cs_norms, dtype=float))
-
-    def __call__(self, t):
-        try:
-            N, L = t
-        except TypeError:
-            raise ValueError(
-                "smooth_rate modulus expects the pair (N, L) as its argument"
-            ) from None
-        if N < 1 or L < 1:
-            raise ValueError("N and L must be positive integers")
-        const = 85.0 * (self.s + 1) ** self.dim * 8.0**self.s
-        return const * self.cs_norms * float(N * L) ** (-2.0 * self.s / self.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +364,7 @@ class VectorField:
     ``support_box`` is ``(lower, upper)`` row-stacked as a (2, d) array:
     the box outside which an analytic field (a builtin or a radial clip)
     declares it vanishes exactly. None means undeclared, as for every
-    derived field (grid, box clip, lift). ``ref`` is a JSON-serializable
+    derived field (grid, lift). ``ref`` is a JSON-serializable
     construction record used by manifests. ``flow``, where the field's flow
     has a closed form, is its exact time-t map ``flow(X, t)`` on the rows
     of X; None otherwise.
@@ -559,41 +505,6 @@ def _radial_profile(X, c, r_inner, r_outer):
     """Per row of X: 1 on [0, r_inner] from c, linear to 0 on [r_inner, r_outer], 0 beyond."""
     D = X - c
     return ((r_outer - np.sqrt(np.add.reduce(D * D, axis=1))) / (r_outer - r_inner)).clip(0.0, 1.0)
-
-
-def box_bump_clip(field: VectorField, delta: float, box=(0.0, 1.0)) -> VectorField:
-    """Compose the field coordinatewise with the exact cutoff.
-
-    The clipped field evaluates ``V(b(x_1), ..., b(x_d))`` where ``b`` is
-    the cutoff scaled to ``box``; it equals the field on the cutoff's
-    identity region. No builder clips a field any more: this rebuilds the
-    stages of ``approx-flow`` manifests written when they were clipped.
-    """
-    if not 0.0 < delta < 2.0:
-        raise ValueError(f"delta must lie strictly in (0, 2), got {delta}")
-    lo, hi = float(box[0]), float(box[1])
-    if not lo < hi:
-        raise ValueError("box must satisfy lo < hi")
-    w = hi - lo
-    inner = field
-
-    def ev(X):
-        return inner.eval(lo + w * bump_values((X - lo) / w, delta))
-
-    L = field.lipschitz_bound * max(2.0, abs(1.0 - 1.0 / delta))
-    clipped = VectorField(
-        field.dim,
-        ev,
-        L,
-        ref={
-            "backend": "box_clip",
-            "delta": delta,
-            "box": [lo, hi],
-            "inner": field.ref,
-        },
-    )
-    clipped.grid = field.grid
-    return clipped
 
 
 def lift_field(g, d: int, lipschitz=None) -> VectorField:
@@ -969,7 +880,7 @@ def _cross_faces(a, r, perm, rows, face):
 
 
 def grid_realize(
-    eval_fn, dim: int, n: int, modulus: Modulus, ns=None
+    eval_fn, dim: int, n: int, modulus: LipschitzModulus, ns=None
 ) -> tuple[VectorField, MLP, ApproximationReport]:
     """Interpolate ``eval_fn`` on the vertex grid of [0,1]^dim and realize
     the interpolant both directly and as an exact ReLU network.
@@ -1025,7 +936,7 @@ def require_cube_support(field: VectorField) -> None:
 
 
 def grid_relu_approximate(
-    field: VectorField, n: int, modulus: Modulus
+    field: VectorField, n: int, modulus: LipschitzModulus
 ) -> tuple[VectorField, MLP, ApproximationReport]:
     """Sample a supported field on the (n+1)^d vertex grid and realize the
     Kuhn CPWL interpolant both directly and as an exact ReLU network.
@@ -1179,8 +1090,8 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
         )
         return grid_field(gi, ref)
     if backend == "box_clip":
-        inner = field_from_ref(ref["inner"], base_dir)
-        return box_bump_clip(inner, ref["delta"], tuple(ref["box"]))
+        raise ValueError("a box_clip field is the manifest format before stages and lifts "
+                         "became flows of grid fields; run approx-flow or lift-approx again")
     if backend == "lift":
         return lift_field(field_from_ref(ref["inner"], base_dir), ref["d"])
     if backend == "radial_clip":

@@ -24,7 +24,7 @@ import numpy as np
 
 from .fields import (
     FlowIntegrationError,
-    Modulus,
+    LipschitzModulus,
     VectorField,
     builtin_field,
     field_from_ref,
@@ -38,8 +38,6 @@ __all__ = [
     "ErrorCertificate",
     "ManifestError",
     "integrate",
-    "certify",
-    "certify_smooth",
     "approximate_flowable",
     "approximate_generator",
     "empirical_lipschitz",
@@ -145,10 +143,17 @@ class FlowMap:
 
     @classmethod
     def from_dict(cls, d: dict, base_dir=None) -> "FlowMap":
-        """Inverse of :meth:`to_dict`; grid payload files resolve against ``base_dir``."""
+        """Inverse of :meth:`to_dict`; grid payload files resolve against
+        ``base_dir``. A manifest flow states at most ``REFERENCE_STEPS``
+        steps, the maximum a config may state: an edited count could
+        otherwise keep ``generate`` integrating for hours."""
         integrator = d["integrator"]
-        return cls(field_from_ref(d["field"], base_dir), d["direction"],
+        flow = cls(field_from_ref(d["field"], base_dir), d["direction"],
                    integrator["steps"], integrator["method"])
+        if flow.steps > REFERENCE_STEPS:
+            raise ValueError(f"a manifest flow states {flow.steps} steps; "
+                             f"at most {REFERENCE_STEPS}")
+        return flow
 
 
 def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
@@ -284,40 +289,9 @@ class IncrementalGenerator:
                    ErrorCertificate.from_dict(cert) if cert else None)
 
 
-def _stage_certificate(gen: IncrementalGenerator, moduli: list[Modulus], t, n: int):
-    if len(moduli) != gen.incrementality:
-        raise ValueError(
-            f"need one modulus per stage: got {len(moduli)} for T={gen.incrementality}"
-        )
-    per_stage = [(np.asarray(m(t)), s.field.lipschitz_bound) for m, s in zip(moduli, gen.stages)]
-    return ErrorCertificate.from_stages(per_stage, n)
-
-
-def certify(gen: IncrementalGenerator, moduli: list[Modulus], n: int) -> ErrorCertificate:
-    """Evaluate the composition bound for the generator's stage fields.
-
-    ``moduli[t]`` is the modulus of regularity of stage t's underlying
-    field; the certificate also reports the generator's Lipschitz factor
-    prod_t e^{L_t}.
-    """
-    return _stage_certificate(gen, moduli, gen.dim / (2.0 * n), n)
-
-
-def certify_smooth(
-    gen: IncrementalGenerator, moduli: list[Modulus], N: int, L: int
-) -> ErrorCertificate:
-    """Composition bound with smooth-rate moduli, argument packed (N, L).
-
-    Bound calculator only: the deep network of the smooth case is not
-    constructed, so the certificate's n field records N and the grid
-    machinery is untouched.
-    """
-    return _stage_certificate(gen, moduli, (N, L), N)
-
-
 def approximate_flowable(
     field: VectorField,
-    modulus: Modulus,
+    modulus: LipschitzModulus,
     n: int,
 ) -> tuple[FlowMap, ErrorCertificate]:
     """Grid-approximate a field supported in the unit cube and wrap it as a flow.
@@ -338,7 +312,7 @@ def approximate_flowable(
 
 def approximate_generator(
     fields: list[VectorField],
-    moduli: list[Modulus],
+    moduli: list[LipschitzModulus],
     n: int,
 ) -> tuple[IncrementalGenerator, ErrorCertificate]:
     """Stagewise approximation of a composition of flows.

@@ -113,13 +113,7 @@ class LiftedApproximator:
     @classmethod
     def from_dict(cls, doc: dict, base_dir=None) -> "LiftedApproximator":
         """Inverse of :meth:`to_dict`; grid payload files resolve against
-        ``base_dir``. The stated ``D`` must match the flows' dimensions. A
-        component over a box-clipped (d+D)-dimensional grid is the format
-        written before lifts were the flows of x-grids, and is refused
-        whatever its integrator."""
-        if any(c["field"]["backend"] == "box_clip" for c in doc["components"]):
-            raise ValueError("a lift component over a box-clipped (d+D)-dim grid is the format "
-                             "before lifts became x-grid lifts; run lift-approx again")
+        ``base_dir``. The stated ``D`` must match the flows' dimensions."""
         flows = [FlowMap.from_dict(c, base_dir) for c in doc["components"]]
         certs = doc.get("certificates")
         certs = [ErrorCertificate.from_dict(c) for c in certs] if certs else None

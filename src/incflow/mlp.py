@@ -22,7 +22,6 @@ __all__ = [
     "relu",
     "affine_mlp",
     "build_bump",
-    "bump_values",
     "compose",
     "lipschitz_upper_bound",
 ]
@@ -161,17 +160,6 @@ def build_bump(delta: float, dim: int = 1) -> MLP:
     # one scalar copy per coordinate: block-diagonal weights, tiled biases
     return MLP([(sparse.block_diag([W] * dim, format="csr"), np.tile(b, dim))
                 for W, b in scalar.layers])
-
-
-def bump_values(x, delta: float):
-    """Closed-form evaluation of the cutoff network (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    inner = (
-        2.0 * relu(x - delta / 4.0)
-        - relu(x - delta / 2.0)
-        - relu(x - (1.0 - delta / 2.0)) / delta
-    )
-    return relu(inner)
 
 
 def compose(outer: MLP, inner: MLP) -> MLP:

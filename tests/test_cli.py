@@ -14,15 +14,12 @@ from hypothesis import strategies as st
 
 import incflow
 from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, main
-from incflow.fields import (
-    GridInterpolant, LipschitzModulus, box_bump_clip, builtin_field, lattice,
-)
+from incflow.fields import GridInterpolant, builtin_field, lattice
 from incflow.flow import (
     ErrorCertificate,
     FlowMap,
     IncrementalGenerator,
     ManifestError,
-    approximate_generator,
     builtin_generator,
     load_generator,
     save_generator,
@@ -31,6 +28,8 @@ from incflow.lift import load_lifted
 
 _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+# what a manifest written with box_clip stage or lift fields is refused for
+_OLD_FORMAT = "before stages and lifts became flows of grid fields"
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -327,8 +326,8 @@ def test_lift_manifest_over_a_clipped_lift_grid_exits_2(tmp_path, capsys, method
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and len(err.splitlines()) == 1
-    assert "before lifts became x-grid lifts" in err
-    with pytest.raises(ManifestError, match="before lifts became x-grid lifts"):
+    assert _OLD_FORMAT in err
+    with pytest.raises(ManifestError, match=_OLD_FORMAT):
         load_lifted(str(path))
 
 
@@ -529,6 +528,10 @@ def _damage_manifest(run, defect):
             doc["stages"][0]["integrator"]["steps"] = 2.5
         elif defect == "steps_bool":
             doc["stages"][0]["integrator"]["steps"] = True
+        elif defect.startswith("rk4_steps_"):
+            # past the most a config may ask for, so nothing starts integrating
+            doc["stages"][0]["integrator"] = {"method": "rk4",
+                                              "steps": int(defect.split("_")[-1])}
         elif defect == "cert_product_missing":
             del doc["certificate"]["lipschitz_product"]
         elif defect == "exact_off_center_squeeze":
@@ -545,8 +548,8 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("command", ["verify", "generate"])
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
-    "grid_ref_without_file", "steps_float", "steps_bool", "cert_product_missing",
-    "exact_off_center_squeeze"])
+    "grid_ref_without_file", "steps_float", "steps_bool", "rk4_steps_4097",
+    "rk4_steps_1000000000", "cert_product_missing", "exact_off_center_squeeze"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
@@ -563,7 +566,7 @@ def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command,
             "N_list": [4], "out_dir": str(out)})]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "Traceback" not in err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -625,6 +628,11 @@ def test_rk4_grid_manifest_still_reads(tmp_path, capsys):
     stages = load_generator(str(path)).stages
     assert [(s.method, s.steps) for s in stages] == [("rk4", 256)] * 2
     assert _generate_from(tmp_path, path) == 0
+    # the most steps a manifest flow may state, as a config may
+    for stage in doc["stages"]:
+        stage["integrator"]["steps"] = 4096
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 0
 
 
 def test_negative_sin_bump_amplitude_certifies(tmp_path):
@@ -688,29 +696,31 @@ def test_builtin_generator_manifest_verifies_and_generates_alike(tmp_path, capsy
     assert runs[0] == runs[1]
 
 
-def test_manifest_with_box_clipped_stages_verifies_and_generates(tmp_path, capsys):
-    # approx-flow manifests written before the stage flows dropped their
-    # cutoff state each stage field as box_bump_clip(grid, delta), backend
-    # "box_clip"; the one reader rebuilds such a stage as it was written
-    flds = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
-    moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in flds]
-    gen, cert = approximate_generator(flds, moduli, 4)
-    old = IncrementalGenerator([FlowMap(box_bump_clip(s.field, 0.2), steps=8)
-                                for s in gen.stages], cert)
-    path = save_generator(old, str(tmp_path / "old"))
-    doc = json.loads(open(path).read())
-    assert [s["field"]["backend"] for s in doc["stages"]] == ["box_clip", "box_clip"]
-    assert [s["field"]["inner"]["file"] for s in doc["stages"]] == [
-        "stage0_grid.bin", "stage1_grid.bin"]
-    assert main(["verify", path]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
-    pts = lattice([17, 17])
-    assert np.array_equal(load_generator(path).apply(pts), old.apply(pts))
-    out = tmp_path / "gen"
-    assert main(["generate", write_cfg(tmp_path, "gen.json", {
-        "generator": {"manifest": path}, "seed": 0, "M": 8, "trials": 1, "N_list": [4],
-        "out_dir": str(out)})]) == 0
-    assert len((out / "metrics.csv").read_text().splitlines()) == 2
+def test_manifest_with_box_clipped_stages_exits_2(tmp_path, capsys):
+    # the format before approx-flow stages dropped their cutoff: each stage
+    # field a box_clip around its grid, written here by hand
+    out = tmp_path / "old"
+    out.mkdir()
+    stages = []
+    for k in range(2):
+        GridInterpolant((4, 4), np.zeros((25, 2))).save(out / f"stage{k}_grid.bin")
+        stages.append({"direction": "forward", "integrator": {"method": "rk4", "steps": 8},
+                       "field": {"backend": "box_clip", "box": [0.0, 1.0], "delta": 0.2,
+                                 "inner": {"backend": "grid", "n": [4, 4],
+                                           "file": f"stage{k}_grid.bin"}}})
+    cert = ErrorCertificate.from_stages([(np.full(2, 0.25), 1.0)] * 2, 4)
+    path = out / "manifest.json"
+    path.write_text(json.dumps({
+        "kind": "incremental_generator", "dim": 2, "incrementality": 2,
+        "lipschitz_bound": cert.lipschitz_product, "stages": stages,
+        "certificate": cert.to_dict()}))
+    for run in (lambda: main(["verify", str(path)]), lambda: _generate_from(tmp_path, path)):
+        assert run() == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and len(err.splitlines()) == 1
+        assert _OLD_FORMAT in err
+    with pytest.raises(ManifestError, match=_OLD_FORMAT):
+        load_generator(str(path))
 
 
 @pytest.mark.parametrize("key,size", [("eval_grid", 257), ("n", 256)])

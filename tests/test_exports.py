@@ -88,7 +88,7 @@ def test_trace_field_measure_reads_every_field_kind():
     # the tracer's fields.eval measure reads each field's support box; a
     # field kind the CLI evaluates that lost the attribute fails here first
     from incflow.fields import (
-        GridInterpolant, box_bump_clip, builtin_field, grid_field, lift_field,
+        GridInterpolant, builtin_field, grid_field, lift_field,
         radial_bump_clip, rotation_field,
     )
 
@@ -103,7 +103,6 @@ def test_trace_field_measure_reads_every_field_kind():
     }
     boxless = {
         "grid": grid,
-        "box_clip": box_bump_clip(grid, 0.2),
         "lift": lift_field([lambda P: P[:, 0]], 1, [1.0]),
         "x_grid_lift": lift_field(grid_field(GridInterpolant((2,), rng.standard_normal((3, 1)))), 1),
     }

@@ -8,11 +8,8 @@ from scipy import sparse
 
 from incflow.fields import (
     GridInterpolant,
-    HolderModulus,
     LipschitzModulus,
-    SmoothRateModulus,
     VectorField,
-    box_bump_clip,
     builtin_field,
     builtin_suite,
     field_from_ref,
@@ -24,7 +21,6 @@ from incflow.fields import (
     rotation_field,
     sin_bump_field,
     squeeze_field,
-    zero_field,
 )
 from incflow.flow import approximate_generator
 from incflow.mlp import _EVAL_ROWS, relu
@@ -242,59 +238,14 @@ def test_field_lipschitz_bounds_dominate_on_pairs():
         assert (num <= f.lipschitz_bound * den + 1e-9).all(), name
 
 
-def test_box_clip_kills_any_outside_coordinate():
-    f = box_bump_clip(builtin_field("sin_bump"), 0.4)
-    pts = np.array([[-0.5, 0.5], [0.5, -0.5], [0.05, 0.5]])
-    assert np.array_equal(f.eval(pts), np.zeros((3, 2)))
-
-
-def test_box_clip_zero_field_stays_zero():
-    f = box_bump_clip(zero_field(3), 0.4)
-    rng = np.random.default_rng(2)
-    assert np.array_equal(f.eval(rng.random((100, 3))), np.zeros((100, 3)))
-
-
-def test_box_clip_identity_on_plateau():
-    lin = VectorField(2, lambda X: X.copy(), 1.0,
-                      support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    f = box_bump_clip(lin, 0.4)
-    assert np.allclose(f.eval(np.array([0.5, 0.5])), [0.5, 0.5], atol=1e-15)
-    rng = np.random.default_rng(3)
-    X = rng.uniform(0.2, 0.8, size=(10_000, 2))
-    assert np.abs(f.eval(X) - lin.eval(X)).max() <= 1e-12
-
-
-def cutoff_zero_box(f):
-    """The box outside which the cutoff of a box-clipped field ``f`` folds
-    every point to its clip box's lower corner: [lo + w delta/4,
-    lo + w (2 - delta)/(2 (1 - delta))]^d with w = hi - lo, delta < 1."""
-    delta, (lo, hi) = f.ref["delta"], f.ref["box"]
-    w = hi - lo
-    return np.array([[lo + w * delta / 4] * f.dim,
-                     [lo + w * (2 - delta) / (2 * (1 - delta))] * f.dim])
-
-
-def test_box_clip_vanishes_outside_declared_support():
-    # the clip target must vanish on the cube boundary (as every field in
-    # the approximation pipeline does); sin_bump vanishes outside
-    # [1/8, 7/8]^2. No box clip declares a support box.
-    f = box_bump_clip(builtin_field("sin_bump"), 0.4)
-    assert f.support_box is None
-    lo, hi = cutoff_zero_box(f)
-    assert lo[0] == pytest.approx(0.1)
-    assert hi[0] == pytest.approx((2 - 0.4) / (2 * (1 - 0.4)))
-    rng = np.random.default_rng(4)
-    pts = rng.uniform(-1.0, 3.0, size=(10_000, 2))
-    outside = ~np.all((pts >= lo) & (pts <= hi), axis=1)
-    assert outside.sum() > 5000
-    assert np.array_equal(f.eval(pts[outside]), np.zeros((outside.sum(), 2)))
-    assert_zero_outside_support(f, (lo, hi), 4)
+def test_approx_flow_stages_vanish_on_and_outside_the_cube():
     # approx-flow stages are grid fields, exactly 0 on the faces
     # of the cube and outside it
     stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped"),
               builtin_field("sin_bump")]
     moduli = [LipschitzModulus(np.full(2, g.lipschitz_bound)) for g in stages]
     gen, _ = approximate_generator(stages, moduli, 4)
+    rng = np.random.default_rng(4)
     faces = rng.uniform(0.0, 1.0, size=(1000, 2))
     faces[np.arange(1000), rng.integers(2, size=1000)] = rng.integers(2, size=1000)
     for seed, stage in enumerate(gen.stages, start=1):
@@ -302,11 +253,6 @@ def test_box_clip_vanishes_outside_declared_support():
         assert g.support_box is None and g.ref["backend"] == "grid"
         assert np.array_equal(g.eval(faces), np.zeros((1000, 2)))
         assert_zero_outside_support(g, ([0.0, 0.0], [1.0, 1.0]), seed)
-
-
-def test_box_clip_delta_validation():
-    with pytest.raises(ValueError):
-        box_bump_clip(zero_field(2), 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +584,6 @@ def test_lipschitz_modulus_values():
     assert m(0.0)[0] == 0.0
     with pytest.raises(ValueError):
         m(-0.1)
-
-
-def test_smooth_rate_modulus_value():
-    m = SmoothRateModulus(s=1, dim=2, cs_norms=[1.0])
-    assert m((2, 2))[0] == pytest.approx(680.0)
-    with pytest.raises(ValueError):
-        m(0.5)  # needs the (N, L) pair
-
-
-def test_holder_modulus():
-    m = HolderModulus([1.0], 0.5)
-    assert m(0.25)[0] == pytest.approx(0.5)
-    assert m(0.0)[0] == 0.0
 
 
 def test_modulus_monotone_and_subadditive():

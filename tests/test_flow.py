@@ -23,7 +23,6 @@ from incflow.flow import (
     approximate_flowable,
     approximate_generator,
     builtin_generator,
-    certify,
     empirical_lipschitz,
     integrate,
     load_generator,
@@ -197,8 +196,7 @@ def test_certify_single_stage_value():
     # total = 2 * (2 / 8) * e
     f = VectorField(2, lambda X: np.zeros_like(X), 1.0,
                     support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    gen = IncrementalGenerator([FlowMap(f)])
-    cert = certify(gen, [LipschitzModulus([1.0, 1.0])], n=4)
+    _, cert = approximate_generator([f], [LipschitzModulus([1.0, 1.0])], 4)
     assert cert.total_bound == pytest.approx(0.5 * math.e)
     assert cert.lipschitz_product == pytest.approx(math.e)
 
@@ -206,15 +204,14 @@ def test_certify_single_stage_value():
 def test_certify_two_stages_zero_lipschitz():
     f = VectorField(2, lambda X: np.zeros_like(X), 0.0,
                     support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    gen = IncrementalGenerator([FlowMap(f), FlowMap(f)])
-    cert = certify(gen, [LipschitzModulus([1.0, 1.0])] * 2, n=4)
+    _, cert = approximate_generator([f, f], [LipschitzModulus([1.0, 1.0])] * 2, 4)
     assert cert.total_bound == pytest.approx(2 * 0.25 + 2 * 0.25)
 
 
 def test_certificate_total_recomputable():
-    gen = builtin_generator("counterexample")
-    moduli = [LipschitzModulus(np.full(2, s.field.lipschitz_bound)) for s in gen.stages]
-    cert = certify(gen, moduli, n=8)
+    fields = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
+    moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in fields]
+    _, cert = approximate_generator(fields, moduli, 8)
     assert cert.total_bound == pytest.approx(cert.recompute_total(), rel=1e-12)
     back = ErrorCertificate.from_dict(cert.to_dict())
     assert back.recompute_total() == pytest.approx(cert.total_bound, rel=1e-12)
@@ -237,24 +234,10 @@ def test_one_stage_certificate_is_the_hand_formula():
         assert cert.lipschitz_product == math.exp(f.lipschitz_bound)
 
 
-def test_certify_smooth_rate_calculator():
-    # single stage, s=1, d=2, unit C^1 norms, N=L=2: the stage modulus
-    # value is 85 * 4 * 8 * (4)^-1 = 680, so the bound is 2 * 680 * e^L
-    from incflow.fields import SmoothRateModulus
-    from incflow.flow import certify_smooth
-
-    f = VectorField(2, lambda X: np.zeros_like(X), 1.0,
-                    support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    gen = IncrementalGenerator([FlowMap(f)])
-    cert = certify_smooth(gen, [SmoothRateModulus(1, 2, [1.0, 1.0])], N=2, L=2)
-    assert cert.total_bound == pytest.approx(2 * 680.0 * math.e, rel=1e-12)
-    assert cert.recompute_total() == pytest.approx(cert.total_bound, rel=1e-12)
-
-
 def test_certify_length_mismatch():
-    gen = builtin_generator("counterexample")
-    with pytest.raises(ValueError):
-        certify(gen, [LipschitzModulus([1.0, 1.0])], n=4)
+    fields = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
+    with pytest.raises(ValueError, match="one modulus per stage"):
+        approximate_generator(fields, [LipschitzModulus([1.0, 1.0])], 4)
 
 
 def test_lipschitz_bound_is_stage_product():

@@ -19,7 +19,6 @@ from incflow.mlp import (
     MLP,
     affine_mlp,
     build_bump,
-    bump_values,
     compose,
     lipschitz_upper_bound,
 )
@@ -76,15 +75,18 @@ def test_bump_matches_piecewise_oracle():
 
 def test_bump_closed_form_helper_is_the_network():
     # dim >= 2 replicates the scalar network once per coordinate: each
-    # output column is the cutoff of its own input column
+    # output column is the scalar network on its own input column, bit for
+    # bit, and the scalar network is the piecewise oracle
     x = np.linspace(-0.5, 1.5, 4001)
+    scalar = build_bump(0.3, 1)
+    assert np.abs(scalar.eval(x[:, None])[:, 0] - bump_piecewise(x, 0.3)).max() <= 1e-15
     for dim in (1, 2, 3):
         b = build_bump(0.3, dim)
         X = np.stack([np.roll(x, 1000 * k) for k in range(dim)], axis=1)
         got = b.eval(X)
         assert got.shape == (4001, dim)
         for k in range(dim):
-            assert np.abs(got[:, k] - bump_values(X[:, k], 0.3)).max() <= 1e-15
+            assert np.array_equal(got[:, k], scalar.eval(X[:, k:k + 1])[:, 0])
 
 
 @settings(max_examples=200, deadline=None)
