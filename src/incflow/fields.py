@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy import sparse
 
-from .mlp import _EVAL_ROWS, MLP, affine_mlp, compose, relu
+from .mlp import _EVAL_ROWS, MLP, affine_mlp, compose
 
 __all__ = [
     "FlowIntegrationError",
@@ -140,11 +140,11 @@ class GridInterpolant:
         self._shape = tuple(n + 1 for n in self.ns)
         self._nvec = np.array(self.ns, dtype=float)
         self._strides = np.cumprod((1,) + self._shape[:0:-1])[::-1].astype(np.int64)
-        # (per-axis offsets, flat index offset) of the 2^d cell corners
-        self._corners = [
-            (offs, int(np.dot(offs, self._strides)))
-            for offs in itertools.product((0, 1), repeat=self.dim)
-        ]
+        # per-axis offsets (2^d, d) and flat index offsets (2^d,) of the
+        # cell corners, in itertools.product order
+        corners = list(itertools.product((0, 1), repeat=self.dim))
+        self._corner_offs = np.array(corners, dtype=np.int64)
+        self._corner_flat = self._corner_offs @ self._strides
         self._table = values.reshape(-1, self.out_dim)
         self._row_base = None  # per-row offset of the row's block in _table
         if (block is None) != (values.ndim == 2):
@@ -172,10 +172,15 @@ class GridInterpolant:
         """Hat-sum evaluation, valid on all of R^d (zero one cell out).
 
         The hat of corner v at x is ``relu(1 - max_i relu(t_i - v_i) -
-        max_i relu(v_i - t_i))`` with t = x in grid units; both maxima are
-        running maxima over the coordinate columns. Non-finite rows
-        evaluate to NaN so a caller integrating a diverging trajectory sees
-        the failure instead of an index crash.
+        max_i relu(v_i - t_i))`` with t = x in grid units. The 2^d corners
+        of the rows' cells are the rows of ``(2^d, rows)`` arrays (corner
+        major, which keeps each corner's terms contiguous): both maxima
+        are running maxima over the axes and one gather reads every
+        corner's vertex values. The corner terms are added one by one, in
+        corner order, to a sum that starts at +0.0, so a zero hat adds +-0
+        and changes no bit. Non-finite rows evaluate to NaN so a caller
+        integrating a diverging trajectory sees the failure instead of an
+        index crash.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
@@ -191,23 +196,21 @@ class GridInterpolant:
             bad = ~np.isfinite(X).all(axis=1)
             X = np.where(bad[:, None], 0.0, X)
         t = X * self._nvec  # grid units per axis
-        anchor = np.clip(np.floor(t), 0, self._nvec - 1).astype(np.int64)
+        anchor = np.minimum(np.maximum(np.floor(t), 0.0), self._nvec - 1).astype(np.int64)
         base = anchor @ self._strides
         if self._row_base is not None:
             base += self._row_base
-        # relu(+-(t_i - v_i)) for the lower (v_i = anchor_i) and upper corner
-        up, down = [], []
+        # running maxima of relu(t_i - v_i) and relu(v_i - t_i), one row per corner v
+        a = b = 0.0
         for i in range(self.dim):
-            diffs = (t[:, i] - anchor[:, i], t[:, i] - (anchor[:, i] + 1))
-            up.append([relu(dv) for dv in diffs])
-            down.append([relu(-dv) for dv in diffs])
+            diff = t[:, i] - (anchor[:, i] + self._corner_offs[:, i, None])
+            a = np.maximum(a, diff)
+            b = np.maximum(b, -diff)
+        terms = self._table.take(base + self._corner_flat[:, None], axis=0)  # vertex values
+        terms *= np.maximum(1.0 - a - b, 0.0)[:, :, None]  # times their hats
         out = np.zeros((X.shape[0], self.out_dim))
-        for offs, flat in self._corners:
-            a, b = up[0][offs[0]], down[0][offs[0]]
-            for i in range(1, self.dim):
-                a = np.maximum(a, up[i][offs[i]])
-                b = np.maximum(b, down[i][offs[i]])
-            out += relu(1.0 - a - b)[:, None] * self._table[base + flat]
+        for term in terms:  # corner by corner, in corner order
+            out += term
         if bad is not None:
             out[bad] = np.nan
         return out[0] if single else out

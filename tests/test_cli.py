@@ -551,10 +551,13 @@ def _damage_manifest(run, defect):
     "grid_ref_without_file", "steps_float", "steps_bool", "rk4_steps_4097",
     "rk4_steps_1000000000", "cert_product_missing", "exact_off_center_squeeze"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
+    # sin_bump's grid is nonzero, so a reader that let a defect through
+    # would move the generate half's rows
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, "cfg.json", {
-        "stages": [{"id": "squeeze_clipped"}], "n": 4, "eval_grid": 5, "out_dir": str(run)})
+        "stages": [{"id": "sin_bump"}], "n": 4, "eval_grid": 5, "out_dir": str(run)})
     assert main(["approx-flow", cfg]) == 0
+    assert np.abs(GridInterpolant.load(run / "stage0_grid.bin").values).max() > 0
     manifest = _damage_manifest(run, defect)
     capsys.readouterr()
     out = tmp_path / "gen"

@@ -523,12 +523,27 @@ def reference_hat_sum(gi, x):
     return out
 
 
+def _assert_same_bits(got, ref):
+    """Equal float64 bit patterns (so -0.0 differs from +0.0), NaN where ref is NaN."""
+    got, ref = np.atleast_2d(got), np.atleast_2d(ref)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
 @pytest.mark.parametrize("ns", [(6,), (4, 4), (3, 5), (2, 2, 2), (2, 3, 1, 2)])
 def test_hat_sum_is_bit_identical_to_reference(ns):
     rng = np.random.default_rng(sum(ns))
     d = len(ns)
     nverts = int(np.prod([n + 1 for n in ns]))
-    gi = GridInterpolant(ns, rng.standard_normal((nverts, 3)))
+    # columns: random; all -0.0 (every term is -0.0, the sum must stay +0.0);
+    # random with exact 0.0 and -0.0 vertices mixed in
+    vals = rng.standard_normal((nverts, 3))
+    vals[:, 1] = -0.0
+    zeros = rng.random(nverts) < 0.5
+    vals[zeros, 2] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    gi = GridInterpolant(ns, vals)
     n = np.array(ns, dtype=float)
     inside = rng.random((2000, d))
     facets = rng.random((2000, d))
@@ -539,8 +554,21 @@ def test_hat_sum_is_bit_identical_to_reference(ns):
     nan_rows[::2, 0] = np.nan
     nan_rows[1::4, -1] = np.inf
     for X in (inside, facets, outside, nan_rows, inside[0]):
-        got, ref = gi(X), reference_hat_sum(gi, X)
-        assert np.array_equal(np.atleast_2d(got), ref, equal_nan=True)
+        _assert_same_bits(gi(X), reference_hat_sum(gi, X))
+
+    # batched values: each block against the reference of its own values
+    batched = np.stack([vals, rng.standard_normal((nverts, 3)), -vals])
+    block = rng.integers(0, 3, size=outside.shape[0])
+    got = GridInterpolant(ns, batched, block)(outside)
+    for k in range(3):
+        rows = block == k
+        ref = reference_hat_sum(GridInterpolant(ns, batched[k]), outside[rows])
+        _assert_same_bits(got[rows], ref)
+
+    # two field columns beside an identity block, as the fit's touched mask reads it
+    wide = GridInterpolant(ns, np.hstack([vals[:, :2], np.eye(nverts)]))
+    for X in (inside, facets, outside, nan_rows):
+        _assert_same_bits(wide(X), reference_hat_sum(wide, X))
 
 
 def test_batched_values_match_one_interpolant_per_block():
