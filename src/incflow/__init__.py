@@ -18,7 +18,6 @@ from .fields import (
     ApproximationReport,
     GridInterpolant,
     GridPayloadError,
-    LipschitzModulus,
     VectorField,
     builtin_field,
     builtin_suite,
@@ -37,7 +36,6 @@ from .flow import (
     FlowMap,
     IncrementalGenerator,
     ManifestError,
-    approximate_flowable,
     approximate_generator,
     builtin_generator,
     empirical_lipschitz,

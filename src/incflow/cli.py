@@ -152,12 +152,6 @@ def _check(cfg: dict, schema: dict, where: str = "config") -> dict:
     return out
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -194,8 +188,8 @@ def cmd_approx_flow(cfg: dict) -> int:
                           f"got {side}**{d}")
     os.makedirs(out_dir, exist_ok=True)
 
-    moduli = [F.LipschitzModulus(np.full(f.dim, f.lipschitz_bound)) for f in flds]
-    gen, cert = FL.approximate_generator(flds, moduli, n)
+    gen = FL.approximate_generator(flds, n)
+    cert = gen.certificate
 
     pts = F.lattice([cfg["eval_grid"]] * flds[0].dim)
     ref = pts
@@ -212,7 +206,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     )
     measured = float(err.max())
     dominates = measured <= cert.total_bound + 1e-12
-    _write_json(
+    F.write_json(
         os.path.join(out_dir, "acceptance.json"),
         {
             "certificate_total": cert.total_bound,
@@ -259,7 +253,7 @@ def cmd_lift_approx(cfg: dict) -> int:
     _write_csv(os.path.join(out_dir, "metrics.csv"), header, rows)
     measured = float(err.max())
     within = measured <= cert.total_bound + 1e-12
-    _write_json(
+    F.write_json(
         os.path.join(out_dir, "acceptance.json"),
         {
             "certificate_total": cert.total_bound,
@@ -301,7 +295,7 @@ def cmd_generate(cfg: dict) -> int:
             for r in result["rows"]
         ],
     )
-    _write_json(
+    F.write_json(
         os.path.join(out_dir, "manifest.json"),
         {
             "kind": "generate_run",
@@ -321,7 +315,7 @@ def cmd_generate(cfg: dict) -> int:
             ),
         },
     )
-    _write_json(
+    F.write_json(
         os.path.join(out_dir, "acceptance.json"),
         {
             "medians": {str(k): v for k, v in summary["medians"].items()},
@@ -369,7 +363,7 @@ def cmd_probe(cfg: dict) -> int:
     if fit["enabled"]:
         fit_summary = PR.fit_gap_experiment(seed=cfg["seed"], budget=fit["budget"],
                                             n_grid=fit["n_grid"])
-        _write_json(os.path.join(out_dir, "fitgap.json"), fit_summary)
+        F.write_json(os.path.join(out_dir, "fitgap.json"), fit_summary)
         if not fit_summary["margin_10x"]:
             print(
                 "warning: single-flow fit gap below 10x "
@@ -378,7 +372,7 @@ def cmd_probe(cfg: dict) -> int:
             )
 
     contraction_ok = audit is not None and audit["max_ratio"] <= 0.9
-    _write_json(
+    F.write_json(
         os.path.join(out_dir, "acceptance.json"),
         {
             "period2_found_near_line": bool(near_line),

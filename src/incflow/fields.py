@@ -31,7 +31,6 @@ from .mlp import _EVAL_ROWS, MLP, affine_mlp, compose
 
 __all__ = [
     "FlowIntegrationError",
-    "LipschitzModulus",
     "GridInterpolant",
     "GridPayloadError",
     "lattice",
@@ -61,24 +60,6 @@ class FlowIntegrationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# modulus of regularity
-
-
-class LipschitzModulus:
-    """Componentwise modulus of regularity omega(t) = L t."""
-
-    def __init__(self, L):
-        self.L = np.atleast_1d(np.asarray(L, dtype=float))
-        if np.any(self.L < 0):
-            raise ValueError("Lipschitz constants must be >= 0")
-
-    def __call__(self, t):
-        if t < 0:
-            raise ValueError("modulus argument must be >= 0")
-        return self.L * t
-
-
-# ---------------------------------------------------------------------------
 # Kuhn-grid interpolant
 
 
@@ -94,6 +75,14 @@ def lattice(counts, lo=0.0, hi=1.0) -> np.ndarray:
     for i, m in enumerate(counts):
         out[..., i] = np.linspace(lo[i], hi[i], m).reshape((m,) + (1,) * (d - 1 - i))
     return out.reshape(-1, d)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as key-sorted JSON indented by two, with a final
+    newline: the one format of every JSON file the package writes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 class GridPayloadError(ValueError):
@@ -269,9 +258,7 @@ class GridInterpolant:
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(self.to_bytes())
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(self.sidecar(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(str(path) + ".json", self.sidecar())
 
     @classmethod
     def load(cls, path) -> "GridInterpolant":
@@ -882,32 +869,34 @@ def _cross_faces(a, r, perm, rows, face):
             perm[sel, k - 1], perm[sel, k] = p[:, k], p[:, k - 1]
 
 
-def grid_realize(
-    eval_fn, dim: int, n: int, modulus: LipschitzModulus, ns=None
-) -> tuple[VectorField, MLP, ApproximationReport]:
-    """Interpolate ``eval_fn`` on the vertex grid of [0,1]^dim and realize
-    the interpolant both directly and as an exact ReLU network.
+def grid_realize(eval_fn, dim: int, n: int, lipschitz) -> VectorField:
+    """Interpolate ``eval_fn`` on the (n+1)^dim vertex grid of [0,1]^dim and
+    realize the interpolant both directly and as an exact ReLU network; the
+    returned field carries the interpolant as ``grid``, the network as
+    ``mlp`` and the :class:`ApproximationReport` as ``report``.
 
     This is the unchecked core shared by :func:`grid_relu_approximate`
     (which additionally requires the field's declared support box to lie
     in the cube) and the lifts, whose x-grids sample a map R^d -> R^D on
     the cube (``eval_fn`` may return any number of columns); the fields it
-    returns declare no support box.
-    The certified per-component error is the modulus at dim/(2n), verified
-    empirically on a 4x finer grid.
+    returns declare no support box. ``lipschitz`` bounds the Lipschitz
+    constant of each output column (a scalar bounds them all); the
+    certified per-column error is its modulus omega(t) = L t at
+    t = dim/(2n), verified empirically on a 4x finer grid.
     """
     if n < 1:
         raise ValueError("grid parameter n must be >= 1")
     d = dim
-    if ns is None:
-        ns = (n,) * d
-    gi = GridInterpolant.from_callable(eval_fn, ns)
+    gi = GridInterpolant.from_callable(eval_fn, (n,) * d)
+    lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (gi.out_dim,))
+    if np.any(lipschitz < 0):
+        raise ValueError("Lipschitz constants must be >= 0")
     vf = grid_field(gi)
     net = grid_to_mlp(gi)
     vf.mlp = net
 
     # pointwise, and a max is exact: row blocks keep every bit and bound memory
-    pts = lattice([4 * m + 1 for m in ns])
+    pts = lattice([4 * n + 1] * d)
     err = 0.0
     for start in range(0, pts.shape[0], _EVAL_ROWS):
         P = pts[start:start + _EVAL_ROWS]
@@ -916,7 +905,7 @@ def grid_realize(
             target = target[:, None]
         err = np.maximum(err, np.abs(gi(P) - target).max(axis=0))
     tw, td, tn = size_targets(d, n)
-    report = ApproximationReport(
+    vf.report = ApproximationReport(
         dim=d,
         n=n,
         width=net.width,
@@ -926,10 +915,9 @@ def grid_realize(
         target_depth=td,
         target_nonzeros=tn,
         measured_error=np.atleast_1d(err),
-        modulus_bound=np.asarray(modulus(d / (2.0 * n))),
+        modulus_bound=lipschitz * (d / (2.0 * n)),
     )
-    vf.report = report
-    return vf, net, report
+    return vf
 
 
 def require_cube_support(field: VectorField) -> None:
@@ -938,18 +926,16 @@ def require_cube_support(field: VectorField) -> None:
         raise ValueError("field must have bounded support inside [0,1]^d")
 
 
-def grid_relu_approximate(
-    field: VectorField, n: int, modulus: LipschitzModulus
-) -> tuple[VectorField, MLP, ApproximationReport]:
+def grid_relu_approximate(field: VectorField, n: int) -> VectorField:
     """Sample a supported field on the (n+1)^d vertex grid and realize the
     Kuhn CPWL interpolant both directly and as an exact ReLU network.
 
-    The sup-norm error per component is certified by the modulus at
-    argument d/(2n) and verified empirically on a 4x finer grid; the
+    The sup-norm error per component is certified by the field's Lipschitz
+    bound times d/(2n) and verified empirically on a 4x finer grid; the
     report states achieved width/depth/nonzeros next to the targets.
     """
     require_cube_support(field)
-    return grid_realize(field.eval, field.dim, n, modulus)
+    return grid_realize(field.eval, field.dim, n, field.lipschitz_bound)
 
 
 # ---------------------------------------------------------------------------

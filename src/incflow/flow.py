@@ -24,11 +24,11 @@ import numpy as np
 
 from .fields import (
     FlowIntegrationError,
-    LipschitzModulus,
     VectorField,
     builtin_field,
     field_from_ref,
     grid_relu_approximate,
+    write_json,
 )
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ErrorCertificate",
     "ManifestError",
     "integrate",
-    "approximate_flowable",
     "approximate_generator",
     "empirical_lipschitz",
     "reference_flow",
@@ -176,12 +175,12 @@ def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
     return X
 
 
-def reference_flow(field: VectorField, steps: int = REFERENCE_STEPS) -> FlowMap:
+def reference_flow(field: VectorField) -> FlowMap:
     """The exact flow of a field: its closed-form map where it has one, a
-    ``steps``-step RK4 stand-in otherwise."""
+    ``REFERENCE_STEPS``-step RK4 stand-in otherwise."""
     if field.flow is not None:
         return FlowMap(field, steps=1, method="exact")
-    return FlowMap(field, steps=steps)
+    return FlowMap(field, steps=REFERENCE_STEPS)
 
 
 @dataclass
@@ -289,42 +288,22 @@ class IncrementalGenerator:
                    ErrorCertificate.from_dict(cert) if cert else None)
 
 
-def approximate_flowable(
-    field: VectorField,
-    modulus: LipschitzModulus,
-    n: int,
-) -> tuple[FlowMap, ErrorCertificate]:
-    """Grid-approximate a field supported in the unit cube and wrap it as a flow.
+def approximate_generator(fields: list[VectorField], n: int) -> IncrementalGenerator:
+    """Stagewise approximation of a composition of flows, stage 1 first.
 
-    Returns the exact flow of the ReLU-realizable grid approximant (its
-    closed form, simplex by simplex) together with the single-stage
-    certificate 2 ||omega(d/2n)||_inf e^{L}, which covers that computed
-    flow with no integration term. The field vanishes on the cube's
-    boundary vertices, so the approximant is zero on and outside the cube:
-    its flow fixes every face point and keeps the cube.
+    Each stage is the exact flow of the ReLU-realizable grid approximant
+    of its field (its closed form, simplex by simplex), so the generator's
+    certificate sum_t 2 ||omega_t(d/2n)||_inf prod_{j>=t} e^{L_j}, with
+    omega_t(s) = L_t s from each true stage field's Lipschitz bound (the
+    grid report's ``modulus_bound``), covers the computed composition
+    with no integration term. Each field
+    vanishes on the cube's boundary vertices, so its approximant is zero
+    on and outside the cube: every stage fixes each face point and keeps
+    the cube.
     """
-    gridvf, _, _ = grid_relu_approximate(field, n, modulus)
-    omega = np.asarray(modulus(field.dim / (2.0 * n)))
-    return FlowMap(gridvf, steps=1, method="exact"), ErrorCertificate.from_stages(
-        [(omega, field.lipschitz_bound)], n
-    )
-
-
-def approximate_generator(
-    fields: list[VectorField],
-    moduli: list[LipschitzModulus],
-    n: int,
-) -> tuple[IncrementalGenerator, ErrorCertificate]:
-    """Stagewise approximation of a composition of flows.
-
-    Each stage field is grid-approximated independently; the certificate
-    is the composition bound over the true stage fields.
-    """
-    if len(fields) != len(moduli):
-        raise ValueError("need one modulus per stage field")
-    stages = [approximate_flowable(f, m, n) for f, m in zip(fields, moduli)]
-    cert = ErrorCertificate.from_stages([c.per_stage[0] for _, c in stages], n)
-    return IncrementalGenerator([fl for fl, _ in stages], cert), cert
+    stages = [FlowMap(grid_relu_approximate(f, n), steps=1, method="exact") for f in fields]
+    columns = [(s.field.report.modulus_bound, f.lipschitz_bound) for s, f in zip(stages, fields)]
+    return IncrementalGenerator(stages, ErrorCertificate.from_stages(columns, n))
 
 
 def empirical_lipschitz(mapping, samples: int = 10_000, seed: int = 0) -> float:
@@ -391,9 +370,7 @@ def _write_manifest(doc: dict, key: str, flows, out_dir: str, name: str) -> str:
                 flow.field.grid.save(os.path.join(out_dir, node["file"]))
             node = node.get("inner")
     path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
     return path
 
 

@@ -23,12 +23,7 @@ import math
 
 import numpy as np
 
-from .fields import (
-    LipschitzModulus,
-    _plateau,
-    grid_realize,
-    lift_field,
-)
+from .fields import _plateau, grid_realize, lift_field
 from .flow import (
     ErrorCertificate,
     FlowMap,
@@ -181,12 +176,11 @@ def _lift_flow(comps, n, d, lipschitz):
     """The one exact step of the lift of the D = len(comps) components'
     grid field on the d-dimensional x-grid, with its one-stage certificate
     2 ||omega(d/(2n))|| e^{max(1, L_i)}."""
-    modulus = LipschitzModulus(lipschitz)
-    gridvf, _, _ = grid_realize(
+    gridvf = grid_realize(
         lambda X: np.column_stack([np.asarray(g(X), dtype=float).reshape(-1) for g in comps]),
-        d, n, modulus)
+        d, n, lipschitz)
     # the lifted field's modulus: zero on the x components
-    omega = np.concatenate([np.zeros(d), modulus(d / (2.0 * n))])
+    omega = np.concatenate([np.zeros(d), gridvf.report.modulus_bound])
     cert = ErrorCertificate.from_stages([(omega, max(1.0, float(np.max(lipschitz))))], n)
     return FlowMap(lift_field(gridvf, d), steps=1, method="exact"), cert
 

@@ -15,14 +15,12 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from incflow.fields import (
-    LipschitzModulus,
     builtin_field,
     builtin_suite,
     grid_relu_approximate,
 )
 from incflow.flow import (
     FlowMap,
-    approximate_flowable,
     approximate_generator,
     builtin_generator,
     empirical_lipschitz,
@@ -80,11 +78,10 @@ def test_criterion_02_approximation_rate():
     t0 = time.perf_counter()
     f = builtin_field("sin_bump")
     L = f.lipschitz_bound
-    mod = LipschitzModulus(np.full(2, L))
     pts = lattice(101)
     errs = {}
     for n in (4, 8, 16):
-        vf, _, _ = grid_relu_approximate(f, n, mod)
+        vf = grid_relu_approximate(f, n)
         errs[n] = float(np.abs(vf.grid(pts) - f.eval(pts)).max())
         assert errs[n] <= L * 2 / (2 * n), (n, errs[n])
     halves = errs[16] <= 0.55 * errs[8]
@@ -105,10 +102,10 @@ def test_criterion_03_certificate_domination():
     pts = lattice(33)
     worst = 0.0
     for name, f in builtin_suite().items():
-        mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
-        ref = reference_flow(f, steps=4096).apply(pts)
+        ref = reference_flow(f).apply(pts)
         for n in (4, 8, 16):
-            flow, cert = approximate_flowable(f, mod, n)
+            gen = approximate_generator([f], n)
+            flow, cert = gen.stages[0], gen.certificate
             measured = float(np.abs(flow.apply(pts) - ref).max())
             assert measured <= cert.total_bound + 1e-12, (name, n, measured)
             if cert.total_bound > 0:
@@ -127,12 +124,12 @@ def test_criterion_03_certificate_domination():
 def test_criterion_04_composition_certificate():
     t0 = time.perf_counter()
     flds = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
-    moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in flds]
-    gen, cert = approximate_generator(flds, moduli, n=8)
+    gen = approximate_generator(flds, n=8)
+    cert = gen.certificate
     pts = lattice(33)
     ref = pts
     for f in flds:
-        ref = reference_flow(f, steps=4096).apply(ref)
+        ref = reference_flow(f).apply(ref)
     measured = float(np.abs(gen.apply(pts) - ref).max())
     elapsed = time.perf_counter() - t0
     ok = measured <= cert.total_bound and elapsed < 120.0

@@ -8,11 +8,11 @@ from scipy import sparse
 
 from incflow.fields import (
     GridInterpolant,
-    LipschitzModulus,
     VectorField,
     builtin_field,
     builtin_suite,
     field_from_ref,
+    grid_field,
     grid_realize,
     grid_relu_approximate,
     grid_to_mlp,
@@ -243,8 +243,7 @@ def test_approx_flow_stages_vanish_on_and_outside_the_cube():
     # of the cube and outside it
     stages = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped"),
               builtin_field("sin_bump")]
-    moduli = [LipschitzModulus(np.full(2, g.lipschitz_bound)) for g in stages]
-    gen, _ = approximate_generator(stages, moduli, 4)
+    gen = approximate_generator(stages, 4)
     rng = np.random.default_rng(4)
     faces = rng.uniform(0.0, 1.0, size=(1000, 2))
     faces[np.arange(1000), rng.integers(2, size=1000)] = rng.integers(2, size=1000)
@@ -307,10 +306,14 @@ def test_grid_fields_vanish_outside_declared_support():
         h = max(1.0 / m for m in f.grid.ns)
         return np.array([[-h] * f.dim, [1.0 + h] * f.dim])
 
+    def g(P):
+        return 1.0 + P**2
+
     rng = np.random.default_rng(20)
     for dim, ns in [(1, None), (2, (3, 5)), (3, None)]:
-        f, _, _ = grid_realize(lambda P: 1.0 + P**2, dim, 4, LipschitzModulus(np.full(dim, 2.0)),
-                               ns=ns)
+        # grid_realize builds uniform grids; the anisotropic one is built bare
+        f = grid_realize(g, dim, 4, 2.0) if ns is None else grid_field(
+            GridInterpolant.from_callable(g, ns))
         assert f.support_box is None
         assert_zero_outside_support(f, grown_cube(f), dim)
     theta = rng.standard_normal(2 * 5 * 5)
@@ -603,24 +606,18 @@ def test_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# moduli
+# the modulus omega(t) = L t of a grid's Lipschitz bound
 
 
 def test_lipschitz_modulus_values():
-    m = LipschitzModulus([2.0])
-    assert m(0.25)[0] == pytest.approx(0.5)
-    assert m(0.0)[0] == 0.0
+    # d = 1, n = 2: the report states omega(1/4) per output column
+    def ramp(P):
+        return 2.0 * P
+
+    assert grid_realize(ramp, 1, 2, [2.0]).report.modulus_bound[0] == pytest.approx(0.5)
+    assert grid_realize(ramp, 1, 2, 0.0).report.modulus_bound[0] == 0.0
     with pytest.raises(ValueError):
-        m(-0.1)
-
-
-def test_modulus_monotone_and_subadditive():
-    m = LipschitzModulus([3.0, 1.0])
-    ts = np.linspace(0.0, 2.0, 41)
-    vals = np.stack([m(t) for t in ts])
-    assert (np.diff(vals, axis=0) >= 0).all()
-    for s, t in [(0.1, 0.2), (0.5, 1.3), (0.0, 0.7)]:
-        assert (m(s + t) <= m(s) + m(t) + 1e-15).all()
+        grid_realize(ramp, 1, 2, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +627,7 @@ def test_modulus_monotone_and_subadditive():
 def test_constant_field_is_reproduced():
     c = VectorField(2, lambda X: np.full_like(X, 0.7), 0.0,
                     support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    vf, net, report = grid_relu_approximate(c, 4, LipschitzModulus([0.0, 0.0]))
+    report = grid_relu_approximate(c, 4).report
     assert report.measured_error.max() <= 1e-12
 
 
@@ -638,35 +635,31 @@ def test_linear_field_is_reproduced():
     A = np.array([[0.3, -0.2], [0.1, 0.4]])
     lin = VectorField(2, lambda X: X @ A.T, float(np.abs(A).sum(axis=1).max()),
                       support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    vf, net, report = grid_relu_approximate(
-        lin, 4, LipschitzModulus(np.abs(A).sum(axis=1))
-    )
+    report = grid_relu_approximate(lin, 4).report
     assert report.measured_error.max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_sin_bump_error_within_modulus(n):
     f = sin_bump_field()
-    mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
-    vf, net, report = grid_relu_approximate(f, n, mod)
+    report = grid_relu_approximate(f, n).report
     assert report.within_bound
     assert report.measured_error.max() <= f.lipschitz_bound * 2 / (2 * n)
 
 
 def test_sin_bump_rate_halves():
     f = sin_bump_field()
-    mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
     errs = {}
     for n in (8, 16):
-        _, _, report = grid_relu_approximate(f, n, mod)
+        report = grid_relu_approximate(f, n).report
         errs[n] = report.measured_error.max()
     assert errs[16] <= 0.55 * errs[8]
 
 
 def test_size_report_fields():
     f = sin_bump_field()
-    mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
-    _, net, report = grid_relu_approximate(f, 8, mod)
+    vf = grid_relu_approximate(f, 8)
+    net, report = vf.mlp, vf.report
     assert report.width == net.width
     assert report.depth == net.depth
     assert report.nonzeros == net.nonzeros
@@ -678,19 +671,17 @@ def test_size_report_fields():
 
 def test_modulus_bound_holds_for_every_builtin_field():
     for name, f in builtin_suite().items():
-        mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
         for n in (4, 8):
-            _, _, report = grid_relu_approximate(f, n, mod)
+            report = grid_relu_approximate(f, n).report
             assert report.within_bound, (name, n)
 
 
 def test_grid_approximate_rejects_unsupported_fields():
     with pytest.raises(ValueError):
-        grid_relu_approximate(rotation_field([0.5, 0.5], 1.0), 4,
-                              LipschitzModulus([1.0, 1.0]))
+        grid_relu_approximate(rotation_field([0.5, 0.5], 1.0), 4)
     f = sin_bump_field()
     with pytest.raises(ValueError):
-        grid_relu_approximate(f, 0, LipschitzModulus([1.0, 1.0]))
+        grid_relu_approximate(f, 0)
 
 
 def _affine3(P):
@@ -719,14 +710,14 @@ def test_fine_check_is_bit_equal_to_whole_lattice(f, ns):
         assert len(pts) == _EVAL_ROWS + 1
     gi = GridInterpolant.from_callable(f, ns)
     expected = np.abs(gi(pts) - f(pts)).max(axis=0)
-    _, _, report = grid_realize(f, len(ns), max(ns), LipschitzModulus([1.0]), ns=ns)
+    report = grid_realize(f, len(ns), ns[0], 1.0).report
     assert np.array_equal(report.measured_error, expected)
 
 
 def test_fine_check_memory_is_bounded_by_the_lattice():
     tracemalloc.start()
     try:
-        grid_realize(_affine3, 3, 16, LipschitzModulus([1.0]))
+        grid_realize(_affine3, 3, 16, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

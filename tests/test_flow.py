@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from incflow.fields import (
-    LipschitzModulus,
     VectorField,
     builtin_field,
     builtin_suite,
@@ -20,7 +19,6 @@ from incflow.flow import (
     FlowIntegrationError,
     FlowMap,
     IncrementalGenerator,
-    approximate_flowable,
     approximate_generator,
     builtin_generator,
     empirical_lipschitz,
@@ -114,9 +112,7 @@ def test_support_skip_matches_full_integration():
     lo, hi = rot.support_box
     corners = np.array([[a, b] for a in (lo[0], hi[0]) for b in (lo[1], hi[1])])[:, None]
     rot_zero = (corners + 0.2 * rng.random((4, 25, 2)) * ((lo + hi) / 2 - corners)).reshape(-1, 2)
-    stage = approximate_generator(
-        [builtin_field("sin_bump")], [LipschitzModulus([2.9, 2.9])], 8
-    )[0].stages[0].field
+    stage = approximate_generator([builtin_field("sin_bump")], 8).stages[0].field
     assert stage.support_box is None
     cube = np.array([[0.0, 0.0], [1.0, 1.0]])
     strip = rng.uniform(cube[0], [0.125, 1.0], size=(100, 2))
@@ -196,22 +192,22 @@ def test_certify_single_stage_value():
     # total = 2 * (2 / 8) * e
     f = VectorField(2, lambda X: np.zeros_like(X), 1.0,
                     support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    _, cert = approximate_generator([f], [LipschitzModulus([1.0, 1.0])], 4)
+    cert = approximate_generator([f], 4).certificate
     assert cert.total_bound == pytest.approx(0.5 * math.e)
     assert cert.lipschitz_product == pytest.approx(math.e)
 
 
 def test_certify_two_stages_zero_lipschitz():
+    # omega(t) = 0 t: each stage adds 2 * 0 * e^0, so the total is 0
     f = VectorField(2, lambda X: np.zeros_like(X), 0.0,
                     support_box=np.array([[0.0, 0.0], [1.0, 1.0]]))
-    _, cert = approximate_generator([f, f], [LipschitzModulus([1.0, 1.0])] * 2, 4)
-    assert cert.total_bound == pytest.approx(2 * 0.25 + 2 * 0.25)
+    cert = approximate_generator([f, f], 4).certificate
+    assert cert.total_bound == pytest.approx(2 * 0.0 + 2 * 0.0)
 
 
 def test_certificate_total_recomputable():
     fields = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
-    moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in fields]
-    _, cert = approximate_generator(fields, moduli, 8)
+    cert = approximate_generator(fields, 8).certificate
     assert cert.total_bound == pytest.approx(cert.recompute_total(), rel=1e-12)
     back = ErrorCertificate.from_dict(cert.to_dict())
     assert back.recompute_total() == pytest.approx(cert.total_bound, rel=1e-12)
@@ -227,17 +223,10 @@ def test_one_stage_certificate_is_the_hand_formula():
         assert cert.lipschitz_product == math.exp(L)
         assert cert.recompute_total() == cert.total_bound
     for f in builtin_suite().values():
-        modulus = LipschitzModulus(np.full(2, f.lipschitz_bound))
-        _, cert = approximate_flowable(f, modulus, 4)
-        omega_sup = float(np.max(np.abs(modulus(2 / 8.0))))
+        cert = approximate_generator([f], 4).certificate
+        omega_sup = f.lipschitz_bound * (2 / 8.0)
         assert cert.total_bound == 2.0 * omega_sup * math.exp(f.lipschitz_bound)
         assert cert.lipschitz_product == math.exp(f.lipschitz_bound)
-
-
-def test_certify_length_mismatch():
-    fields = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
-    with pytest.raises(ValueError, match="one modulus per stage"):
-        approximate_generator(fields, [LipschitzModulus([1.0, 1.0])], 4)
 
 
 def test_lipschitz_bound_is_stage_product():
@@ -247,7 +236,8 @@ def test_lipschitz_bound_is_stage_product():
 
 
 def test_approximate_flowable_zero_field():
-    flow, cert = approximate_flowable(zero_field(2), LipschitzModulus([0.0, 0.0]), 4)
+    gen = approximate_generator([zero_field(2)], 4)
+    flow, cert = gen.stages[0], gen.certificate
     assert cert.total_bound == 0.0
     x = np.array([0.4, 0.6])
     assert np.abs(flow.apply(x) - x).max() <= 1e-12
@@ -255,8 +245,8 @@ def test_approximate_flowable_zero_field():
 
 def test_approximate_flowable_certificate_dominates():
     f = builtin_field("squeeze_clipped")
-    mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
-    flow, cert = approximate_flowable(f, mod, 8)
+    gen = approximate_generator([f], 8)
+    flow, cert = gen.stages[0], gen.certificate
     pts = np.stack(np.meshgrid(np.linspace(0, 1, 17), np.linspace(0, 1, 17),
                                indexing="ij"), axis=-1).reshape(-1, 2)
     measured = np.abs(flow.apply(pts) - reference_flow(f).apply(pts)).max()
@@ -265,8 +255,7 @@ def test_approximate_flowable_certificate_dominates():
 
 def test_approximate_flowable_certificate_scales_inversely_with_n():
     f = builtin_field("sin_bump")
-    mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
-    bounds = {n: approximate_flowable(f, mod, n)[1].total_bound for n in (4, 8, 16)}
+    bounds = {n: approximate_generator([f], n).certificate.total_bound for n in (4, 8, 16)}
     assert bounds[8] == pytest.approx(bounds[4] / 2, rel=1e-12)
     assert bounds[16] == pytest.approx(bounds[8] / 2, rel=1e-12)
 
@@ -280,7 +269,7 @@ def test_stage_flows_keep_the_cube_and_fix_its_faces(n):
     faces = rng.random((260, 2))
     faces[np.arange(260), rng.integers(2, size=260)] = rng.integers(2, size=260)
     for name, f in builtin_suite().items():
-        flow, _ = approximate_flowable(f, LipschitzModulus(np.full(2, f.lipschitz_bound)), n)
+        flow = approximate_generator([f], n).stages[0]
         Y = flow.apply(inside)
         assert ((Y >= 0.0) & (Y <= 1.0)).all(), (name, n)
         assert np.array_equal(flow.apply(faces), faces), (name, n)
@@ -291,9 +280,8 @@ def test_stage_flow_error_at_least_halves_from_n8_to_n32():
     pts = lattice([33, 33])
     for name in ("rotation_clipped", "squeeze_clipped", "sin_bump"):
         f = builtin_field(name)
-        mod = LipschitzModulus(np.full(2, f.lipschitz_bound))
         ref = reference_flow(f).apply(pts)
-        err = {n: np.abs(approximate_flowable(f, mod, n)[0].apply(pts) - ref).max()
+        err = {n: np.abs(approximate_generator([f], n).apply(pts) - ref).max()
                for n in (8, 32)}
         assert err[32] <= err[8] / 2, (name, err)
 
@@ -360,8 +348,8 @@ def test_flowmap_validation():
 
 def test_manifest_roundtrip_evaluation(tmp_path):
     flds = [builtin_field("squeeze_clipped"), builtin_field("rotation_clipped")]
-    moduli = [LipschitzModulus(np.full(2, f.lipschitz_bound)) for f in flds]
-    gen, cert = approximate_generator(flds, moduli, n=4)
+    gen = approximate_generator(flds, n=4)
+    cert = gen.certificate
     path = save_generator(gen, str(tmp_path))
     back = load_generator(path)
     rng = np.random.default_rng(4)
@@ -374,8 +362,7 @@ def test_manifest_roundtrip_evaluation(tmp_path):
 
 def test_verify_detects_tampering(tmp_path):
     flds = [builtin_field("squeeze_clipped")]
-    moduli = [LipschitzModulus(np.full(2, flds[0].lipschitz_bound))]
-    gen, _ = approximate_generator(flds, moduli, n=4)
+    gen = approximate_generator(flds, n=4)
     path = save_generator(gen, str(tmp_path))
     doc = json.loads(open(path).read())
     doc["certificate"]["total_bound"] = doc["certificate"]["total_bound"] * 2
@@ -581,7 +568,7 @@ def grid_stages():
     cases = {}
     for name, f in builtin_suite().items():
         for n in (8, 16):
-            fl, _ = approximate_flowable(f, LipschitzModulus(np.full(2, f.lipschitz_bound)), n)
+            fl = approximate_generator([f], n).stages[0]
             cases[name, n] = fl, X, fl.apply(X), FlowMap(fl.field, steps=4096).apply(X)
     return cases
 
@@ -672,8 +659,7 @@ def test_grid_flow_along_invariant_grid_lines_does_not_stall(monkeypatch):
     monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 40)
     near = 0.5 + np.array([0.0, 1e-15, -1e-12, 1e-9, -1e-6, 0.1])
     for n in (6, 8):
-        f = approximate_flowable(builtin_field("squeeze_clipped"), LipschitzModulus([1.0, 1.0]),
-                                 n)[0].field
+        f = approximate_generator([builtin_field("squeeze_clipped")], n).stages[0].field
         y = np.concatenate([np.arange(n + 1) / n, np.random.default_rng(n).random(20)])
         X = np.stack([np.repeat(near, len(y)), np.tile(y, 6)], axis=1)
         for t in (1.0, -1.0):
@@ -690,8 +676,7 @@ def test_grid_flow_round_bound(monkeypatch):
     # quadratic one alone in 91. A batch past the bound raises.
     import incflow.fields as fields
 
-    f = approximate_flowable(builtin_field("rotation_clipped"), LipschitzModulus([9.5, 9.5]), 8)[
-        0].field
+    f = approximate_generator([builtin_field("rotation_clipped")], 8).stages[0].field
     monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 40)
     x = np.array([[0.375, 0.5]])
     assert np.abs(f.flow(x, 1.0) - FlowMap(f, steps=4096).apply(x)).max() <= 1e-7
@@ -711,9 +696,9 @@ def _closed_form_fields():
 
     fields = [(zero_field(2), True), (rotation_field([0.5, 0.5], math.pi), False),
               (squeeze_field(0.5), False), (lift_field([ramp], 1, [1.0]), False),
-              (lift_field(grid_realize(ramp, 1, 4, LipschitzModulus([1.0]))[0], 1), False)]
+              (lift_field(grid_realize(ramp, 1, 4, 1.0), 1), False)]
     for f in builtin_suite().values():
-        stage, _ = approximate_flowable(f, LipschitzModulus(np.full(2, f.lipschitz_bound)), 8)
+        stage = approximate_generator([f], 8).stages[0]
         fields += [(f, True), (stage.field, True)]
     return fields
 

@@ -21,9 +21,11 @@ import numpy as np
 import pytest
 
 from incflow.fields import (
-    GridInterpolant, LipschitzModulus, builtin_field, grid_field, grid_realize, grid_to_mlp,
+    GridInterpolant, VectorField, builtin_field, grid_field, grid_realize, grid_to_mlp,
 )
-from incflow.flow import FlowMap, IncrementalGenerator, integrate
+from incflow.flow import (
+    FlowMap, IncrementalGenerator, approximate_generator, integrate, save_generator,
+)
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
 from incflow.probe import fit_gap_experiment, fit_single_flow
 
@@ -43,6 +45,15 @@ def _swirl(P):
     x, y = P[:, 0], P[:, 1]
     damp = 16.0 * x * (1.0 - x) * y * (1.0 - y)
     return np.stack([-(y - 0.5) * damp * 3.0, (x - 0.5) * damp * 3.0 + 0.25 * damp], axis=1)
+
+
+def _files_digest(path) -> str:
+    """The names and bytes of every file in the directory ``path``."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(name.encode())
+        h.update((path / name).read_bytes())
+    return h.hexdigest()
 
 
 def _lattice(lo, hi, k, d):
@@ -95,7 +106,7 @@ def test_grid_to_mlp_two_level_tree_bits():
 def test_grid_realize_fine_check_bits():
     # the 65^2-row fine check spans nine row blocks; the two components
     # peak in different ones
-    _, _, report = grid_realize(_swirl, 2, 16, LipschitzModulus([3.0, 3.0]))
+    report = grid_realize(_swirl, 2, 16, 3.0).report
     assert _digest(report.measured_error) == GOLDEN["grid_realize_swirl_16x16"]
 
 
@@ -105,12 +116,19 @@ def test_lift_affine_pair_bits(mode, tmp_path):
     approx, _ = approximate_lipschitz_function(comps, 4, d, D, L, mode=mode)
     assert _digest(approx.apply(_lattice(-0.1, 1.1, 49, 1))) == GOLDEN[f"lift_apply_{mode}"]
     save_lifted(approx, str(tmp_path))
-    files = sorted(os.listdir(tmp_path))
-    h = hashlib.sha256()
-    for name in files:
-        h.update(name.encode())
-        h.update((tmp_path / name).read_bytes())
-    assert h.hexdigest() == GOLDEN[f"lift_files_{mode}"]
+    assert _files_digest(tmp_path) == GOLDEN[f"lift_files_{mode}"]
+
+
+def test_generator_manifest_files_bits(tmp_path):
+    # two stages over the swirl and its transpose, each with Lipschitz
+    # bound 7 (its slope is about 6.93): the grid payloads, their
+    # sidecars, and the manifest with its certificate. The certificate's
+    # e^L factors call exp, correctly rounded by common libms.
+    box = [[0.0, 0.0], [1.0, 1.0]]
+    stages = [VectorField(2, _swirl, 7.0, support_box=box),
+              VectorField(2, lambda P: _swirl(P[:, ::-1])[:, ::-1], 7.0, support_box=box)]
+    save_generator(approximate_generator(stages, 8), str(tmp_path))
+    assert _files_digest(tmp_path) == GOLDEN["generator_files_swirl_8x8"]
 
 
 def test_fit_single_flow_bits():
@@ -151,6 +169,7 @@ GOLDEN = {
     "lift_files_componentwise": "508d1342891bf67ae01f891a1ea6b936e529a8ed13e9cb360ec1a6168a0ed051",
     "lift_apply_joint": "b6cedb1408b1b26d0da75153a586e504fe3f33d3e6b12b5d64b55009183540f8",
     "lift_files_joint": "6921e3f01e11788932432e6a5b958bd6e804968a5ae3bcad8c95b9e1023f0cee",
+    "generator_files_swirl_8x8": "7a1a2a143063b58abf7a0e1c5370139ded6121ab15ab72820379da96e4f17511",
     "fit_single_flow_composite": "1f89417fcdb528622b02386283698c02c7bfc1fd8ac4622dbe8a8b025a88a90a",
     "fit_gap_experiment": "ce8a1799dd6e2f5ab1481cd8fe08626cdbb9695c98a236ce90dec02e56fe8909",
 }

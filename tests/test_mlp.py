@@ -8,7 +8,6 @@ from scipy import sparse
 
 from incflow.fields import (
     GridInterpolant,
-    LipschitzModulus,
     grid_realize,
     grid_to_mlp,
     lift_field,
@@ -275,7 +274,8 @@ def test_sparse_layers_stay_csr_and_report_dense_sizes():
     rng = np.random.default_rng(0)
     sp, dense, dense_layers = sparse_and_dense_twins(0)
     other = MLP(integer_layers(rng, [2, 4, 3]))
-    field, grid_net, _ = grid_realize(lambda P: P[:, ::-1] - P, 2, 4, LipschitzModulus([1.0, 1.0]))
+    field = grid_realize(lambda P: P[:, ::-1] - P, 2, 4, 1.0)
+    grid_net = field.mlp
     assert all(type(W) is sparse.csr_array for W, _ in sp.layers)
     nets = [
         dense,
