@@ -13,10 +13,16 @@ transportation LP by column generation (Peyré & Cuturi, Computational
 Optimal Transport, 2019, §3): HiGHS solves the LP restricted to a set of
 arcs at tight feasibility tolerances, every arc is priced by its reduced
 cost under the restricted duals, and the most negative arcs join the set
-until none is negative. The shortest-path and LP paths report a certified
-gap: the cost minus the c-transform dual of their column potentials, which
-is exactly feasible, so the gap bounds the cost's distance from the
-optimum; the Hungarian path reports none.
+until none is negative. The start set holds a north-west-corner plan and
+each source's cheapest arcs. For uniform sizes that do not divide, these
+are cheapest by reduced cost under the column potentials of the same
+problem with each atom of the smaller measure taking at most
+ceil(max/min) atoms of the larger, which the shortest-path solver solves
+exactly; that start is nearly optimal, so the LP mostly ends after one
+pricing round. Weighted pairs start from the raw cost. The shortest-path
+and LP paths report a certified gap: the cost minus the c-transform dual
+of their column potentials, which is exactly feasible, so the gap bounds
+the cost's distance from the optimum; the Hungarian path reports none.
 Entropic approximations are out of scope.
 """
 
@@ -118,8 +124,9 @@ def _marginal_residual(i, j, mass, wa, wb):
     return max(np.abs(ra - wa).max(), np.abs(rb - wb).max())
 
 
-# Column generation: each source's arc set starts with its _CG_NEAREST nearest
-# targets, and each pricing round adds up to _CG_ADD of its arcs.
+# Column generation: each source's arc set starts with its _CG_NEAREST arcs of
+# least reduced cost under the start potentials (the nearest targets when they
+# are 0), and each pricing round adds up to _CG_ADD of its arcs.
 _CG_NEAREST = 4
 _CG_ADD = 4
 
@@ -134,13 +141,15 @@ def _north_west_corner(wa, wb):
     return np.append(0, np.cumsum(down)), np.append(0, np.cumsum(~down))
 
 
-def _solve_lp(cost, wa, wb):
-    """The transportation LP by column generation. Returns the optimal coupling
-    sorted by (i, j) and the c-transform dual value of its column potentials."""
+def _solve_lp(cost, wa, wb, v0=0.0):
+    """The transportation LP by column generation, started from each source's
+    _CG_NEAREST least reduced costs c_ij - v0_j and the north-west corner.
+    Returns the optimal coupling sorted by (i, j), its cost and its gap to the
+    c-transform dual value of its column potentials."""
     m, n = cost.shape
     rows = np.arange(m)[:, None]
     inset = np.zeros((m, n), dtype=bool)
-    inset[rows, np.argpartition(cost, min(_CG_NEAREST, n) - 1, axis=1)[:, :_CG_NEAREST]] = True
+    inset[rows, np.argpartition(cost - v0, min(_CG_NEAREST, n) - 1, axis=1)[:, :_CG_NEAREST]] = True
     inset[_north_west_corner(wa, wb)] = True
     beq = np.concatenate([wa, wb])[:-1]  # last marginal constraint is redundant
     while True:
@@ -174,8 +183,10 @@ def _solve_lp(cost, wa, wb):
         add = np.argpartition(reduced, min(_CG_ADD, n) - 1, axis=1)[:, :_CG_ADD]
         inset[rows, add] |= reduced[rows, add] < 0
     keep = res.x > 1e-15
+    i, j, mass = i[keep], j[keep], res.x[keep]
+    w1 = float((cost[i, j] * mass).sum())
     # the c-transform u_i = min_j (c_ij - v_j) makes (u, v) exactly dual feasible
-    return i[keep], j[keep], res.x[keep], wa @ cv.min(axis=1) + wb @ v
+    return i, j, mass, w1, w1 - (wa @ cv.min(axis=1) + wb @ v)
 
 
 # Uniform pairs whose sizes divide with at least this many replicas of each atom
@@ -185,9 +196,10 @@ _SSP_MIN_REPLICAS = 8
 
 def _capacitated_assignment(cost, k):
     """Each of the m rows of ``cost`` assigned to one of its n columns, every
-    column taking k = m / n rows, at least total cost, by successive shortest
-    paths over the columns. Returns each row's column and the column
-    potentials v, under which every row's column minimizes c_ij - v_j."""
+    column taking at most k rows (exactly k when m = n k), at least total cost,
+    by successive shortest paths over the columns. Returns each row's column
+    and the column potentials v <= 0, zero on every column with room left,
+    under which every row's column minimizes c_ij - v_j."""
     m, n = cost.shape
     # start: each row takes its nearest column while that column has room, ties
     # by row index; with v = 0 every row then sits at its least reduced cost
@@ -246,37 +258,44 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
     if abs(mu.weights.sum() - nu.weights.sum()) > 1e-9:
         raise ValueError("total masses differ beyond 1e-9")
 
-    if mu.uniform and nu.uniform and (mu.n % nu.n == 0 or nu.n % mu.n == 0):
-        # each atom of the larger measure goes to one atom of the smaller, which
-        # takes k of them; both solvers return each atom of the larger measure
-        # once, in ascending order, so its pairs are already sorted
+    if mu.uniform and nu.uniform:
+        # every solver works on the larger measure's atoms as rows
         big, small, flip = (mu, nu, False) if mu.n >= nu.n else (nu, mu, True)
-        k = big.n // small.n
-        i = np.arange(big.n)
-        mass = np.full(big.n, 1.0 / big.n)
-        if k >= _SSP_MIN_REPLICAS:
+        k, rem = divmod(big.n, small.n)
+        if rem:
+            # sizes that do not divide: the LP, started from the potentials of the
+            # same problem with each atom of the smaller measure taking at most
+            # k + 1 whole atoms of the larger
             cost = cdist(big.points, small.points)
-            c, v = _capacitated_assignment(cost, k)
-            j = c
+            v0 = _capacitated_assignment(cost, k + 1)[1]
+            i, j, mass, w1, gap = _solve_lp(cost, big.weights, small.weights, v0)
         else:
-            # each atom of the smaller measure replicated k times makes the
-            # problem a square assignment
-            rep = np.repeat(np.arange(small.n), k)
-            cost = cdist(big.points, small.points[rep])
-            i, c = linear_sum_assignment(cost)
-            j, v = rep[c], None  # the assignment solver returns no potentials
-        w1 = float((cost[i, c] * mass).sum())
-        # the c-transform u_i = min_j (c_ij - v_j) makes (u, v) exactly dual feasible
-        gap = None if v is None else w1 - ((cost - v).min(axis=1).mean() + v.mean())
+            # each atom of the larger measure goes to one atom of the smaller,
+            # which takes k of them; both solvers return each atom of the larger
+            # measure once, in ascending order, so its pairs are sorted by (i, j)
+            i = np.arange(big.n)
+            mass = np.full(big.n, 1.0 / big.n)
+            if k >= _SSP_MIN_REPLICAS:
+                cost = cdist(big.points, small.points)
+                c, v = _capacitated_assignment(cost, k)
+                j = c
+            else:
+                # each atom of the smaller measure replicated k times makes the
+                # problem a square assignment
+                rep = np.repeat(np.arange(small.n), k)
+                cost = cdist(big.points, small.points[rep])
+                i, c = linear_sum_assignment(cost)
+                j, v = rep[c], None  # the assignment solver returns no potentials
+            w1 = float((cost[i, c] * mass).sum())
+            # the c-transform u_i = min_j (c_ij - v_j) makes (u, v) exactly dual feasible
+            gap = None if v is None else w1 - ((cost - v).min(axis=1).mean() + v.mean())
         if flip:
             i, j = j, i
             order = np.lexsort((j, i))
             i, j, mass = i[order], j[order], mass[order]
     else:
         cost = cdist(mu.points, nu.points)
-        i, j, mass, dual = _solve_lp(cost, mu.weights, nu.weights)
-        w1 = float((cost[i, j] * mass).sum())
-        gap = w1 - dual
+        i, j, mass, w1, gap = _solve_lp(cost, mu.weights, nu.weights)
 
     resid = _marginal_residual(i, j, mass, mu.weights, nu.weights)
     return TransportReport(w1, i, j, mass, resid, gap)

@@ -4,9 +4,10 @@ Each case hashes the float64 bytes of one computation. The paths are
 grid-only: hat sums, fixed-step integration, the cutoff and the ReLU
 realization's weights use + - * / max floor and integer indexing, so
 their bits do not depend on the CPU. (Analytic fields call sin/exp,
-whose vectorized results may differ in the last ulp across machines,
-and the assignment and LP solvers may differ across scipy versions;
-neither appears here.)
+whose vectorized results may differ in the last ulp across machines.)
+The one solver case, the transport LP on weighted pairs, pins the
+vertex HiGHS reaches; it was recorded with scipy 1.17.1 and may move
+with another scipy version.
 
 A digest that changes means the output of a path that is meant to stay
 bit-identical changed: a reordered sum, a regrouped product or a
@@ -28,6 +29,8 @@ from incflow.flow import (
 )
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
 from incflow.probe import fit_gap_experiment, fit_single_flow
+from incflow.transport import EmpiricalMeasure, w1_exact
+from test_transport import _lp_instance
 
 
 def _digest(*arrays) -> str:
@@ -156,6 +159,17 @@ def test_fit_gap_experiment_bits():
     assert digest == GOLDEN["fit_gap_experiment"]
 
 
+def test_w1_lp_weighted_bits():
+    # weighted pairs start column generation from v = 0: the start arcs, every
+    # restricted LP and so the coupling, w1 and gap keep their bits
+    parts = []
+    for case in ("random", "cg_rounds"):
+        a, wa, b, wb = _lp_instance(case)
+        rep = w1_exact(EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb))
+        parts += [[rep.w1], rep.coupling_i, rep.coupling_j, rep.coupling_mass, [rep.gap]]
+    assert _digest(*parts) == GOLDEN["w1_lp_weighted"]
+
+
 GOLDEN = {
     "integrate_rk4": "cfea4557f2d8b83380553e585bfccf324d4c54a3a211604ed8aca727d289578a",
     "hat_sum_d1": "a88e2db6f5609cb15070e264950441eda5fe477823cdf9f1af0717b26b2eed94",
@@ -172,4 +186,5 @@ GOLDEN = {
     "generator_files_swirl_8x8": "7a1a2a143063b58abf7a0e1c5370139ded6121ab15ab72820379da96e4f17511",
     "fit_single_flow_composite": "1f89417fcdb528622b02386283698c02c7bfc1fd8ac4622dbe8a8b025a88a90a",
     "fit_gap_experiment": "ce8a1799dd6e2f5ab1481cd8fe08626cdbb9695c98a236ce90dec02e56fe8909",
+    "w1_lp_weighted": "2e1df74f1c9d6c6a1078422e1a99a5b5d3ab4dfdb23a1da0bb46fa540195b27c",
 }

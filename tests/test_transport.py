@@ -12,6 +12,8 @@ from incflow.flow import (
 )
 from incflow.transport import (
     EmpiricalMeasure,
+    _capacitated_assignment,
+    _solve_lp,
     concentration_experiment,
     cor_bound,
     pushforward,
@@ -216,10 +218,14 @@ def _lp_instance(case):
         return rng.random((9, 2)), _weights(rng, 9), rng.random((1, 2)), np.ones(1)
     if case == "cg_rounds":  # more targets than the start's nearest arcs reach
         return rng.random((12, 2)), _weights(rng, 12), rng.random((40, 2)), _weights(rng, 40)
+    if case in ("30x21", "21x30", "100x7", "7x100"):  # uniform sizes that do not divide
+        m, n = map(int, case.split("x"))
+        return rng.random((m, 2)), np.full(m, 1 / m), rng.random((n, 2)), np.full(n, 1 / n)
     raise ValueError(case)
 
 
-@pytest.mark.parametrize("case", ["random", "zero_weights", "ties", "m1", "n1", "cg_rounds"])
+@pytest.mark.parametrize("case", ["random", "zero_weights", "ties", "m1", "n1", "cg_rounds",
+                                  "30x21", "21x30", "100x7", "7x100"])
 def test_lp_path_against_dense_lp(case, solver_calls):
     a, wa, b, wb = _lp_instance(case)
     mu, nu = EmpiricalMeasure(a, wa), EmpiricalMeasure(b, wb)
@@ -237,6 +243,27 @@ def test_lp_path_against_dense_lp(case, solver_calls):
     again = w1_exact(mu, nu)
     for key in ("w1", "coupling_i", "coupling_j", "coupling_mass", "marginal_residual", "gap"):
         assert np.array_equal(getattr(again, key), getattr(rep, key)), key
+
+
+@pytest.mark.parametrize("N,rounds", [(48, [(2, 4), (2, 4), (2, 4)]),
+                                      (80, [(2, 3), (2, 4), (2, 4)])])
+def test_lp_warm_start_takes_fewer_rounds(N, rounds, solver_calls):
+    # seeded counterexample pushforwards scored against a uniform M=1024 proxy,
+    # as generate scores its non-divisible pairs: (rounds started from the
+    # potentials of the rounded-capacity assignment, rounds started from v = 0)
+    proxy = EmpiricalMeasure(np.random.default_rng([31, 0]).random((1024, 2)))
+    counted = []
+    for t in range(len(rounds)):
+        noise = EmpiricalMeasure(np.random.default_rng([31, N, t]).random((N, 2)))
+        pushed = pushforward(builtin_generator("counterexample"), noise)
+        warm = w1_exact(proxy, pushed)
+        after_warm = solver_calls["linprog"]
+        cold_w1 = _solve_lp(cdist(proxy.points, pushed.points), proxy.weights, pushed.weights)[3]
+        counted.append((after_warm, solver_calls["linprog"] - after_warm))
+        solver_calls["linprog"] = 0
+        assert warm.w1 == pytest.approx(cold_w1, abs=1e-12)
+    assert counted == rounds
+    assert all(w <= c for w, c in counted) and sum(w for w, _ in counted) < sum(c for _, c in counted)
 
 
 def _ssp_instance(m, n, tied):
@@ -271,6 +298,26 @@ def test_shortest_path_against_dense_lp(m, n, tied, solver_calls):
     assert np.abs(ra - wa).max() <= 1e-12 and np.abs(rb - wb).max() <= 1e-12
     assert rep.marginal_residual <= 1e-12
     assert rep.w1 == pytest.approx(float(cdist(a, b)[i, j] @ rep.coupling_mass), abs=1e-15)
+
+
+@pytest.mark.parametrize("m,n,tied", [
+    (1024, 48, False), (30, 21, False), (14, 10, False), (100, 7, False), (17, 5, False),
+    (50, 49, False), (30, 7, True),
+])
+def test_capacitated_assignment_at_most_k(m, n, tied):
+    # k = ceil(m / n) leaves room: every column takes at most k rows, as the
+    # Hungarian assignment of the rows to k replicas of each column does
+    a, b = _ssp_instance(m, n, tied)
+    cost, k = cdist(a, b), -(-m // n)
+    col, v = _capacitated_assignment(cost, k)
+    replica = np.repeat(np.arange(n), k)
+    r, c = linear_sum_assignment(cost[:, replica])
+    assert abs(cost[np.arange(m), col].sum() - cost[r, replica[c]].sum()) <= 1e-12
+    count = np.bincount(col, minlength=n)
+    assert count.max() <= k
+    assert np.all(v <= 0) and np.all(v[count < k] == 0)
+    reduced = cost - v
+    assert np.all(reduced[np.arange(m), col] <= reduced.min(axis=1) + 1e-12)
 
 
 @pytest.mark.parametrize("m,n,path", [
