@@ -19,7 +19,7 @@ field = builtin_field("rotation_clipped")
 print(f"field: clipped rotation, Lipschitz bound {field.lipschitz_bound:.3f}")
 
 pts = lattice([33, 33])
-ref = reference_flow(field).apply(pts)
+ref = reference_flow(field)(pts)
 
 print(f"\n{'n':>3} {'measured':>12} {'certified':>12} {'width':>7} {'depth':>6}")
 for n in (4, 8, 16):

@@ -194,7 +194,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     pts = F.lattice([cfg["eval_grid"]] * flds[0].dim)
     ref = pts
     for f in flds:
-        ref = FL.reference_flow(f).apply(ref)
+        ref = FL.reference_flow(f)(ref)
     approx = gen.apply(pts)
     err = np.abs(approx - ref).max(axis=1)
 

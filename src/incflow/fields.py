@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field as dataclass_field
 
@@ -1066,6 +1067,15 @@ def builtin_suite() -> dict[str, VectorField]:
     }
 
 
+def _number(value, kind):
+    """A manifest number as it is: a TypeError unless ``value`` is a
+    ``kind`` (``numbers.Integral`` or ``numbers.Real``) and not a bool, so
+    a string, a bool or 1.5 for an integer is never coerced."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"expected a number of kind {kind.__name__}, got {value!r}")
+    return value
+
+
 def field_from_ref(ref: dict, base_dir=None) -> VectorField:
     """Reconstruct a field from its manifest record."""
     backend = ref["backend"]
@@ -1082,7 +1092,8 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
         raise ValueError("a box_clip field is the manifest format before stages and lifts "
                          "became flows of grid fields; run approx-flow or lift-approx again")
     if backend == "lift":
-        return lift_field(field_from_ref(ref["inner"], base_dir), ref["d"])
+        return lift_field(field_from_ref(ref["inner"], base_dir),
+                          _number(ref["d"], numbers.Integral))
     if backend == "radial_clip":
         inner = field_from_ref(ref["inner"], base_dir)
         return radial_bump_clip(

@@ -1,15 +1,14 @@
 """Time-1 flows of autonomous fields, their composition into incremental
 generators, and the error/Lipschitz certificates attached to them.
 
-A flow is evaluated by its field's closed-form time-t map where the field
-carries one (``method="exact"``: the linear builtins, the disc-clipped
-rotation and centered squeeze, ``sin_bump``, every grid field and every
-lift), and by fixed-step RK4 otherwise (the off-center clipped squeeze,
-and the probe's fit, whose objective is defined by RK4). Certificates are
-statements about the exact flows, so the stages of
-:func:`approximate_generator` are covered with no integration term, and
-:func:`reference_flow` (the closed form, or RK4 with 4096 steps) stands
-in for the underlying fields' flows in empirical checks.
+A :class:`FlowMap` is always exact: the field's closed-form time-±1 map
+``field.flow``, which the linear builtins, the disc-clipped rotation and
+centered squeeze, ``sin_bump``, every grid field and every lift carry.
+Certificates are statements about the exact flows, so the stages of
+:func:`approximate_generator` are covered with no integration term.
+Fixed-step RK4 (:func:`integrate`) runs only where no closed form exists:
+in :func:`reference_flow` for the off-center clipped squeeze, and in the
+probe's fit, whose objective is defined by RK4.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import numpy as np
 from .fields import (
     FlowIntegrationError,
     VectorField,
+    _number,
     builtin_field,
     field_from_ref,
     grid_relu_approximate,
@@ -49,119 +49,102 @@ __all__ = [
     "read_manifest",
 ]
 
-DEFAULT_STEPS = 256  # RK4 steps of a FlowMap that states none
 REFERENCE_STEPS = 4096
 DEFAULT_T_BUDGET = 16  # incrementality budget; the dimensional constant is nonconstructive
+# the one integrator record a manifest flow states; a manifest format change may drop it
+_EXACT = {"method": "exact", "steps": 1}
 
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Time-1 solution map of an autonomous field.
-
-    ``direction='backward'`` integrates the negated field, which inverts
-    the forward map exactly for the underlying flow (autonomy gives
-    time-reversal symmetry); with a fixed-step integrator the round trip
-    closes up to integrator tolerance. ``method='exact'`` evaluates the
-    field's closed-form map ``field.flow`` at t = +-1 in one step; a field
-    without one is a ValueError.
+    """Exact time-1 map of an autonomous field: its closed form
+    ``field.flow`` at t = 1, or at t = -1 for ``direction='backward'``,
+    which inverts the forward map (autonomy gives time-reversal symmetry).
+    A field without a closed form is a ValueError.
     """
 
     field: VectorField
     direction: str = "forward"
-    steps: int = DEFAULT_STEPS
-    method: str = "rk4"
+
+    # perfbench's tracer reads it for flow.point_steps; it goes when that counter does
+    steps = 1
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if self.method not in ("rk4", "exact"):
-            raise ValueError("method must be 'rk4' or 'exact'")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral) \
-                or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if self.method == "exact" and (self.field.flow is None or self.steps != 1):
-            raise ValueError("an exact flow takes one step of a field with a closed-form "
-                             f"flow; field {self.field.ref}, steps {self.steps}")
+        if self.field.flow is None:
+            raise ValueError(f"field {self.field.ref} has no closed-form flow")
 
     @property
     def dim(self) -> int:
         return self.field.dim
 
     def apply(self, x) -> np.ndarray:
-        """Integrate the rows of ``x`` for unit time.
+        """Map the rows of ``x`` by the flow for unit time.
 
-        An exact flow of a grid-backed field (a grid stage or a lift of an
-        x-grid) is its closed form on every row: that form returns the rows
-        where the field is 0 as they are, and a zero test first would cost
-        a second hat-sum. Every other flow evaluates its field once on the
-        finite rows and maps only the rows where it is nonzero; the others
-        are fixed points, since every RK4 stage point equals the row and
-        each step adds zero. They equal the mapped rows in value; a zero
-        coordinate keeps its sign, which adding a signed zero may flip. A
-        non-finite row raises :class:`FlowIntegrationError` at step 0.
+        A grid-backed field (a grid stage or a lift of an x-grid) goes
+        straight to its closed form on every row: that form returns the
+        rows where the field is 0 as they are, and a zero test first would
+        cost a second hat-sum. Every other field is evaluated once on the
+        finite rows, and only the rows where it is nonzero are mapped; the
+        others are fixed points. A non-finite row raises
+        :class:`FlowIntegrationError` at step 0.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x)
-        if self.method == "exact" and self.field.grid is not None:
+        if self.field.grid is not None:
             if X.shape[1] != self.dim:
                 raise ValueError(f"points have dim {X.shape[1]}, field has {self.dim}")
-            X = self._integrate(X)
+            X = self._map(X)
             return X[0] if single else X
         X = X.copy()
         finite = np.isfinite(X).all(axis=1)
         live = ~finite
         live[finite] = (self.field.eval(X[finite]) != 0).any(axis=1)
         if live.all() and len(X):
-            X = self._integrate(X)
+            X = self._map(X)
         elif live.any():
-            X[live] = self._integrate(X[live])
+            X[live] = self._map(X[live])
         return X[0] if single else X
 
     __call__ = apply
 
-    def _integrate(self, X: np.ndarray) -> np.ndarray:
-        sign = 1.0 if self.direction == "forward" else -1.0
-        if self.method != "exact":
-            return integrate(self.field.eval, X, self.steps, sign)
-        X = self.field.flow(X, sign)
+    def _map(self, X: np.ndarray) -> np.ndarray:
+        X = self.field.flow(X, 1.0 if self.direction == "forward" else -1.0)
         if not np.isfinite(X).all():
             raise FlowIntegrationError(0)
         return X
 
     def inverse(self) -> "FlowMap":
-        flipped = "backward" if self.direction == "forward" else "forward"
-        return FlowMap(self.field, flipped, self.steps, self.method)
+        return FlowMap(self.field, "backward" if self.direction == "forward" else "forward")
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field.ref,
-            "direction": self.direction,
-            "integrator": {"method": self.method, "steps": self.steps},
-        }
+        return {"field": self.field.ref, "direction": self.direction, "integrator": dict(_EXACT)}
 
     @classmethod
     def from_dict(cls, d: dict, base_dir=None) -> "FlowMap":
         """Inverse of :meth:`to_dict`; grid payload files resolve against
-        ``base_dir``. A manifest flow states at most ``REFERENCE_STEPS``
-        steps, the maximum a config may state: an edited count could
-        otherwise keep ``generate`` integrating for hours."""
-        integrator = d["integrator"]
-        flow = cls(field_from_ref(d["field"], base_dir), d["direction"],
-                   integrator["steps"], integrator["method"])
-        if flow.steps > REFERENCE_STEPS:
-            raise ValueError(f"a manifest flow states {flow.steps} steps; "
-                             f"at most {REFERENCE_STEPS}")
-        return flow
+        ``base_dir``. Every flow is exact, so any integrator record other
+        than ``_EXACT`` (an ``rk4`` one, as manifests stated before every
+        flow was exact) is a ValueError."""
+        field = field_from_ref(d["field"], base_dir)
+        # json compares types too: True and 1.0 both == 1
+        if json.dumps(d["integrator"], sort_keys=True) != json.dumps(_EXACT):
+            raise ValueError(f"integrator {d['integrator']!r}: a flow stating other than "
+                             f"{_EXACT} is the manifest format before every flow was exact; "
+                             "run approx-flow or lift-approx again")
+        return cls(field, d["direction"])
 
 
 def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
     """Fixed-step RK4 integration of x' = sign * f(x) over unit time from the rows of ``X``.
 
-    The package's one step loop: :meth:`FlowMap.apply` runs it on a
-    field's ``eval``, the fit poll of the probe on a batched grid
-    interpolant. Raises :class:`FlowIntegrationError` at the first step
-    that leaves a non-finite state.
+    The package's one step loop, for fields without a closed-form flow:
+    :func:`reference_flow` runs it on the off-center clipped squeeze, the
+    probe's fit on a batched grid interpolant. Raises
+    :class:`FlowIntegrationError` at the first step that leaves a
+    non-finite state.
     """
     h = sign / steps
     for k in range(steps):
@@ -175,12 +158,14 @@ def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
     return X
 
 
-def reference_flow(field: VectorField) -> FlowMap:
-    """The exact flow of a field: its closed-form map where it has one, a
-    ``REFERENCE_STEPS``-step RK4 stand-in otherwise."""
+def reference_flow(field: VectorField):
+    """The time-1 map of a field, as a callable on rows: its exact
+    :class:`FlowMap` where it has a closed form, and otherwise a
+    ``REFERENCE_STEPS``-step RK4 stand-in that integrates every row."""
     if field.flow is not None:
-        return FlowMap(field, steps=1, method="exact")
-    return FlowMap(field, steps=REFERENCE_STEPS)
+        return FlowMap(field)
+    return lambda X: integrate(field.eval, np.atleast_2d(np.asarray(X, dtype=float)),
+                               REFERENCE_STEPS)
 
 
 @dataclass
@@ -228,12 +213,14 @@ class ErrorCertificate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ErrorCertificate":
+        real = numbers.Real
         per_stage = [
-            (np.array(s["omega"], dtype=float), float(s["lipschitz"]))
+            (np.array([_number(w, real) for w in s["omega"]], dtype=float),
+             _number(s["lipschitz"], real))
             for s in d["per_stage"]
         ]
-        return cls(per_stage, float(d["total_bound"]), int(d["n"]),
-                   float(d["lipschitz_product"]))
+        return cls(per_stage, _number(d["total_bound"], real),
+                   _number(d["n"], numbers.Integral), _number(d["lipschitz_product"], real))
 
 
 class IncrementalGenerator:
@@ -301,7 +288,7 @@ def approximate_generator(fields: list[VectorField], n: int) -> IncrementalGener
     on and outside the cube: every stage fixes each face point and keeps
     the cube.
     """
-    stages = [FlowMap(grid_relu_approximate(f, n), steps=1, method="exact") for f in fields]
+    stages = [FlowMap(grid_relu_approximate(f, n)) for f in fields]
     columns = [(s.field.report.modulus_bound, f.lipschitz_bound) for s, f in zip(stages, fields)]
     return IncrementalGenerator(stages, ErrorCertificate.from_stages(columns, n))
 
@@ -342,8 +329,7 @@ def builtin_generator(gen_id: str) -> IncrementalGenerator:
     """A builtin generator; each stage is the exact flow of its field."""
     if gen_id not in _GENERATOR_STAGES:
         raise KeyError(f"unknown generator id {gen_id!r}; known: {BUILTIN_GENERATORS}")
-    return IncrementalGenerator([FlowMap(builtin_field(f), steps=1, method="exact")
-                                 for f in _GENERATOR_STAGES[gen_id]])
+    return IncrementalGenerator([FlowMap(builtin_field(f)) for f in _GENERATOR_STAGES[gen_id]])
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +411,8 @@ def verify_manifest(path: str) -> dict:
 
     def pairs(doc, base):
         gen = IncrementalGenerator.from_dict(doc, base)
-        out = {"lipschitz_product": (float(doc["lipschitz_bound"]), gen.lipschitz_bound)}
+        out = {"lipschitz_product": (_number(doc["lipschitz_bound"], numbers.Real),
+                                     gen.lipschitz_bound)}
         if (cert := gen.certificate) is not None:
             out["certificate_total"] = (cert.total_bound, cert.recompute_total())
             out["certificate_lipschitz_product"] = (cert.lipschitz_product,

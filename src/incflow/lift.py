@@ -20,10 +20,11 @@ on R^(d+1), one per output component, joint mode one flow on R^(d+D).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .fields import _plateau, grid_realize, lift_field
+from .fields import _number, _plateau, grid_realize, lift_field
 from .flow import (
     ErrorCertificate,
     FlowMap,
@@ -72,7 +73,7 @@ class LiftedApproximator:
                     f"component flows must live in more than {d} dimensions, got {c.dim}"
                 )
         self.components = list(components)
-        self.d = int(d)
+        self.d = d
         self.D = sum(c.dim - self.d for c in components)
         self.certificates = certificates
         self.mode = mode
@@ -113,8 +114,8 @@ class LiftedApproximator:
         certs = doc.get("certificates")
         certs = [ErrorCertificate.from_dict(c) for c in certs] if certs else None
         mode = "joint" if doc.get("kind") == _KINDS["joint"] else "componentwise"
-        approx = cls(flows, doc["d"], certificates=certs, mode=mode)
-        if approx.D != doc["D"]:
+        approx = cls(flows, _number(doc["d"], numbers.Integral), certificates=certs, mode=mode)
+        if approx.D != _number(doc["D"], numbers.Integral):
             raise ValueError(f"manifest states D={doc['D']}, its flows carry {approx.D} outputs")
         return approx
 
@@ -127,10 +128,7 @@ JointLiftedApproximator = LiftedApproximator
 def exact_lift(components, d: int, lipschitz) -> LiftedApproximator:
     """Lift analytic scalar components, each flowed by its one exact step."""
     lipschitz = np.broadcast_to(np.asarray(lipschitz, dtype=float), (len(components),))
-    flows = [
-        FlowMap(lift_field([g], d, L), steps=1, method="exact")
-        for g, L in zip(components, lipschitz)
-    ]
+    flows = [FlowMap(lift_field([g], d, L)) for g, L in zip(components, lipschitz)]
     return LiftedApproximator(flows, d)
 
 
@@ -182,7 +180,7 @@ def _lift_flow(comps, n, d, lipschitz):
     # the lifted field's modulus: zero on the x components
     omega = np.concatenate([np.zeros(d), gridvf.report.modulus_bound])
     cert = ErrorCertificate.from_stages([(omega, max(1.0, float(np.max(lipschitz))))], n)
-    return FlowMap(lift_field(gridvf, d), steps=1, method="exact"), cert
+    return FlowMap(lift_field(gridvf, d)), cert
 
 
 # ---------------------------------------------------------------------------

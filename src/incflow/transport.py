@@ -363,9 +363,8 @@ def concentration_experiment(
     proxy_b = EmpiricalMeasure(target_sampler(np.random.default_rng([seed, 1]), M))
     proxy_error = w1_exact(proxy, proxy_b).w1
 
-    L = getattr(gen, "lipschitz_bound", 1.0)
-    cert = getattr(gen, "certificate", None)
-    epsilon = cert.total_bound if cert is not None else 0.0
+    L = gen.lipschitz_bound
+    epsilon = gen.certificate.total_bound if gen.certificate is not None else 0.0
 
     d = proxy.dim
     jobs = [(N, t) for N in N_list for t in range(trials)]

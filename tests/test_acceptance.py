@@ -158,7 +158,7 @@ def test_criterion_06_flow_inversion():
     X = rng.random((100, 2))
     worst = 0.0
     for name, f in builtin_suite().items():
-        fl = FlowMap(f, steps=256)
+        fl = FlowMap(f)
         back = fl.inverse().apply(fl.apply(X))
         worst = max(worst, float(np.abs(back - X).max()))
     ok = worst <= 1e-6

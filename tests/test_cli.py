@@ -30,6 +30,8 @@ _SRC = os.path.dirname(os.path.dirname(incflow.__file__))
 _README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 # what a manifest written with box_clip stage or lift fields is refused for
 _OLD_FORMAT = "before stages and lifts became flows of grid fields"
+# what a manifest flow stating an integrator other than exact/1 is refused for
+_NOT_EXACT = "before every flow was exact"
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -529,11 +531,19 @@ def _damage_manifest(run, defect):
         elif defect == "steps_bool":
             doc["stages"][0]["integrator"]["steps"] = True
         elif defect.startswith("rk4_steps_"):
-            # past the most a config may ask for, so nothing starts integrating
+            # every flow is exact: an RK4 record is refused whatever its steps
             doc["stages"][0]["integrator"] = {"method": "rk4",
                                               "steps": int(defect.split("_")[-1])}
         elif defect == "cert_product_missing":
             del doc["certificate"]["lipschitz_product"]
+        # a number of another type, which a coercing reader would take
+        elif defect == "cert_n_string":
+            doc["certificate"]["n"] = str(doc["certificate"]["n"])
+        elif defect == "cert_total_string":
+            doc["certificate"]["total_bound"] = str(doc["certificate"]["total_bound"])
+        elif defect == "cert_omega_strings":
+            stage = doc["certificate"]["per_stage"][0]
+            stage["omega"] = [str(w) for w in stage["omega"]]
         elif defect == "exact_off_center_squeeze":
             # a closed-form integrator stated for a field that has none
             doc["stages"][0]["integrator"] = {"method": "exact", "steps": 1}
@@ -549,7 +559,8 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
     "grid_ref_without_file", "steps_float", "steps_bool", "rk4_steps_4097",
-    "rk4_steps_1000000000", "cert_product_missing", "exact_off_center_squeeze"])
+    "rk4_steps_1000000000", "cert_product_missing", "exact_off_center_squeeze",
+    "cert_n_string", "cert_total_string", "cert_omega_strings"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     # sin_bump's grid is nonzero, so a reader that let a defect through
     # would move the generate half's rows
@@ -577,14 +588,13 @@ def test_exact_sin_bump_manifest_reads_as_its_closed_form(tmp_path, capsys):
     # sin_bump carries its closed-form flow, so a stage stating exact/1 for
     # it reads in both readers and applies that map
     f = builtin_field("sin_bump")
-    path = save_generator(IncrementalGenerator([FlowMap(f, steps=1, method="exact")]),
-                          str(tmp_path / "gen"))
+    path = save_generator(IncrementalGenerator([FlowMap(f)]), str(tmp_path / "gen"))
     assert json.loads(open(path).read())["stages"][0]["integrator"] == {
         "method": "exact", "steps": 1}
     assert main(["verify", path]) == 0
     (stage,) = load_generator(path).stages
     X = lattice([17, 17])
-    assert stage.method == "exact" and np.array_equal(stage.apply(X), f.flow(X, 1.0))
+    assert np.array_equal(stage.apply(X), f.flow(X, 1.0))
     assert main(["generate", write_cfg(tmp_path, "gen.json", {
         "generator": {"manifest": path}, "seed": 0, "M": 8, "trials": 1, "N_list": [4],
         "out_dir": str(tmp_path / "run")})]) == 0
@@ -613,29 +623,59 @@ def test_exact_grid_manifest_reads_as_its_closed_form(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     X = lattice([17, 17])
     for stage in load_generator(str(path)).stages:
-        assert stage.method == "exact" and stage.field.ref["backend"] == "grid"
+        assert stage.field.ref["backend"] == "grid"
         assert np.array_equal(stage.apply(X), stage.field.flow(X, 1.0))
     assert _generate_from(tmp_path, path) == 0
 
 
-def test_rk4_grid_manifest_still_reads(tmp_path, capsys):
+def test_rk4_grid_manifest_exits_2(tmp_path, capsys):
     # a manifest whose grid stages state rk4/256, as approx-flow wrote them
-    # before the stages were exact, verifies and generates, and runs RK4
+    # before the stages were exact, is the old format: both readers refuse
+    # it, whatever its steps, with one line that names the format change
     path = _approx_flow_manifest(tmp_path)
     doc = json.loads(path.read_text())
-    for stage in doc["stages"]:
-        stage["integrator"] = {"method": "rk4", "steps": 256}
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"] is True
-    stages = load_generator(str(path)).stages
-    assert [(s.method, s.steps) for s in stages] == [("rk4", 256)] * 2
-    assert _generate_from(tmp_path, path) == 0
-    # the most steps a manifest flow may state, as a config may
-    for stage in doc["stages"]:
-        stage["integrator"]["steps"] = 4096
-    path.write_text(json.dumps(doc))
-    assert main(["verify", str(path)]) == 0
+    for steps in (256, 4096, 1):
+        for stage in doc["stages"]:
+            stage["integrator"] = {"method": "rk4", "steps": steps}
+        path.write_text(json.dumps(doc))
+        for run in (lambda: main(["verify", str(path)]), lambda: _generate_from(tmp_path, path)):
+            assert run() == 2, steps
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and len(err.splitlines()) == 1
+            assert _NOT_EXACT in err
+    with pytest.raises(ManifestError, match=_NOT_EXACT):
+        load_generator(str(path))
+
+
+_SIN_BUMP_RUN = {"stages": [{"id": "sin_bump"}], "n": 4, "eval_grid": 5}
+_PAIR_RUN = {"function": {"id": "affine_pair"}, "n": 4, "test_points": 11, "mode": "joint"}
+
+
+@pytest.mark.parametrize("command, cfg, path, value", [
+    ("approx-flow", _SIN_BUMP_RUN, ("lipschitz_bound",), "string"),
+    ("lift-approx", _PAIR_RUN, ("d",), 1.5),
+    ("lift-approx", _PAIR_RUN, ("d",), True),
+    ("lift-approx", _PAIR_RUN, ("D",), 2.0),
+    ("lift-approx", _PAIR_RUN, ("components", 0, "field", "d"), True),
+    ("lift-approx", _PAIR_RUN, ("components", 0, "field", "d"), 1.0),
+], ids=["lipschitz_bound_string", "d_float", "d_bool", "D_float", "field_d_bool",
+        "field_d_float"])
+def test_manifest_number_of_another_type_exits_2(tmp_path, capsys, command, cfg, path, value):
+    # a manifest number is read as it is: coerced, each of these edits
+    # would read as the number the program wrote, and verify would pass
+    run = tmp_path / "run"
+    assert main([command, write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir=str(run)))]) == 0
+    manifest = run / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = str(node[path[-1]]) if value == "string" else value
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and len(err.splitlines()) == 1
 
 
 def test_negative_sin_bump_amplitude_certifies(tmp_path):

@@ -114,3 +114,14 @@ def test_trace_field_measure_reads_every_field_kind():
         else:
             lo, hi = f.support_box
             assert idle == np.count_nonzero(((X < lo) | (X > hi)).any(axis=1)) > 0, name
+
+
+def test_trace_flow_measure_reads_the_flow_steps():
+    # the tracer's flow.apply measure reads FlowMap.steps, the constant 1 of
+    # an exact flow; a FlowMap that lost the attribute fails here first
+    from incflow.fields import builtin_field
+    from incflow.flow import FlowMap
+
+    X = np.random.default_rng(0).random((10, 2))
+    fl = FlowMap(builtin_field("rotation_clipped"), "backward")
+    assert _load_tracing()._flow_rows((fl, X), fl.apply(X)) == (10, 1, 0.0)

@@ -90,7 +90,7 @@ def test_radial_clip_validation():
 def assert_zero_outside_support(f, box, seed, n=5000):
     """``f`` is exactly 0.0 outside ``box``: at random points up to one box
     width away and at points one float step outside a random facet.
-    ``FlowMap.apply`` leaves such points unintegrated."""
+    ``FlowMap.apply`` returns such points unmapped."""
     lo, hi = np.asarray(box, dtype=float)
     rng = np.random.default_rng(seed)
     far = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, f.dim))

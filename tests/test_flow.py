@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -15,6 +16,7 @@ from incflow.fields import (
     zero_field,
 )
 from incflow.flow import (
+    REFERENCE_STEPS,
     ErrorCertificate,
     FlowIntegrationError,
     FlowMap,
@@ -28,6 +30,15 @@ from incflow.flow import (
     save_generator,
     verify_manifest,
 )
+
+
+def fine_rk4(f, X, steps, sign=1.0):
+    """The RK4 oracle of a flow: ``integrate`` on the rows where ``f`` is
+    nonzero. A row where it is 0 is an equilibrium, which RK4 keeps too
+    (each step adds 0), so the fine references skip those rows."""
+    out, live = X.copy(), (f.eval(X) != 0).any(axis=1)
+    out[live] = integrate(f.eval, X[live], steps, sign)
+    return out
 
 
 def rotation_oracle(x, center, rate, t=1.0):
@@ -51,7 +62,7 @@ def test_zero_field_flow_is_bit_identical():
 
 
 def test_rotation_flow_matches_closed_form():
-    fl = FlowMap(rotation_field([0.5, 0.5], math.pi), steps=256)
+    fl = FlowMap(rotation_field([0.5, 0.5], math.pi))
     x = np.array([0.75, 0.5])
     expect = rotation_oracle(x, [0.5, 0.5], math.pi)[0]
     assert np.abs(fl.apply(x) - expect).max() <= 1e-8
@@ -59,7 +70,7 @@ def test_rotation_flow_matches_closed_form():
 
 
 def test_squeeze_flow_matches_closed_form():
-    fl = FlowMap(squeeze_field(0.5), steps=256)
+    fl = FlowMap(squeeze_field(0.5))
     x = np.array([0.75, 0.5])
     expect = np.array([0.5 + 0.25 * math.exp(-1.0), 0.5])
     assert np.abs(fl.apply(x) - expect).max() <= 1e-10
@@ -76,14 +87,14 @@ def test_flow_round_trip_builtin_suite():
     rng = np.random.default_rng(0)
     X = rng.random((100, 2))
     for name, f in builtin_suite().items():
-        fl = FlowMap(f, steps=256)
+        fl = FlowMap(f)
         back = fl.inverse().apply(fl.apply(X))
         assert np.abs(back - X).max() <= 1e-6, name
 
 
 def test_round_trip_exact_outside_support():
     f = builtin_field("rotation_clipped")
-    fl = FlowMap(f, steps=256)
+    fl = FlowMap(f)
     pts = np.array([[0.9, 0.9], [0.05, 0.5], [0.5, 0.05]])
     assert np.array_equal(fl.apply(pts), pts)
     assert np.array_equal(fl.inverse().apply(fl.apply(pts)), pts)
@@ -102,11 +113,11 @@ def _mixed_batch(box, rng, n=200):
 
 
 def test_support_skip_matches_full_integration():
-    # finite rows where the field is exactly zero are not integrated, inside
-    # a box around its support or outside: rotation_clipped's box corners
+    # finite rows where the field is exactly zero are not mapped, inside a
+    # box around its support or outside: rotation_clipped's box corners
     # outside its disc, and the cells x_i <= 1/8 of the n = 8 sin_bump stage
-    # grid, whose vertex values are all zero. The result must equal
-    # integrating every row.
+    # grid, whose vertex values are all zero. The result must equal the
+    # closed form on every row, bit for bit.
     rng = np.random.default_rng(3)
     rot = builtin_field("rotation_clipped")
     lo, hi = rot.support_box
@@ -121,21 +132,21 @@ def test_support_skip_matches_full_integration():
         assert ((zero >= box[0]) & (zero <= box[1])).all() and (f.eval(zero) == 0).all()
         X = np.vstack([_mixed_batch(box, rng), zero])
         for direction, sign in (("forward", 1.0), ("backward", -1.0)):
-            skip = FlowMap(f, direction, steps=32)
+            skip = FlowMap(f, direction)
             got = skip.apply(X)
-            assert np.array_equal(got, integrate(f.eval, X, 32, sign))
+            assert np.array_equal(got, f.flow(X, sign))
             assert not np.array_equal(got, X)
-            assert np.array_equal(skip.apply(X[0]), integrate(f.eval, X[:1], 32, sign)[0])
+            assert np.array_equal(skip.apply(X[0]), f.flow(X[:1], sign)[0])
 
 
 def test_support_box_too_small_for_its_field_does_not_freeze_rows():
     # which rows move follows from the field's value, not its declared box
     f = builtin_field("rotation_clipped")
     small = VectorField(2, f.eval, f.lipschitz_bound,
-                        support_box=np.array([[0.45, 0.45], [0.55, 0.55]]))
+                        support_box=np.array([[0.45, 0.45], [0.55, 0.55]]), flow=f.flow)
     X = _mixed_batch(f.support_box, np.random.default_rng(4))
-    got = FlowMap(small, steps=32).apply(X)
-    assert np.array_equal(got, integrate(f.eval, X, 32))
+    got = FlowMap(small).apply(X)
+    assert np.array_equal(got, f.flow(X, 1.0))
     assert not np.array_equal(got, X)
 
 
@@ -147,13 +158,14 @@ def test_all_zero_batch_costs_one_field_evaluation():
         return np.zeros_like(X)
 
     X = np.random.default_rng(5).random((40, 2))
-    assert np.array_equal(FlowMap(VectorField(2, ev, 0.0), steps=16).apply(X), X)
+    field = VectorField(2, ev, 0.0, flow=lambda X, t: X + t * ev(X))
+    assert np.array_equal(FlowMap(field).apply(X), X)
     assert calls == [40]
 
 
 def test_generator_single_stage_reduces_to_flow():
     f = builtin_field("rotation_clipped")
-    fl = FlowMap(f, steps=256)
+    fl = FlowMap(f)
     gen = IncrementalGenerator([fl])
     x = np.array([0.55, 0.6])
     assert np.array_equal(gen.apply(x), fl.apply(x))
@@ -303,9 +315,7 @@ def test_rk4_refinement_is_fourth_order():
     f = rotation_field([0.5, 0.5], math.pi)  # smooth everywhere
     rng = np.random.default_rng(3)
     X = rng.random((64, 2))
-    a = FlowMap(f, steps=32).apply(X)
-    b = FlowMap(f, steps=64).apply(X)
-    c = FlowMap(f, steps=128).apply(X)
+    a, b, c = (integrate(f.eval, X, steps) for steps in (32, 64, 128))
     ratio = np.abs(a - b).max() / np.abs(b - c).max()
     assert 10 <= ratio <= 22
 
@@ -314,36 +324,41 @@ def test_integration_error_reports_step():
     blow = VectorField(2, lambda X: X**3 * 1e4, np.inf)
     with pytest.raises(FlowIntegrationError) as err:
         with np.errstate(over="ignore", invalid="ignore"):
-            FlowMap(blow, steps=64).apply(np.array([1.0, 1.0]))
+            integrate(blow.eval, np.array([[1.0, 1.0]]), 64)
     assert err.value.step >= 0
-    # a non-finite row is integrated even among rows where the field is zero
+    # a non-finite row is mapped even among rows where the field is zero
     X = np.array([[0.05, 0.05], [np.nan, 0.9], [0.95, 0.5], [2.0, np.inf]])
     for f in (builtin_field("rotation_clipped"), zero_field(2)):
         for rows in (X[:2], X[2:], X):
             with pytest.raises(FlowIntegrationError) as err:
                 with np.errstate(invalid="ignore"):
-                    FlowMap(f, steps=16).apply(rows)
+                    FlowMap(f).apply(rows)
             assert err.value.step == 0
 
 
 def test_flowmap_validation():
     with pytest.raises(ValueError):
         FlowMap(zero_field(2), direction="sideways")
-    for steps in (0, 2.5, True):
-        with pytest.raises(ValueError):
-            FlowMap(zero_field(2), steps=steps)
     with pytest.raises(ValueError):
         IncrementalGenerator([])
-    # an exact flow is one step of a field's closed-form map
+
+
+def test_flowmap_is_the_exact_flow_of_a_closed_form():
+    # a flow takes a field and a direction only, and is its closed-form map
+    assert [f.name for f in dataclasses.fields(FlowMap)] == ["field", "direction"]
+    for knob in ({"steps": 1}, {"method": "exact"}, {"steps": 256, "method": "rk4"}):
+        with pytest.raises(TypeError):
+            FlowMap(zero_field(2), **knob)
     off_center = builtin_field("squeeze_clipped", {"line_x": 0.55})
     assert off_center.flow is None
-    with pytest.raises(ValueError):
-        FlowMap(off_center, steps=1, method="exact")
-    with pytest.raises(ValueError):
-        FlowMap(builtin_field("rotation_clipped"), steps=2, method="exact")
-    # a flow is RK4 or exact: the Euler method went with the clipped lifts
-    with pytest.raises(ValueError):
-        FlowMap(zero_field(2), steps=1, method="euler")
+    with pytest.raises(ValueError, match="no closed-form flow"):
+        FlowMap(off_center)
+    with pytest.raises(ValueError, match="no closed-form flow"):
+        FlowMap(VectorField(2, lambda X: np.zeros(X.shape), 0.0), "backward")
+    # its reference stand-in integrates every row by RK4
+    X = lattice([5, 5])
+    assert np.array_equal(reference_flow(off_center)(X),
+                          integrate(off_center.eval, X, REFERENCE_STEPS))
 
 
 def test_manifest_roundtrip_evaluation(tmp_path):
@@ -432,10 +447,10 @@ def test_closed_form_matches_fine_rk4(fid, seed):
     # runs along a kink of the radial profile (|x - c| = r_inner or r_outer)
     # and ~1e-10 elsewhere; 1e-7 leaves a margin over both
     f, X = _closed_form_case(fid, seed)
-    exact = FlowMap(f, steps=1, method="exact")
-    for fl in (exact, exact.inverse()):
-        rk4 = FlowMap(f, fl.direction, steps=4096)
-        assert np.abs(fl.apply(X) - rk4.apply(X)).max() <= 1e-7, (fid, fl.direction)
+    exact = FlowMap(f)
+    for fl, sign in ((exact, 1.0), (exact.inverse(), -1.0)):
+        rk4 = fine_rk4(f, X, 4096, sign)
+        assert np.abs(fl.apply(X) - rk4).max() <= 1e-7, (fid, fl.direction)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -444,7 +459,7 @@ def test_closed_form_group_law(fid, seed):
     f, X = _closed_form_case(fid, seed)
     for s, t in [(0.3, 0.7), (1.0, 1.0), (-0.4, 1.0), (1.5, -2.0), (-1.0, -0.25)]:
         assert np.abs(f.flow(f.flow(X, t), s) - f.flow(X, s + t)).max() <= 1e-12, (s, t)
-    exact = FlowMap(f, steps=1, method="exact")
+    exact = FlowMap(f)
     assert np.abs(exact.inverse().apply(exact.apply(X)) - X).max() <= 1e-12
     assert np.abs(exact.apply(exact.inverse().apply(X)) - X).max() <= 1e-12
 
@@ -453,7 +468,7 @@ def test_closed_form_group_law(fid, seed):
 @pytest.mark.parametrize("fid", _CLOSED_FORMS)
 def test_closed_form_batch_is_row_by_row(fid, seed):
     f, X = _closed_form_case(fid, seed)
-    for fl in (FlowMap(f, steps=1, method="exact"), FlowMap(f, "backward", 1, "exact")):
+    for fl in (FlowMap(f), FlowMap(f, "backward")):
         batch = fl.apply(X)
         assert np.array_equal(batch, np.stack([fl.apply(x) for x in X]))
         assert np.array_equal(batch[::3], fl.apply(X[::3]))
@@ -469,7 +484,7 @@ def test_closed_form_keeps_rows_outside_support_bit_identical():
         out = far[np.abs(far - 0.5).max(axis=1) > 0.25]  # outside the disc's box
         rim = 0.5 + 0.25 * np.stack([np.cos(a := rng.uniform(0, 7, 50)), np.sin(a)], axis=1)
         X = np.vstack([out, rim[(f.eval(rim) == 0).all(axis=1)]])
-        for fl in (FlowMap(f, steps=1, method="exact"), FlowMap(f, "backward", 1, "exact")):
+        for fl in (FlowMap(f), FlowMap(f, "backward")):
             assert np.array_equal(fl.apply(X), X), fid
     # the squeeze's fixed line, inside the disc too
     line = np.stack([np.full(50, 0.5), rng.uniform(0.0, 1.0, 50)], axis=1)
@@ -480,7 +495,7 @@ def test_builtin_suite_reference_flows_are_exact():
     # the acceptance checks measure against reference_flow: no builtin of the
     # suite falls back to the 4096-step RK4 stand-in
     for name, f in builtin_suite().items():
-        assert reference_flow(f).method == "exact", name
+        assert reference_flow(f) == FlowMap(f), name
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +516,10 @@ def test_sin_bump_closed_form_matches_fine_rk4(seed):
     # the quadrature errs by ~1e-23 and the bisection by an ulp; RK4 with
     # 4096 steps is within ~1e-9 of the flow, so 1e-7 leaves a margin
     f, X = _sin_bump_case(seed)
-    exact = FlowMap(f, steps=1, method="exact")
-    for fl in (exact, exact.inverse()):
-        rk4 = FlowMap(f, fl.direction, steps=4096)
-        assert np.abs(fl.apply(X) - rk4.apply(X)).max() <= 1e-7, (seed, fl.direction)
+    exact = FlowMap(f)
+    for fl, sign in ((exact, 1.0), (exact.inverse(), -1.0)):
+        rk4 = fine_rk4(f, X, 4096, sign)
+        assert np.abs(fl.apply(X) - rk4).max() <= 1e-7, (seed, fl.direction)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -512,7 +527,7 @@ def test_sin_bump_closed_form_group_law(seed):
     f, X = _sin_bump_case(seed)
     for s, t in [(0.3, 0.7), (1.0, 1.0), (-0.4, 1.0), (1.5, -2.0), (-1.0, -0.25)]:
         assert np.abs(f.flow(f.flow(X, t), s) - f.flow(X, s + t)).max() <= 1e-12, (s, t)
-    exact = FlowMap(f, steps=1, method="exact")
+    exact = FlowMap(f)
     assert np.abs(exact.inverse().apply(exact.apply(X)) - X).max() <= 1e-12
     assert np.abs(exact.apply(exact.inverse().apply(X)) - X).max() <= 1e-12
 
@@ -520,7 +535,7 @@ def test_sin_bump_closed_form_group_law(seed):
 @pytest.mark.parametrize("seed", [0, 2])
 def test_sin_bump_closed_form_batch_is_row_by_row(seed):
     f, X = _sin_bump_case(seed)
-    for fl in (FlowMap(f, steps=1, method="exact"), FlowMap(f, "backward", 1, "exact")):
+    for fl in (FlowMap(f), FlowMap(f, "backward")):
         batch = fl.apply(X)
         assert np.array_equal(batch[::8], np.stack([fl.apply(x) for x in X[::8]]))
         assert np.array_equal(batch[::3], fl.apply(X[::3]))
@@ -569,7 +584,7 @@ def grid_stages():
     for name, f in builtin_suite().items():
         for n in (8, 16):
             fl = approximate_generator([f], n).stages[0]
-            cases[name, n] = fl, X, fl.apply(X), FlowMap(fl.field, steps=4096).apply(X)
+            cases[name, n] = fl, X, fl.apply(X), fine_rk4(fl.field, X, 4096)
     return cases
 
 
@@ -577,7 +592,6 @@ def test_grid_flow_matches_fine_rk4(grid_stages):
     # RK4 with 4096 steps errs by O(h^2) where a trajectory crosses a kink
     # of the grid field, ~1e-8 here; 1e-7 leaves a margin
     for (name, n), (fl, X, exact, rk4) in grid_stages.items():
-        assert (fl.method, fl.steps) == ("exact", 1), (name, n)
         assert np.abs(exact - rk4).max() <= 1e-7, (name, n)
         assert ((exact >= 0.0) & (exact <= 1.0)).all(), (name, n)
 
@@ -586,7 +600,7 @@ def test_grid_flow_is_the_limit_of_rk4(grid_stages):
     # RK4's error falls ~16x from 4096 to 16384 steps, and the exact flow
     # sits within 1e-8 of the finer one
     fl, X, exact, rk4 = grid_stages["rotation_clipped", 8]
-    fine = FlowMap(fl.field, steps=16384).apply(X)
+    fine = fine_rk4(fl.field, X, 16384)
     assert np.abs(exact - fine).max() <= 1e-8
     assert np.abs(exact - fine).max() < np.abs(rk4 - fine).max() / 4
 
@@ -642,9 +656,9 @@ def test_grid_flow_in_one_and_three_dimensions():
     for fn, ns in ((wave, (16,)), (swirl, (4, 5, 6))):
         f = grid_field(GridInterpolant.from_callable(fn, ns))
         X = np.vstack([lattice([5] * len(ns)), rng.random((100, len(ns)))])
-        exact = FlowMap(f, steps=1, method="exact")
+        exact = FlowMap(f)
         Y = exact.apply(X)
-        assert np.abs(Y - FlowMap(f, steps=4096).apply(X)).max() <= 1e-7, ns
+        assert np.abs(Y - fine_rk4(f, X, 4096)).max() <= 1e-7, ns
         assert np.abs(exact.inverse().apply(Y) - X).max() <= 1e-12, ns
 
 
@@ -666,7 +680,7 @@ def test_grid_flow_along_invariant_grid_lines_does_not_stall(monkeypatch):
             Y = f.flow(X, t)
             assert np.array_equal(Y[:, 1], X[:, 1]), (n, t)
             assert np.array_equal(Y[:len(y)], X[:len(y)]), (n, t)
-        assert np.abs(f.flow(X, 1.0) - FlowMap(f, steps=4096).apply(X)).max() <= 1e-7, n
+        assert np.abs(f.flow(X, 1.0) - fine_rk4(f, X, 4096)).max() <= 1e-7, n
 
 
 def test_grid_flow_round_bound(monkeypatch):
@@ -679,10 +693,10 @@ def test_grid_flow_round_bound(monkeypatch):
     f = approximate_generator([builtin_field("rotation_clipped")], 8).stages[0].field
     monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 40)
     x = np.array([[0.375, 0.5]])
-    assert np.abs(f.flow(x, 1.0) - FlowMap(f, steps=4096).apply(x)).max() <= 1e-7
+    assert np.abs(f.flow(x, 1.0) - fine_rk4(f, x, 4096)).max() <= 1e-7
     monkeypatch.setattr(fields, "_GRID_FLOW_ROUNDS", 3)
     with pytest.raises(FlowIntegrationError):
-        FlowMap(f, steps=1, method="exact").apply(lattice([9, 9]))
+        FlowMap(f).apply(lattice([9, 9]))
 
 
 def _closed_form_fields():

@@ -22,14 +22,13 @@ import numpy as np
 import pytest
 
 from incflow.fields import (
-    GridInterpolant, VectorField, builtin_field, grid_field, grid_realize, grid_to_mlp,
+    GridInterpolant, VectorField, grid_field, grid_realize, grid_to_mlp,
 )
-from incflow.flow import (
-    FlowMap, IncrementalGenerator, approximate_generator, integrate, save_generator,
-)
+from incflow.flow import approximate_generator, integrate, save_generator
 from incflow.lift import approximate_lipschitz_function, lift_function, save_lifted
 from incflow.probe import fit_gap_experiment, fit_single_flow
 from incflow.transport import EmpiricalMeasure, w1_exact
+from test_probe import rk4_composite
 from test_transport import _lp_instance
 
 
@@ -139,11 +138,7 @@ def test_fit_single_flow_bits():
     # evaluations and ends in a poll that the budget cuts short. The
     # composite is integrated by RK4, whose bits use + - * / and sqrt
     # only; its exact maps call sin, cos, exp and log.
-    composite = IncrementalGenerator([
-        FlowMap(builtin_field("squeeze_clipped"), steps=256),
-        FlowMap(builtin_field("rotation_clipped"), steps=256),
-    ])
-    res = fit_single_flow(composite, budget=300, seed=0)
+    res = fit_single_flow(rk4_composite, budget=300, seed=0)
     digest = _digest(res.candidate_field.grid.values, [res.residual_sup], [res.evaluations])
     assert digest == GOLDEN["fit_single_flow_composite"]
 

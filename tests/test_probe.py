@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from incflow.fields import builtin_field, lattice
-from incflow.flow import FlowMap, IncrementalGenerator, builtin_generator
+from incflow.flow import FlowMap, builtin_generator, integrate
 import incflow.probe as probe
 from incflow.probe import (
     OrbitRecord,
@@ -249,7 +249,7 @@ def test_contraction_audit_identity_map():
 def test_pure_squeeze_contraction_rate():
     # iteration oracle: inside the plateau the squeeze shrinks x-distance
     # to the line by exactly exp(-1) per application
-    fl = FlowMap(builtin_field("squeeze_clipped"), steps=512)
+    fl = FlowMap(builtin_field("squeeze_clipped"))
     q = np.array([0.5, 0.5])
     probe = q + np.array([0.01, 0.0])
     once = fl.apply(probe)
@@ -287,15 +287,15 @@ def _flow_theta_batch(thetas, pts, n_grid, steps):
 
 
 def test_fit_poll_flows_match_flowmap_per_candidate():
-    # the poll's batched integration is bit-for-bit the FlowMap of each
+    # the poll's batched integration is bit-for-bit the RK4 flow of each
     # candidate's grid field
     rng = np.random.default_rng(4)
     thetas = 0.4 * rng.standard_normal((6, 2 * 5 * 5))
     pts = rng.random((30, 2))
     batch = _flow_theta_batch(thetas, pts, 4, 16)
     for theta, got in zip(thetas, batch):
-        flow = FlowMap(probe._grid_field_from_theta(theta, 4), steps=16)
-        assert np.array_equal(got, flow.apply(pts))
+        field = probe._grid_field_from_theta(theta, 4)
+        assert np.array_equal(got, integrate(field.eval, pts, 16))
 
 
 def _full_poll(cands, pts, target, n_grid):
@@ -402,12 +402,16 @@ def _unscreened_poll(pts, target_vals, n_grid):
     return poll
 
 
+def rk4_composite(X):
+    """The two-stage map with each stage integrated by 256 RK4 steps."""
+    for name in ("squeeze_clipped", "rotation_clipped"):
+        X = integrate(builtin_field(name).eval, X, 256)
+    return X
+
+
 def test_fit_poll_screen_flows_under_half_the_rows():
     # the pinned composite fit of test_golden, with its flowed rows counted
-    composite = IncrementalGenerator([
-        FlowMap(builtin_field("squeeze_clipped"), steps=256),
-        FlowMap(builtin_field("rotation_clipped"), steps=256),
-    ])
+    composite = rk4_composite
     flow_rows = probe._flow_theta_rows
     runs = []
     for unscreened in (False, False, True):

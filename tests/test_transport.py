@@ -59,7 +59,7 @@ def test_pushforward_rotation_oracle():
     c = np.array([0.5, 0.5])
     pts = c + np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]])
     mu = EmpiricalMeasure(pts)
-    fl = FlowMap(rotation_field(c, math.pi / 2), steps=512)
+    fl = FlowMap(rotation_field(c, math.pi / 2))
     out = pushforward(fl, mu)
     expect = c + np.array([[0.0, 0.1], [-0.1, 0.0], [0.0, -0.1], [0.1, 0.0]])
     assert np.abs(out.points - expect).max() <= 1e-9
