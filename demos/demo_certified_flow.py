@@ -12,14 +12,14 @@ rotation of each circle about the center.
 
 import numpy as np
 
-from incflow import approximate_generator, builtin_field, reference_flow
+from incflow import FlowMap, approximate_generator, builtin_field
 from incflow.fields import lattice
 
 field = builtin_field("rotation_clipped")
 print(f"field: clipped rotation, Lipschitz bound {field.lipschitz_bound:.3f}")
 
 pts = lattice([33, 33])
-ref = reference_flow(field)(pts)
+ref = FlowMap(field)(pts)
 
 print(f"\n{'n':>3} {'measured':>12} {'certified':>12} {'width':>7} {'depth':>6}")
 for n in (4, 8, 16):

@@ -40,7 +40,6 @@ from .flow import (
     builtin_generator,
     empirical_lipschitz,
     load_generator,
-    reference_flow,
     save_generator,
     verify_manifest,
 )

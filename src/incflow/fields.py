@@ -465,7 +465,9 @@ def radial_bump_clip(
     The Lipschitz bound follows the product rule,
     ``L_V + max_abs / (r_outer - r_inner)`` with ``max_abs`` the supremum
     of |V| over the outer ball. The declared support box is the outer
-    ball's bounding box.
+    ball's bounding box. The clip carries no closed-form flow, so no
+    manifest holds it and it keeps the opaque record; the clipped builtins
+    set their own record and flow.
     """
     if not 0 < r_inner < r_outer:
         raise ValueError("need 0 < r_inner < r_outer")
@@ -481,14 +483,6 @@ def radial_bump_clip(
         ev,
         L,
         support_box=np.stack([c - r_outer, c + r_outer]),
-        ref={
-            "backend": "radial_clip",
-            "center": c.tolist(),
-            "r_inner": r_inner,
-            "r_outer": r_outer,
-            "max_abs": max_abs,
-            "inner": field.ref,
-        },
     )
 
 
@@ -956,18 +950,15 @@ def _build_rotation_clipped(center=(0.5, 0.5), rate=math.pi, r_inner=0.125, r_ou
     return f
 
 
-def _build_squeeze_clipped(line_x=0.5, center=(0.5, 0.5), r_inner=0.125, r_outer=0.25):
-    """The squeeze times the radial profile; its flow has a closed form
-    when the line runs through the center, the default."""
+def _build_squeeze_clipped(center=(0.5, 0.5), r_inner=0.125, r_outer=0.25):
+    """The squeeze onto the disc's vertical center line x = c_0 times the
+    radial profile, with its closed-form flow."""
     if np.shape(center) != (2,):
         raise ValueError("squeeze_clipped is two-dimensional")
-    base = squeeze_field(line_x)
-    max_abs = abs(center[0] - line_x) + r_outer
-    f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=max_abs)
+    f = radial_bump_clip(squeeze_field(center[0]), center, r_inner, r_outer, max_abs=r_outer)
     f.ref = {"backend": "analytic", "id": "squeeze_clipped", "params": {
-        "line_x": line_x, "center": list(center), "r_inner": r_inner, "r_outer": r_outer}}
-    if line_x == center[0]:
-        f.flow = _squeeze_disc_flow(np.asarray(center, dtype=float), r_inner, r_outer)
+        "center": list(center), "r_inner": r_inner, "r_outer": r_outer}}
+    f.flow = _squeeze_disc_flow(np.asarray(center, dtype=float), r_inner, r_outer)
     return f
 
 
@@ -1050,11 +1041,20 @@ BUILTIN_FIELDS = {
 
 
 def builtin_field(field_id: str, params: dict | None = None) -> VectorField:
+    """The builtin field ``field_id`` built from ``params``, the one rule a
+    config stage and a manifest record share: an object whose values are
+    numbers or lists of numbers, a bool being neither."""
     if field_id not in BUILTIN_FIELDS:
         raise KeyError(
             f"unknown field id {field_id!r}; known: {sorted(BUILTIN_FIELDS)}"
         )
-    return BUILTIN_FIELDS[field_id](**(params or {}))
+    params = {} if params is None else params
+    if type(params) is not dict or not all(
+            type(v) in (int, float) or type(v) is list and all(type(u) in (int, float) for u in v)
+            for v in params.values()):
+        raise TypeError(f"field params must be an object of numbers or lists of numbers, "
+                        f"got {params!r}")
+    return BUILTIN_FIELDS[field_id](**params)
 
 
 def builtin_suite() -> dict[str, VectorField]:
@@ -1087,6 +1087,8 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
         gi = GridInterpolant.load(
             os.path.join(base_dir, ref["file"]) if base_dir else ref["file"]
         )
+        if [_number(k, numbers.Integral) for k in ref["n"]] != list(gi.ns):
+            raise ValueError(f"grid record states n={ref['n']}, its payload holds {list(gi.ns)}")
         return grid_field(gi, ref)
     if backend == "box_clip":
         raise ValueError("a box_clip field is the manifest format before stages and lifts "
@@ -1094,9 +1096,4 @@ def field_from_ref(ref: dict, base_dir=None) -> VectorField:
     if backend == "lift":
         return lift_field(field_from_ref(ref["inner"], base_dir),
                           _number(ref["d"], numbers.Integral))
-    if backend == "radial_clip":
-        inner = field_from_ref(ref["inner"], base_dir)
-        return radial_bump_clip(
-            inner, ref["center"], ref["r_inner"], ref["r_outer"], ref["max_abs"]
-        )
     raise ValueError(f"cannot reconstruct field from backend {backend!r}")

@@ -2,13 +2,13 @@
 generators, and the error/Lipschitz certificates attached to them.
 
 A :class:`FlowMap` is always exact: the field's closed-form time-±1 map
-``field.flow``, which the linear builtins, the disc-clipped rotation and
-centered squeeze, ``sin_bump``, every grid field and every lift carry.
+``field.flow``, which every builtin field (the linear ones, the
+disc-clipped rotation and squeeze, ``sin_bump``), every grid field and
+every lift carry, so ``approx-flow`` measures against exact flows too.
 Certificates are statements about the exact flows, so the stages of
 :func:`approximate_generator` are covered with no integration term.
-Fixed-step RK4 (:func:`integrate`) runs only where no closed form exists:
-in :func:`reference_flow` for the off-center clipped squeeze, and in the
-probe's fit, whose objective is defined by RK4.
+Fixed-step RK4 (:func:`integrate`) serves only the probe's fit, whose
+objective is defined by RK4, and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "integrate",
     "approximate_generator",
     "empirical_lipschitz",
-    "reference_flow",
     "builtin_generator",
     "BUILTIN_GENERATORS",
     "save_generator",
@@ -49,7 +48,6 @@ __all__ = [
     "read_manifest",
 ]
 
-REFERENCE_STEPS = 4096
 DEFAULT_T_BUDGET = 16  # incrementality budget; the dimensional constant is nonconstructive
 # the one integrator record a manifest flow states; a manifest format change may drop it
 _EXACT = {"method": "exact", "steps": 1}
@@ -140,9 +138,8 @@ class FlowMap:
 def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
     """Fixed-step RK4 integration of x' = sign * f(x) over unit time from the rows of ``X``.
 
-    The package's one step loop, for fields without a closed-form flow:
-    :func:`reference_flow` runs it on the off-center clipped squeeze, the
-    probe's fit on a batched grid interpolant. Raises
+    The package's one step loop: the probe's fit runs it on a batched grid
+    interpolant, and the tests use it as the oracle of the closed forms. Raises
     :class:`FlowIntegrationError` at the first step that leaves a
     non-finite state.
     """
@@ -156,16 +153,6 @@ def integrate(f, X: np.ndarray, steps: int, sign: float = 1.0) -> np.ndarray:
         if not np.isfinite(X).all():
             raise FlowIntegrationError(k)
     return X
-
-
-def reference_flow(field: VectorField):
-    """The time-1 map of a field, as a callable on rows: its exact
-    :class:`FlowMap` where it has a closed form, and otherwise a
-    ``REFERENCE_STEPS``-step RK4 stand-in that integrates every row."""
-    if field.flow is not None:
-        return FlowMap(field)
-    return lambda X: integrate(field.eval, np.atleast_2d(np.asarray(X, dtype=float)),
-                               REFERENCE_STEPS)
 
 
 @dataclass

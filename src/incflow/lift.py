@@ -222,19 +222,28 @@ def lift_function(function_id: str):
     return LIFT_FUNCTIONS[function_id]
 
 
-def function_from_samples(xs, ys, lipschitz: float):
-    """1-d Lipschitz target from sample pairs (piecewise-linear interpolation)."""
+def function_from_samples(xs, ys):
+    """1-d Lipschitz target from sample pairs: their piecewise-linear
+    interpolant, whose Lipschitz constant is exactly the largest slope
+    |dy/dx| between neighbouring samples. A repeated x is a ValueError, since
+    the samples are then not a function; a slope past the float range is a
+    FloatingPointError."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need matching 1-d sample arrays with at least two points")
     order = np.argsort(xs)
     xs, ys = xs[order], ys[order]
+    if (dx := np.diff(xs)).min() == 0:
+        raise ValueError(f"x = {float(xs[np.argmin(dx)])} is repeated: the samples are not "
+                         "a function")
+    with np.errstate(over="raise"):
+        lipschitz = float(np.max(np.abs(np.diff(ys) / dx)))
 
     def g(X):
         return np.interp(X[:, 0], xs, ys)
 
-    return [g], 1, 1, [float(lipschitz)]
+    return [g], 1, 1, [lipschitz]
 
 
 # ---------------------------------------------------------------------------

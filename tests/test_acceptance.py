@@ -24,7 +24,6 @@ from incflow.flow import (
     approximate_generator,
     builtin_generator,
     empirical_lipschitz,
-    reference_flow,
 )
 from incflow.lift import approximate_lipschitz_function, exact_lift, lift_function
 from incflow.mlp import build_bump
@@ -102,7 +101,7 @@ def test_criterion_03_certificate_domination():
     pts = lattice(33)
     worst = 0.0
     for name, f in builtin_suite().items():
-        ref = reference_flow(f).apply(pts)
+        ref = FlowMap(f).apply(pts)
         for n in (4, 8, 16):
             gen = approximate_generator([f], n)
             flow, cert = gen.stages[0], gen.certificate
@@ -129,7 +128,7 @@ def test_criterion_04_composition_certificate():
     pts = lattice(33)
     ref = pts
     for f in flds:
-        ref = reference_flow(f).apply(ref)
+        ref = FlowMap(f).apply(ref)
     measured = float(np.abs(gen.apply(pts) - ref).max())
     elapsed = time.perf_counter() - t0
     ok = measured <= cert.total_bound and elapsed < 120.0

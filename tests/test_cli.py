@@ -260,7 +260,7 @@ def test_lift_approx_happy_and_csv(tmp_path):
     )
     out2 = tmp_path / "runlift2"
     cfg2 = write_cfg(tmp_path, "cfg2.json", {
-        "function": {"csv": str(samples), "lipschitz": 2.0},
+        "function": {"csv": str(samples)},
         "n": 8, "test_points": 101, "out_dir": str(out2),
     })
     assert main(["lift-approx", cfg2]) == 0
@@ -373,14 +373,14 @@ def test_verify_certificate_that_overflows_exits_2(tmp_path, capsys, command, cf
 def test_lift_approx_config_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "cfg.json", {
         "function": {"csv": "nope.csv"}, "n": 8, "out_dir": str(tmp_path / "x")})
-    assert main(["lift-approx", cfg]) == 2  # missing declared lipschitz
+    assert main(["lift-approx", cfg]) == 2  # a samples file that cannot be read
     cfg = write_cfg(tmp_path, "cfg2.json", {
         "function": {"id": "abs2x1"}, "n": 8, "mode": "weird",
         "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2
     # the samples CSV is a path; np.loadtxt would read a list as inline CSV lines
     cfg = write_cfg(tmp_path, "cfg3.json", {
-        "function": {"csv": ["x,y", "0,0", "1,1"], "lipschitz": 1.0}, "n": 8,
+        "function": {"csv": ["x,y", "0,0", "1,1"]}, "n": 8,
         "out_dir": str(tmp_path / "x")})
     assert main(["lift-approx", cfg]) == 2
     # every lift axis has one grid cell, so there is no y resolution to choose
@@ -393,7 +393,7 @@ def test_lift_approx_config_errors(tmp_path, capsys):
         samples = tmp_path / f"samples_{value}.csv"
         samples.write_text(f"x,f\n0.0,0.5\n0.5,{value}\n1.0,0.5\n")
         cfg = write_cfg(tmp_path, f"cfg{5 + k}.json", {
-            "function": {"csv": str(samples), "lipschitz": 1.0}, "n": 8,
+            "function": {"csv": str(samples)}, "n": 8,
             "out_dir": str(tmp_path / "x")})
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -454,21 +454,27 @@ def test_out_dir_that_cannot_be_created_exits_2(tmp_path, capsys, monkeypatch, c
     assert taken.read_text() == "keep"  # nothing written
 
 
-@pytest.mark.parametrize("lipschitz,rows", [
-    ("abc", "x,f\n0.0,1.0\n1.0,0.0\n"),
-    (-2.0, "x,f\n0.0,1.0\n1.0,0.0\n"),
-    (2.0, "x\n0.0\n0.5\n1.0\n"),
-    (2.0, "x,f\n0.5,0.2\n"),
-    (2.0, "x,f\n0.0,a\n1.0,b\n"),
-    (float("inf"), "x,f\n0.0,1.0\n1.0,0.0\n"),
+_LINE = "x,f\n0.0,1.0\n1.0,0.0\n"
+
+
+# a CSV's Lipschitz constant is its interpolant's largest slope, so a config
+# that still states one, whatever its value, names an unknown key
+@pytest.mark.parametrize("extra,rows", [
+    ({"lipschitz": "abc"}, _LINE),
+    ({"lipschitz": -2.0}, _LINE),
+    ({}, "x\n0.0\n0.5\n1.0\n"),
+    ({}, "x,f\n0.5,0.2\n"),
+    ({}, "x,f\n0.0,a\n1.0,b\n"),
+    ({"lipschitz": float("inf")}, _LINE),
+    ({}, "x,f\n0.0,0.3\n0.5,1.0\n0.5,0.0\n1.0,0.3\n"),
 ], ids=["lipschitz_not_a_number", "lipschitz_negative", "one_column", "one_row", "not_numbers",
-        "lipschitz_infinite"])
-def test_lift_approx_bad_samples_csv_exits_2(tmp_path, capsys, lipschitz, rows):
+        "lipschitz_infinite", "repeated_x"])
+def test_lift_approx_bad_samples_csv_exits_2(tmp_path, capsys, extra, rows):
     samples = tmp_path / "samples.csv"
     samples.write_text(rows)
     out = tmp_path / "run"
     path = write_cfg(tmp_path, "cfg.json", {
-        "function": {"csv": str(samples), "lipschitz": lipschitz}, "n": 4,
+        "function": {"csv": str(samples), **extra}, "n": 4,
         "out_dir": str(out)})
     assert main(["lift-approx", path]) == 2
     err = capsys.readouterr().err
@@ -481,15 +487,18 @@ def test_lift_approx_bad_samples_csv_exits_2(tmp_path, capsys, lipschitz, rows):
                      "n": 1, "steps": 1, "eval_grid": 2}),
     ("approx-flow", {"stages": [{"id": "sin_bump", "params": {"amplitude": 1e300}}],
                      "n": 1, "steps": 1, "eval_grid": 2}),
-    ("lift-approx", {"function": {"csv": "samples.csv", "lipschitz": 1e308}, "n": 1,
-                     "test_points": 2}),
+    ("lift-approx", {"function": {"csv": "steep.csv"}, "n": 1, "test_points": 2}),
+    ("lift-approx", {"function": {"csv": "steeper.csv"}, "n": 1, "test_points": 2}),
     ("generate", {"generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1,
                   "N_list": [4], "delta": 1e300}),
-], ids=["rotation_rate", "sin_bump_amplitude", "csv_lipschitz", "generate_delta"])
+], ids=["rotation_rate", "sin_bump_amplitude", "csv_lipschitz", "csv_slope",
+        "generate_delta"])
 def test_overflow_is_a_numeric_failure(tmp_path, capsys, monkeypatch, command, cfg):
-    # exp(L) of a certificate, or delta**2 of the concentration bound, leaves float range
+    # exp(L) of a certificate, a CSV's slope (its L), or delta**2 of the
+    # concentration bound leaves float range
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "samples.csv").write_text("x,f\n0.0,1.0\n1.0,0.0\n")
+    (tmp_path / "steep.csv").write_text("x,f\n0.0,0.0\n1.0,1e308\n")
+    (tmp_path / "steeper.csv").write_text("x,f\n0.0,0.0\n1e-300,1e300\n")
     path = write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir="run"))
     assert main([command, path]) == 3
     err = capsys.readouterr().err
@@ -544,11 +553,13 @@ def _damage_manifest(run, defect):
         elif defect == "cert_omega_strings":
             stage = doc["certificate"]["per_stage"][0]
             stage["omega"] = [str(w) for w in stage["omega"]]
-        elif defect == "exact_off_center_squeeze":
-            # a closed-form integrator stated for a field that has none
-            doc["stages"][0]["integrator"] = {"method": "exact", "steps": 1}
+        elif defect == "squeeze_clipped_line_x":
+            # the clipped squeeze always squeezes onto its center line
             doc["stages"][0]["field"] = {"backend": "analytic", "id": "squeeze_clipped",
                                          "params": {"line_x": 0.45}}
+        elif defect == "grid_n_edited":
+            # the record's n disagrees with the payload's header
+            doc["stages"][0]["field"]["n"] = [4, 7]
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -559,8 +570,8 @@ def _damage_manifest(run, defect):
 @pytest.mark.parametrize("defect", [
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
     "grid_ref_without_file", "steps_float", "steps_bool", "rk4_steps_4097",
-    "rk4_steps_1000000000", "cert_product_missing", "exact_off_center_squeeze",
-    "cert_n_string", "cert_total_string", "cert_omega_strings"])
+    "rk4_steps_1000000000", "cert_product_missing", "squeeze_clipped_line_x",
+    "cert_n_string", "cert_total_string", "cert_omega_strings", "grid_n_edited"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     # sin_bump's grid is nonzero, so a reader that let a defect through
     # would move the generate half's rows
@@ -658,13 +669,23 @@ _PAIR_RUN = {"function": {"id": "affine_pair"}, "n": 4, "test_points": 11, "mode
     ("lift-approx", _PAIR_RUN, ("D",), 2.0),
     ("lift-approx", _PAIR_RUN, ("components", 0, "field", "d"), True),
     ("lift-approx", _PAIR_RUN, ("components", 0, "field", "d"), 1.0),
+    ("lift-approx", _PAIR_RUN, ("components", 0, "field", "inner", "n"), [7]),
+    ("lift-approx", _PAIR_RUN, ("components", 0, "field", "inner", "n"), [True]),
+    ("counterexample", None, ("stages", 1, "field", "params", "center"), [True, 0.5]),
+    ("counterexample", None, ("stages", 1, "field", "params", "rate"), True),
 ], ids=["lipschitz_bound_string", "d_float", "d_bool", "D_float", "field_d_bool",
-        "field_d_float"])
+        "field_d_float", "grid_n_edited", "grid_n_bool", "stage_center_bool",
+        "stage_rate_bool"])
 def test_manifest_number_of_another_type_exits_2(tmp_path, capsys, command, cfg, path, value):
     # a manifest number is read as it is: coerced, each of these edits
-    # would read as the number the program wrote, and verify would pass
+    # would read as the number the program wrote, and verify would pass.
+    # An analytic stage's params (the saved builtin counterexample holds two
+    # such stages) follow the config's rule, and a grid record's n is its payload's.
     run = tmp_path / "run"
-    assert main([command, write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir=str(run)))]) == 0
+    if command == "counterexample":
+        save_generator(builtin_generator(command), str(run))
+    else:
+        assert main([command, write_cfg(tmp_path, "cfg.json", dict(cfg, out_dir=str(run)))]) == 0
     manifest = run / "manifest.json"
     doc = json.loads(manifest.read_text())
     node = doc
@@ -880,9 +901,9 @@ _NON_FINITE = "__non_finite__"
 
 
 def _json_types(typ):
-    """The JSON value types a rule's type accepts; stage params (a str type) are an object."""
-    if isinstance(typ, (tuple, dict, list, str)):
-        return {tuple: (str,), dict: (dict,), list: (list,), str: (dict,)}[type(typ)]
+    """The JSON value types a rule's type accepts."""
+    if isinstance(typ, (tuple, dict, list)):
+        return {tuple: (str,), dict: (dict,), list: (list,)}[type(typ)]
     return (int, float) if typ is float else (typ,)
 
 

@@ -1,12 +1,14 @@
 """Every exported name exists, every name a demo imports from incflow
-resolves, every demo call to such a name binds to its signature, and every
-function the benchmark's tracer wraps is still where it looks. The demos
-are parsed, not run: running them takes tens of seconds."""
+resolves, every demo call to such a name binds to its signature, every
+function the benchmark's tracer wraps is still where it looks, and the
+benchmark's job configs run. The demos are parsed, not run: running them
+takes tens of seconds."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import pkgutil
 
@@ -68,16 +70,35 @@ def test_demo_calls_bind_to_incflow_signatures():
     assert checked, "no demo calls to incflow names found"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_job_configs_run(tmp_path, capsys):
+    # the benchmark runs these configs through the CLI; a change that breaks
+    # one (a key it sets dropped, an id renamed) fails here before a benchmark run
+    from incflow.cli import main
+
+    jobs = _load_perfbench("jobs")
+    runs = (jobs.build_jobs("certify", 0) + jobs.build_jobs("probe", 0)
+            + jobs.build_jobs("generate", 0)[:1])
+    for job in runs:
+        if job["command"] == "verify":
+            argv = ["verify", str(tmp_path / job["manifest_of"] / "manifest.json")]
+        else:
+            cfg = tmp_path / f"{job['name']}.json"
+            cfg.write_text(json.dumps(dict(job["config"], out_dir=str(tmp_path / job["name"]))))
+            argv = [job["command"], str(cfg)]
+        assert main(argv) == 0, (job["name"], capsys.readouterr().err)
+    assert len(runs) == 10  # 8 certify jobs (4 runs, 4 verifies), 1 probe, 1 generate
 
 
 def test_trace_targets_resolve():
     # a traced benchmark run fails on a target it cannot find; a rename fails here first
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     assert tracing.TARGETS
     for _, module_name, path, _ in tracing.TARGETS:
         importlib.import_module(module_name)
@@ -92,7 +113,7 @@ def test_trace_field_measure_reads_every_field_kind():
         radial_bump_clip, rotation_field,
     )
 
-    measure = _load_tracing()._eval_rows
+    measure = _load_perfbench("tracing")._eval_rows
     rng = np.random.default_rng(0)
     X = rng.uniform(-0.5, 1.5, size=(40, 2))
     grid = grid_field(GridInterpolant((2, 2), rng.standard_normal((9, 2))))
@@ -124,4 +145,4 @@ def test_trace_flow_measure_reads_the_flow_steps():
 
     X = np.random.default_rng(0).random((10, 2))
     fl = FlowMap(builtin_field("rotation_clipped"), "backward")
-    assert _load_tracing()._flow_rows((fl, X), fl.apply(X)) == (10, 1, 0.0)
+    assert _load_perfbench("tracing")._flow_rows((fl, X), fl.apply(X)) == (10, 1, 0.0)

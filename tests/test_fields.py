@@ -176,8 +176,8 @@ _FORMER_BUILTINS = {
         _former_radial_clip(_former_rotation((0.45, 0.5), 2.2), (0.45, 0.5), 0.1, 0.3)),
     "squeeze_clipped": ({}, _former_radial_clip(_former_squeeze(), (0.5, 0.5), 0.125, 0.25)),
     "squeeze_clipped_2": (
-        {"line_x": 0.45, "center": [0.5, 0.45], "r_inner": 0.1, "r_outer": 0.3},
-        _former_radial_clip(_former_squeeze(0.45), (0.5, 0.45), 0.1, 0.3)),
+        {"center": [0.45, 0.55], "r_inner": 0.1, "r_outer": 0.3},
+        _former_radial_clip(_former_squeeze(0.45), (0.45, 0.55), 0.1, 0.3)),
 }
 
 

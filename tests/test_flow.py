@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from incflow.fields import (
+    BUILTIN_FIELDS,
     VectorField,
     builtin_field,
     builtin_suite,
     lattice,
+    radial_bump_clip,
     rotation_field,
     squeeze_field,
     zero_field,
 )
 from incflow.flow import (
-    REFERENCE_STEPS,
     ErrorCertificate,
     FlowIntegrationError,
     FlowMap,
@@ -26,7 +27,6 @@ from incflow.flow import (
     empirical_lipschitz,
     integrate,
     load_generator,
-    reference_flow,
     save_generator,
     verify_manifest,
 )
@@ -261,7 +261,7 @@ def test_approximate_flowable_certificate_dominates():
     flow, cert = gen.stages[0], gen.certificate
     pts = np.stack(np.meshgrid(np.linspace(0, 1, 17), np.linspace(0, 1, 17),
                                indexing="ij"), axis=-1).reshape(-1, 2)
-    measured = np.abs(flow.apply(pts) - reference_flow(f).apply(pts)).max()
+    measured = np.abs(flow.apply(pts) - FlowMap(f).apply(pts)).max()
     assert measured <= cert.total_bound
 
 
@@ -292,7 +292,7 @@ def test_stage_flow_error_at_least_halves_from_n8_to_n32():
     pts = lattice([33, 33])
     for name in ("rotation_clipped", "squeeze_clipped", "sin_bump"):
         f = builtin_field(name)
-        ref = reference_flow(f).apply(pts)
+        ref = FlowMap(f).apply(pts)
         err = {n: np.abs(approximate_generator([f], n).apply(pts) - ref).max()
                for n in (8, 32)}
         assert err[32] <= err[8] / 2, (name, err)
@@ -349,16 +349,13 @@ def test_flowmap_is_the_exact_flow_of_a_closed_form():
     for knob in ({"steps": 1}, {"method": "exact"}, {"steps": 256, "method": "rk4"}):
         with pytest.raises(TypeError):
             FlowMap(zero_field(2), **knob)
-    off_center = builtin_field("squeeze_clipped", {"line_x": 0.55})
-    assert off_center.flow is None
+    # a radial clip of an off-center squeeze has no closed form, and no flow
+    clipped = radial_bump_clip(squeeze_field(0.55), (0.5, 0.5), 0.125, 0.25, max_abs=0.3)
+    assert clipped.flow is None
     with pytest.raises(ValueError, match="no closed-form flow"):
-        FlowMap(off_center)
+        FlowMap(clipped)
     with pytest.raises(ValueError, match="no closed-form flow"):
         FlowMap(VectorField(2, lambda X: np.zeros(X.shape), 0.0), "backward")
-    # its reference stand-in integrates every row by RK4
-    X = lattice([5, 5])
-    assert np.array_equal(reference_flow(off_center)(X),
-                          integrate(off_center.eval, X, REFERENCE_STEPS))
 
 
 def test_manifest_roundtrip_evaluation(tmp_path):
@@ -415,8 +412,7 @@ def _random_params(fid, rng):
         "rotation": {"center": c, "rate": rate},
         "squeeze": {"line_x": c[0]},
         "rotation_clipped": {"center": c, "rate": rate, **radii},
-        # the closed form needs the line through the center
-        "squeeze_clipped": {"line_x": c[0], "center": c, **radii},
+        "squeeze_clipped": {"center": c, **radii},
     }[fid]
 
 
@@ -492,10 +488,10 @@ def test_closed_form_keeps_rows_outside_support_bit_identical():
 
 
 def test_builtin_suite_reference_flows_are_exact():
-    # the acceptance checks measure against reference_flow: no builtin of the
-    # suite falls back to the 4096-step RK4 stand-in
-    for name, f in builtin_suite().items():
-        assert reference_flow(f) == FlowMap(f), name
+    # approx-flow and the acceptance checks measure against FlowMap(f), so
+    # every builtin field carries its closed form at its defaults
+    for name in BUILTIN_FIELDS:
+        assert builtin_field(name).flow is not None, name
 
 
 # ---------------------------------------------------------------------------

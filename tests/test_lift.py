@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from incflow.fields import lift_field
-from incflow.flow import REFERENCE_STEPS, FlowMap, integrate
+from incflow.flow import FlowMap, integrate
 from incflow.lift import (
     LIFT_FUNCTIONS,
     LiftedApproximator,
@@ -140,7 +140,7 @@ def test_affine_components_reproduced():
 def _signed_csv_target():
     """A signed target read from samples, as `lift-approx` reads a CSV."""
     xs = np.linspace(0.0, 1.0, 13)
-    return function_from_samples(xs, 0.7 * np.cos(3.0 * np.pi * xs) - 0.2, 8.0)
+    return function_from_samples(xs, 0.7 * np.cos(3.0 * np.pi * xs) - 0.2)
 
 
 def _targets():
@@ -186,7 +186,7 @@ def test_one_step_lift_is_its_exact_flow(n):
             approx, _ = approximate_lipschitz_function(comps, n, d, D, L, mode=mode)
             for c in approx.components:
                 Z = np.hstack([x, rng.uniform(-1.0, 2.0, size=(len(x), c.dim - d))])
-                ref = integrate(c.field.eval, Z, REFERENCE_STEPS)
+                ref = integrate(c.field.eval, Z, 4096)
                 assert np.abs(c.apply(Z) - ref).max() <= 1e-11, (mode, fid)
                 assert np.abs(c.inverse().apply(c.apply(Z)) - Z).max() <= 1e-15, (mode, fid)
                 checked.append((mode, fid))
@@ -278,12 +278,19 @@ def test_mode_survives_a_manifest_round_trip_at_D1(tmp_path):
 def test_function_from_samples():
     xs = np.linspace(0, 1, 21)
     ys = np.abs(2 * xs - 1)
-    comps, d, D, L = function_from_samples(xs, ys, 2.0)
+    comps, d, D, L = function_from_samples(xs, ys)
+    assert L == pytest.approx([2.0], rel=1e-12)  # the interpolant's largest slope |dy/dx|
     approx, _ = approximate_lipschitz_function(comps, 8, d, D, L)
     test = np.linspace(0, 1, 201)[:, None]
     assert np.abs(approx.apply(test)[:, 0] - np.abs(2 * test[:, 0] - 1)).max() <= 0.3
+    # the constant is the samples' own, in any order: slope 2 between x = 0.3 and 0
+    assert function_from_samples([1.0, 0.3, 0.0], [0.0, 0.6, 0.0])[3] == [2.0]
     with pytest.raises(ValueError):
-        function_from_samples([0.0], [1.0], 1.0)
+        function_from_samples([0.0], [1.0])
+    with pytest.raises(ValueError, match="repeated"):  # two values at one x: not a function
+        function_from_samples([0.0, 0.5, 0.5, 1.0], [0.0, 1.0, 0.0, 0.0])
+    with pytest.raises(FloatingPointError):  # a slope past the float range
+        function_from_samples([0.0, 1e-300], [0.0, 1e300])
 
 
 def test_worst_component_certificate():
