@@ -31,21 +31,13 @@ class ConfigError(Exception):
     pass
 
 
-def _finite(text: str) -> float:
-    """json.load's hook for number literals with a fraction or exponent and for
-    NaN/Infinity: a non-finite number is a config error."""
-    if not math.isfinite(val := float(text)):
-        raise ConfigError(f"config numbers must be finite, got {text}")
-    return val
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_constant=_finite, parse_float=_finite)
+            cfg = json.load(fh, parse_constant=F.finite_float, parse_float=F.finite_float)
     except OSError as e:  # missing, a directory, unreadable
         raise ConfigError(f"cannot read config: {e}") from e
-    except ValueError as e:  # not JSON, or an int literal too long to parse
+    except ValueError as e:  # not JSON, a non-finite number or an int literal too long to parse
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -110,7 +102,10 @@ def _value(val, rule, key: str):
     where the rule asks for a float, a nested table's defaults filled in."""
     typ, _, lo, hi = (*rule, None, None)[:4]
     if typ is float and type(val) is int:
-        val = _finite(str(val))  # an int past the float range is not finite
+        try:
+            val = F.finite_float(str(val))  # an int past the float range is not finite
+        except ValueError as e:
+            raise ConfigError(f"config key {key!r}: {e}") from e
     if isinstance(typ, tuple):
         ok, what = type(val) is str and val in typ, f"one of {list(typ)}"
     else:
@@ -152,12 +147,14 @@ def _check(cfg: dict, schema: dict, where: str = "config") -> dict:
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
 def _cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
+    """A float, a numpy one too, as its shortest round-trip repr; else ``str``."""
+    if type(v) is float:
+        return repr(v)
+    if isinstance(v, np.floating):
         return repr(float(v))
     return str(v)
 
@@ -197,7 +194,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     _write_csv(
         os.path.join(out_dir, "metrics.csv"),
         [f"x{i}" for i in range(pts.shape[1])] + ["error_linf"],
-        [list(p) + [e] for p, e in zip(pts, err)],
+        np.column_stack([pts, err]).tolist(),
     )
     measured = float(err.max())
     dominates = measured <= cert.total_bound + 1e-12
@@ -245,9 +242,10 @@ def cmd_lift_approx(cfg: dict) -> int:
     LI.save_lifted(approx, out_dir)
     header = [f"x{i}" for i in range(d)] + [
         f"{c}{i}" for i in range(D) for c in ("f", "fhat", "err")]
-    rows = [list(p) + [v for i in range(D) for v in (tr[i], gt[i], er[i])]
-            for p, tr, gt, er in zip(pts, truth, got, err)]
-    _write_csv(os.path.join(out_dir, "metrics.csv"), header, rows)
+    # per component i the columns f, fhat and err
+    cols = np.stack([truth, got, err], axis=2).reshape(len(pts), 3 * D)
+    _write_csv(os.path.join(out_dir, "metrics.csv"), header,
+               np.column_stack([pts, cols]).tolist())
     measured = float(err.max())
     within = measured <= cert.total_bound + 1e-12
     F.write_json(

@@ -86,6 +86,15 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def finite_float(text: str) -> float:
+    """json.load's hook for number literals with a fraction or exponent and
+    for NaN/Infinity, in every document the package reads (configs and
+    manifests): a non-finite number is a ValueError."""
+    if not math.isfinite(val := float(text)):
+        raise ValueError(f"numbers must be finite, got {text}")
+    return val
+
+
 class GridPayloadError(ValueError):
     """A grid payload file that is missing, unreadable or disagrees with its header."""
 
@@ -698,27 +707,43 @@ _FACE_TIME = 1e-10  # a row its Taylor model puts past a face this soon crosses 
 _FACE_SLACK = 2.0 ** -50  # how far past a face a step may end, in grid units
 _RATE_NOISE = 2.0 ** -40  # a face rate this small against the rates of the vertices is 0
 _PHI_TERMS = 18  # Taylor terms of phi_1(hB) at |hB|_inf <= 1: the tail is below 1/19! ~ 8e-18
+_PHI_K = np.arange(2.0, _PHI_TERMS + 1)  # the divisors of the Taylor terms after the first
 _GRID_FLOW_ROUNDS = 100_000
 
 
-def _kuhn_faces(u, perm):
-    """ell . u for the d + 1 faces of each row's Kuhn simplex, whose face
-    functions 1 - r_pi(0), r_pi(k-1) - r_pi(k) (0 < k < d) and r_pi(d-1)
-    are the barycentric coordinates of its vertices v_0, ..., v_d."""
-    up = np.take_along_axis(u, perm, axis=1)
-    z = np.zeros((len(u), 1))
-    return np.concatenate([z, up], axis=1) - np.concatenate([up, z], axis=1)
+def _kuhn_faces(up):
+    """ell . u for the d + 1 faces of each row's Kuhn simplex, from u in
+    the simplex's order (``up[:, k] = u[:, pi(k)]``). The face functions
+    1 - r_pi(0), r_pi(k-1) - r_pi(k) (0 < k < d) and r_pi(d-1) are the
+    barycentric coordinates of its vertices v_0, ..., v_d."""
+    g = np.empty((len(up), up.shape[1] + 1))
+    np.subtract(0.0, up[:, 0], out=g[:, 0])  # not -up: 0 - 0 is +0.0
+    np.subtract(up[:, :-1], up[:, 1:], out=g[:, 1:-1])
+    g[:, -1] = up[:, -1]
+    return g
 
 
-def _affine_step(B, w, h):
+def _matvec(Bc, u):
+    """B u per row, B given by its columns ``Bc[i] = B[:, :, i]``: the d
+    column products added in axis order."""
+    out = Bc[0] * u[:, :1]
+    for i in range(1, len(Bc)):
+        out += Bc[i] * u[:, i:i + 1]
+    return out
+
+
+def _affine_step(Bc, w, h):
     """h phi_1(hB) w per row: how far x' = Bx + c moves in time h from a
-    point where x' = w, for |hB|_inf <= 1. The Taylor terms are summed row
-    by row, so a row's bits do not depend on its batch."""
+    point where x' = w, for |hB|_inf <= 1, B given by its columns ``Bc``.
+    The Taylor terms are summed row by row, so a row's bits do not depend
+    on its batch."""
+    hk = (h / _PHI_K[:, None])[:, :, None]  # h / k, one (rows, 1) column per term
     term = w * h[:, None]
-    total = term
-    for k in range(2, _PHI_TERMS + 1):
-        term = (B * term[:, None, :]).sum(axis=2) * (h / k)[:, None]
-        total = total + term
+    total = term.copy()
+    for f in hk:
+        term = _matvec(Bc, term)
+        term *= f
+        total += term
     return total
 
 
@@ -782,25 +807,30 @@ def _grid_flow(gi: GridInterpolant):
             if act.size == 0:
                 break
             m, pa = act.size, perm[act]
+            pflat = pa + np.arange(0, m * d, d)[:, None]  # u.take(pflat) is u in pi's order
             corner = np.empty((m, d + 1), dtype=np.int64)
             corner[:, 0] = (a[act] + 1) @ strides
             corner[:, 1:] = corner[:, :1] + np.cumsum(strides[pa], axis=1)
             V = table[corner] * scale  # vertex velocities, grid units
-            lam = _kuhn_faces(r[act], pa)
+            lam = _kuhn_faces(r[act].take(pflat))
             lam[:, 0] += 1.0
             w = (lam[:, :, None] * V).sum(axis=1)
             live = w.any(axis=1)
-            B = np.zeros((m, d, d))
-            B[np.arange(m)[:, None], :, pa] = V[:, 1:] - V[:, :-1]
-            Bn, vmax = np.abs(B).sum(axis=2).max(axis=1), np.abs(V).max(axis=(1, 2))
+            Bc = np.zeros((d, m, d))  # the columns of B: column pi(k) is v_(k+1) - v_k
+            Bc[pa.T, np.arange(m)] = (V[:, 1:] - V[:, :-1]).transpose(1, 0, 2)
+            Bn, vmax = np.abs(Bc).sum(axis=0).max(axis=1), np.abs(V).max(axis=(1, 2))
 
             # G[j] = ell . B^j w, the (j+1)-th derivative of each face function
             G, u, noise = [], w, _RATE_NOISE * vmax
             for j in range(max(d, 2)):
-                g = _kuhn_faces(u, pa)
-                G.append(np.where(np.abs(g) <= ell1 * noise[:, None], 0.0, g))
-                u, noise = (B * u[:, None, :]).sum(axis=2), noise * Bn
-            invariant = ~np.any(G[:d], axis=0)
+                if j:
+                    u, noise = _matvec(Bc, u), noise * Bn
+                g = _kuhn_faces(u.take(pflat))
+                g[np.abs(g) <= ell1 * noise[:, None]] = 0.0
+                G.append(g)
+            invariant = G[0] == 0
+            for g in G[1:d]:
+                invariant &= g == 0
             gap = np.maximum(lam, 0.0)
             model, c = gap.copy(), 1.0
             for j, g in enumerate(G):
@@ -820,21 +850,23 @@ def _grid_flow(gi: GridInterpolant):
                 s3 = 1.5 * G2 / K3
                 disc = G1 * G1 - G2 * c0
                 sq = 2.0 * c0 / (np.sqrt(np.maximum(disc, 0.0)) - G1)
-                root3 = np.where((G1 >= 0) | (disc < 0), s3, np.minimum(sq, s3))
-            root = np.where(G2 > 0, np.maximum(root, root3), root)
+                sq[(G1 >= 0) | (disc < 0)] = np.inf
+                np.maximum(root, np.minimum(sq, s3), out=root, where=G2 > 0)
             root[np.isnan(root) | invariant] = np.inf
             step = np.minimum(root.min(axis=1), h)
 
             adv = np.flatnonzero(live & ~cross)
             ix, s = act[adv], step[adv]
-            r[ix] += _affine_step(B[adv], w[adv], s)
+            r[ix] += _affine_step(Bc[:, adv], w[adv], s)
             moved[ix] = True
             left[ix] = np.where(s == left[ix], 0.0, left[ix] - s)
+            keep = live & (left[act] > 0)
             ci = np.flatnonzero(cross)
             if ci.size:
                 _cross_faces(a, r, perm, act[ci], np.argmax(leave[ci], axis=1))
-            far = ((a[act] < -1) | (a[act] > ns)).any(axis=1)  # the field is 0 there
-            act = act[live & (left[act] > 0) & ~far]
+                ac = a[act[ci]]
+                keep[ci] &= ((ac >= -1) & (ac <= ns)).all(axis=1)  # the field is 0 further out
+            act = act[keep]
         if act.size:
             raise FlowIntegrationError(
                 _GRID_FLOW_ROUNDS, f"{act.size} rows of a grid flow have not reached "
@@ -852,14 +884,14 @@ def _cross_faces(a, r, perm, rows, face):
     the neighbouring simplex: the next cell up along pi(0) for face 0, the
     next cell down along pi(d-1) for face d, else pi(k-1) and pi(k) swap."""
     d = perm.shape[1]
-    for k in np.unique(face):
+    for k in np.flatnonzero(np.bincount(face, minlength=d + 1)):
         sel = rows[face == k]
         p = perm[sel]
         if k == 0 or k == d:
             ax, step = (p[:, 0], 1) if k == 0 else (p[:, -1], -1)
             a[sel, ax] += step
             r[sel, ax] -= step
-            perm[sel] = np.roll(p, -step, axis=1)
+            perm[sel] = np.concatenate([p[:, step:], p[:, :step]], axis=1)  # rotated by step
         else:
             perm[sel, k - 1], perm[sel, k] = p[:, k], p[:, k - 1]
 

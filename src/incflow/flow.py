@@ -27,6 +27,7 @@ from .fields import (
     _number,
     builtin_field,
     field_from_ref,
+    finite_float,
     grid_relu_approximate,
     write_json,
 )
@@ -352,12 +353,12 @@ def read_manifest(path: str, build):
 
     Everything in a manifest is input, so each error that reading it or
     rebuilding from it raises on malformed content (a missing or truncated
-    grid payload, an unknown field backend, a wrong type or a missing key
-    anywhere) is raised as :class:`ManifestError`.
+    grid payload, an unknown field backend, a wrong type, a missing key or
+    a non-finite number anywhere) is raised as :class:`ManifestError`.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=finite_float, parse_float=finite_float)
         if not isinstance(doc, dict):
             raise TypeError("not a JSON object")
         return build(doc, os.path.dirname(path))

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import incflow
-from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, main
+from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, _write_csv, main
 from incflow.fields import GridInterpolant, builtin_field, lattice
 from incflow.flow import (
     ErrorCertificate,
@@ -264,6 +264,19 @@ def test_lift_approx_happy_and_csv(tmp_path):
         "n": 8, "test_points": 101, "out_dir": str(out2),
     })
     assert main(["lift-approx", cfg2]) == 0
+
+
+def test_csv_cells_bytes(tmp_path):
+    # a float, numpy's or Python's, is its shortest repr; an int, a string
+    # and "" (the probe's missing period) are written as they are
+    path = tmp_path / "cells.csv"
+    _write_csv(str(path), ["a", "b", "c", "d"], [
+        [np.float64(0.1), 0.1, np.float64(1e-05), 1e-05],
+        [np.float64(1e16), 1e16, np.float64(-0.0), -0.0],
+        [np.float64(2.0), 3, "periodic", ""],
+    ])
+    assert path.read_bytes() == (b"a,b,c,d\n0.1,0.1,1e-05,1e-05\n1e+16,1e+16,-0.0,-0.0\n"
+                                 b"2.0,3,periodic,\n")
 
 
 def test_verify_lift_manifest(tmp_path):
@@ -560,6 +573,12 @@ def _damage_manifest(run, defect):
         elif defect == "grid_n_edited":
             # the record's n disagrees with the payload's header
             doc["stages"][0]["field"]["n"] = [4, 7]
+        # JSON parsing accepts NaN and Infinity; a manifest number must be finite
+        elif defect == "rotation_center_nan":
+            doc["stages"][0]["field"] = {"backend": "analytic", "id": "rotation_clipped",
+                                         "params": {"center": [math.nan, 0.5]}}
+        elif defect == "lipschitz_bound_infinity":
+            doc["lipschitz_bound"] = -math.inf
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -571,7 +590,8 @@ def _damage_manifest(run, defect):
     "unknown_backend", "stages_not_a_list", "truncated_payload", "not_an_object",
     "grid_ref_without_file", "steps_float", "steps_bool", "rk4_steps_4097",
     "rk4_steps_1000000000", "cert_product_missing", "squeeze_clipped_line_x",
-    "cert_n_string", "cert_total_string", "cert_omega_strings", "grid_n_edited"])
+    "cert_n_string", "cert_total_string", "cert_omega_strings", "grid_n_edited",
+    "rotation_center_nan", "lipschitz_bound_infinity"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     # sin_bump's grid is nonzero, so a reader that let a defect through
     # would move the generate half's rows

@@ -2,8 +2,9 @@
 
 Each case hashes the float64 bytes of one computation. The paths are
 grid-only: hat sums, fixed-step integration, the cutoff and the ReLU
-realization's weights use + - * / max floor and integer indexing, so
-their bits do not depend on the CPU. (Analytic fields call sin/exp,
+realization's weights use + - * / max floor and integer indexing, and
+the exact grid flow sqrt as well, so their bits do not depend on the
+CPU. (Analytic fields call sin/exp,
 whose vectorized results may differ in the last ulp across machines.)
 The one solver case, the transport LP on weighted pairs, pins the
 vertex HiGHS reaches; it was recorded with scipy 1.17.1 and may move
@@ -82,6 +83,22 @@ def test_hat_sum_bits(ns):
     pts = rng.uniform(-0.3, 1.3, size=(2000, d))
     pts[5] = np.inf  # non-finite rows evaluate to NaN
     assert _digest(gi(pts)) == GOLDEN[f"hat_sum_d{d}"]
+
+
+@pytest.mark.parametrize("ns", [(5,), (4, 3), (3, 2, 4)], ids=lambda ns: f"d{len(ns)}")
+def test_grid_flow_bits(ns):
+    # the exact flow uses + - * / max floor and sqrt only. A third of the
+    # vertices are 0; the rows reach outside the cube, where the field
+    # falls to 0 one cell out, and the first rows sit on grid vertices,
+    # where the simplex order ties
+    d = len(ns)
+    rng = np.random.default_rng([17, d])
+    nverts = int(np.prod([n + 1 for n in ns]))
+    values = rng.uniform(-0.5, 0.5, size=(nverts, d)) * (rng.random((nverts, 1)) < 2 / 3)
+    flow = grid_field(GridInterpolant(ns, values)).flow
+    pts = rng.uniform(-0.3, 1.3, size=(600, d))
+    pts[:20] = np.floor(rng.uniform(0, np.array(ns) + 1, size=(20, d))) / np.array(ns)
+    assert _digest(*[flow(pts, t) for t in (1.0, -1.0, 0.37)]) == GOLDEN[f"grid_flow_d{d}"]
 
 
 def _layer_digest(net) -> str:
@@ -171,6 +188,9 @@ GOLDEN = {
     "hat_sum_d2": "98c6193d12b18cd2131a8e311ced59cba5f27701639b0092a89ab9f30f3339ac",
     "hat_sum_d3": "72f6211c52c9c5b401f74c9f06277a12dc0ec94b2785aec1b136a5e8117a5b88",
     "hat_sum_d4": "799cb6efa83e725c59528f22663ebe68d4f916bc71b6740ac1b5339543e86ba2",
+    "grid_flow_d1": "ea5f46f02886024d10d25ade5084926f88f3ba0449edf91ea31e78c7128cd805",
+    "grid_flow_d2": "a379bcc154251502ae37755d58ac6ab24f754b510c2d5a8c9c25742e117f3848",
+    "grid_flow_d3": "1863876aa0cfec9ee3389d3413c77382dc34753abfbc0a3f68bd2750059356d2",
     "grid_to_mlp_4x4": "048455077fd3a6c340c84b2c650a7d4157772a3fc3e3bcd46fc0279ef900be8e",
     "grid_to_mlp_3x2x5": "111037f3e0eb11589297a861b1386a7b178d436a7a2f647dff9403a90ebb6bb0",
     "grid_realize_swirl_16x16": "38fd85daf1fe7e4ed533c32c43fbe1125b0fd79ed91f9469bf440209e3f50567",
