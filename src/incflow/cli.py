@@ -168,8 +168,7 @@ def cmd_approx_flow(cfg: dict) -> int:
     stages, n, out_dir = cfg["stages"], cfg["n"], cfg["out_dir"]
     try:
         flds = [F.builtin_field(s["id"], s["params"]) for s in stages]
-        for f in flds:
-            F.require_cube_support(f)
+        F.require_cube_stages(flds)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"stage field: {e}") from e
     if len({f.dim for f in flds}) > 1:
@@ -413,6 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: each parse_args call fills a fresh namespace, so no call sees another's
+_PARSER = _build_parser()
+
+
 _COMMANDS = {
     "approx-flow": cmd_approx_flow,
     "lift-approx": cmd_lift_approx,
@@ -422,7 +425,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.manifest)

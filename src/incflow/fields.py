@@ -953,6 +953,19 @@ def require_cube_support(field: VectorField) -> None:
         raise ValueError("field must have bounded support inside [0,1]^d")
 
 
+def require_cube_stages(fields) -> None:
+    """The stage rule of a config and a manifest alike: each analytic stage
+    field declares its support inside [0,1]^d, so its flow keeps the cube
+    (a grid stage declares no box). A ValueError names the first stage that
+    breaks it."""
+    for k, f in enumerate(fields):
+        if f.ref["backend"] == "analytic":
+            try:
+                require_cube_support(f)
+            except ValueError as e:
+                raise ValueError(f"stage {k} ({f.ref['id']}): {e}") from None
+
+
 def grid_relu_approximate(field: VectorField, n: int) -> VectorField:
     """Sample a supported field on the (n+1)^d vertex grid and realize the
     Kuhn CPWL interpolant both directly and as an exact ReLU network.

@@ -29,6 +29,7 @@ from .fields import (
     field_from_ref,
     finite_float,
     grid_relu_approximate,
+    require_cube_stages,
     write_json,
 )
 
@@ -257,10 +258,13 @@ class IncrementalGenerator:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir=None) -> "IncrementalGenerator":
-        """Inverse of :meth:`to_dict`; grid payload files resolve against ``base_dir``."""
+        """Inverse of :meth:`to_dict`; grid payload files resolve against
+        ``base_dir``. Its stages pass the stage rule of a config
+        (``require_cube_stages``)."""
         cert = doc.get("certificate")
-        return cls([FlowMap.from_dict(s, base_dir) for s in doc["stages"]],
-                   ErrorCertificate.from_dict(cert) if cert else None)
+        stages = [FlowMap.from_dict(s, base_dir) for s in doc["stages"]]
+        require_cube_stages([s.field for s in stages])
+        return cls(stages, ErrorCertificate.from_dict(cert) if cert else None)
 
 
 def approximate_generator(fields: list[VectorField], n: int) -> IncrementalGenerator:

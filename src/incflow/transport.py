@@ -24,11 +24,18 @@ and LP paths report a certified gap: the cost minus the c-transform dual
 of their column potentials, which is exactly feasible, so the gap bounds
 the cost's distance from the optimum; the Hungarian path reports none.
 Entropic approximations are out of scope.
+
+The solves of a concentration experiment run in up to two process lanes:
+neither solver releases the GIL, so threads cannot overlap them, while a
+forked worker can. The split is static and every solve is deterministic,
+so the results keep their bits whichever lane solves a pair.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 
 import numpy as np
 from scipy import sparse
@@ -301,6 +308,84 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
     return TransportReport(w1, i, j, mass, resid, gap)
 
 
+def _lane_count(pairs: int) -> int:
+    """Process lanes for ``pairs`` independent solves: at most 2, one per
+    usable core, and 1 where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(2, cores or 1, pairs)
+
+
+def _solve_lane(pairs) -> list[float]:
+    return [w1_exact(mu, nu).w1 for mu, nu in pairs]
+
+
+def _fork_lane(pairs):
+    """A forked worker that solves ``pairs``, writes the pickled list of their
+    w1, or the exception it raised, to a pipe and exits. Returns its pid and
+    the pipe's read end, or None when no worker could be started."""
+    fds = ()
+    try:
+        fds = r, w = os.pipe()
+        pid = os.fork()
+    except OSError:  # out of file descriptors, processes or memory
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                out = _solve_lane(pairs)
+            except BaseException as e:
+                out = e
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(out, fh)
+        finally:
+            os._exit(0)  # never returns into the caller's frames
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _w1_lanes(pairs) -> list[float]:
+    """``w1_exact(mu, nu).w1`` of every pair, pair k solved in lane k % L with
+    L = _lane_count(len(pairs)): lane 0 in this process, lane 1 in one forked
+    worker, which is reaped before this returns or raises. A worker's exception
+    is raised here; a lane whose worker could not start or ended without a
+    result is solved here, to the same bits."""
+    worker = _fork_lane(pairs[1::2]) if _lane_count(len(pairs)) == 2 else None
+    if worker is None:
+        return _solve_lane(pairs)
+    pid, fh = worker
+    try:
+        head = _solve_lane(pairs[::2])
+        data = fh.read()  # to the worker's exit
+    except BaseException:
+        import signal
+
+        try:
+            os.kill(pid, signal.SIGKILL)  # lane 0 failed: lane 1 is not needed
+        except ProcessLookupError:  # reaped already, as where SIGCHLD is ignored
+            pass
+        raise
+    finally:
+        fh.close()
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:
+            pass
+    try:
+        tail = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):  # no whole result
+        tail = _solve_lane(pairs[1::2])
+    if isinstance(tail, BaseException):
+        raise tail
+    w1 = [None] * len(pairs)
+    w1[::2], w1[1::2] = head, tail
+    return w1
+
+
 def cor_bound(lipschitz: float, d: int, N: int, delta: float,
               C: float = 1.0, epsilon: float = 0.0) -> dict:
     """Concentration bound terms for pushforwards of N-sample noise.
@@ -349,7 +434,9 @@ def concentration_experiment(
     independent proxies and reported as a separate line item. Each
     trial's RNG stream derives from (seed, N, trial), so results do not
     depend on how trials are batched: every trial's noise is pushed
-    through the generator in one call, which maps rows independently.
+    through the generator in one call, which maps rows independently, and
+    the W1 solves, the proxies' first, run in the process lanes of
+    ``_w1_lanes``.
     """
     N_list = [int(N) for N in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -361,7 +448,6 @@ def concentration_experiment(
 
     proxy = EmpiricalMeasure(target_sampler(np.random.default_rng([seed, 0]), M))
     proxy_b = EmpiricalMeasure(target_sampler(np.random.default_rng([seed, 1]), M))
-    proxy_error = w1_exact(proxy, proxy_b).w1
 
     L = gen.lipschitz_bound
     epsilon = gen.certificate.total_bound if gen.certificate is not None else 0.0
@@ -373,15 +459,17 @@ def concentration_experiment(
     pushed = pushforward(gen, EmpiricalMeasure(np.vstack([mu.points for mu in noise])))
     splits = np.cumsum([mu.n for mu in noise])[:-1]
     bounds = {N: cor_bound(L, d, N, delta, C, epsilon) for N in N_list}
+    proxy_error, *w1 = _w1_lanes([(proxy, proxy_b)] + [
+        (proxy, EmpiricalMeasure(points, mu.weights))
+        for mu, points in zip(noise, np.split(pushed.points, splits))])
     rows = []
-    for (N, t), mu, points in zip(jobs, noise, np.split(pushed.points, splits)):
+    for (N, t), w in zip(jobs, w1):
         bound = bounds[N]
-        rep = w1_exact(proxy, EmpiricalMeasure(points, mu.weights))
         rows.append(
             {
                 "N": N,
                 "trial": t,
-                "w1": rep.w1,
+                "w1": w,
                 "bound_rhs": bound["bound_rhs"],
                 "prob_lhs": bound["success_probability_lhs"],
                 "vacuous": bound["vacuous"],

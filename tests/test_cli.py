@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import math
 import os
@@ -533,6 +534,44 @@ def test_failed_transport_lp_is_a_numeric_failure(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("numeric failure") and len(err.splitlines()) == 1
     assert "stubbed solver failure" in err
+    with pytest.raises(ChildProcessError):  # the W1 solves left no worker behind
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_generate_without_a_worker_process_writes_the_same_bytes(tmp_path, monkeypatch):
+    # a fork that fails leaves every W1 solve to this process, to the same bits
+    import incflow.transport as T
+
+    monkeypatch.setattr(T, "_lane_count", lambda pairs: min(2, pairs))
+    runs = []
+    for k in range(2):
+        if k:
+            def fork():
+                raise OSError(errno.EAGAIN, "stubbed: no process")
+            monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / f"run{k}"
+        assert main(["generate", write_cfg(tmp_path, f"gen{k}.json", {
+            "generator": {"builtin": "counterexample"}, "seed": 5, "M": 64, "trials": 2,
+            "N_list": [4, 6, 32], "out_dir": str(out)})]) == 0
+        runs.append([(out / name).read_bytes()
+                     for name in ("manifest.json", "metrics.csv", "acceptance.json")])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert runs[0] == runs[1]
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    # the parser is built once; a second call does not see the first's --out-dir
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfg = write_cfg(tmp_path, "flow.json", {
+        "stages": [{"id": "sin_bump"}], "n": 4, "eval_grid": 5, "out_dir": str(tmp_path / "x")})
+    assert main(["approx-flow", cfg, "--out-dir", str(first)]) == 0
+    assert main(["generate", write_cfg(tmp_path, "gen.json", {
+        "generator": {"builtin": "identity2"}, "seed": 0, "M": 8, "trials": 1, "N_list": [4],
+        "out_dir": str(second)})]) == 0
+    assert not (tmp_path / "x").exists()
+    assert json.loads((first / "manifest.json").read_text())["kind"] == "incremental_generator"
+    assert json.loads((second / "manifest.json").read_text())["kind"] == "generate_run"
 
 
 def _damage_manifest(run, defect):
@@ -579,6 +618,17 @@ def _damage_manifest(run, defect):
                                          "params": {"center": [math.nan, 0.5]}}
         elif defect == "lipschitz_bound_infinity":
             doc["lipschitz_bound"] = -math.inf
+        # a builtin stage that leaves the cube, which approx-flow refuses, with
+        # the generator's Lipschitz bound restated to match it
+        elif defect.startswith("off_cube_"):
+            field = {"off_cube_rotation_clipped": {"id": "rotation_clipped",
+                                                   "params": {"center": [0.1, 0.5]}},
+                     "off_cube_rotation": {"id": "rotation",
+                                           "params": {"center": [0.5, 0.5], "rate": 0.7}},
+                     }[defect]
+            doc["stages"][0]["field"] = dict(field, backend="analytic")
+            doc["lipschitz_bound"] = math.exp(
+                builtin_field(field["id"], field["params"]).lipschitz_bound)
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -591,7 +641,8 @@ def _damage_manifest(run, defect):
     "grid_ref_without_file", "steps_float", "steps_bool", "rk4_steps_4097",
     "rk4_steps_1000000000", "cert_product_missing", "squeeze_clipped_line_x",
     "cert_n_string", "cert_total_string", "cert_omega_strings", "grid_n_edited",
-    "rotation_center_nan", "lipschitz_bound_infinity"])
+    "rotation_center_nan", "lipschitz_bound_infinity", "off_cube_rotation_clipped",
+    "off_cube_rotation"])
 def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command, defect):
     # sin_bump's grid is nonzero, so a reader that let a defect through
     # would move the generate half's rows
@@ -613,6 +664,8 @@ def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error") and len(err.splitlines()) == 1
     assert not out.exists()
+    if defect.startswith("off_cube_"):
+        assert f"stage 0 ({defect[len('off_cube_'):]})" in err
 
 
 def test_exact_sin_bump_manifest_reads_as_its_closed_form(tmp_path, capsys):

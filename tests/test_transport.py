@@ -1,5 +1,8 @@
+import errno
 import itertools
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +13,10 @@ from incflow.fields import builtin_field, lattice, rotation_field
 from incflow.flow import (
     FlowMap, approximate_generator, builtin_generator, load_generator, save_generator,
 )
+import incflow.transport as T
 from incflow.transport import (
     EmpiricalMeasure,
+    TransportError,
     _capacitated_assignment,
     _solve_lp,
     concentration_experiment,
@@ -462,3 +467,97 @@ def test_concentration_validation():
         concentration_experiment(gen, _uniform, _uniform, [8, 32], 0, 0.1, 0)
     with pytest.raises(ValueError):
         concentration_experiment(gen, _uniform, _uniform, [8, 32], 2, -0.1, 0)
+
+
+# M=64 against N in {4, 6, 32, 64} reaches every solver: shortest paths (k = 16),
+# the LP (6 does not divide 64) and the Hungarian method (k = 2, k = 1, the proxies)
+_LANE_KW = dict(N_list=[4, 6, 32, 64], trials=2, delta=0.1, seed=21, M=64)
+
+
+def _lane_run():
+    return concentration_experiment(builtin_generator("counterexample"), _uniform, _uniform,
+                                    **_LANE_KW)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two lanes whatever the core count, and the number of forks this process made."""
+    monkeypatch.setattr(T, "_lane_count", lambda pairs: min(2, pairs))
+    real, count = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            count.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return count
+
+
+def test_process_lanes_keep_every_bit(monkeypatch, forks, solver_calls):
+    two = _lane_run()
+    assert len(forks) == 1
+    _no_child_left()
+    monkeypatch.setattr(T, "_lane_count", lambda pairs: 1)
+    one = _lane_run()
+    assert len(forks) == 1
+    assert solver_calls["linear_sum_assignment"] > 0 and solver_calls["linprog"] > 0
+    assert two["rows"] == one["rows"]
+    assert two["proxy_error_estimate"] == one["proxy_error_estimate"]
+    assert [(r["N"], r["trial"]) for r in two["rows"]] == [
+        (N, t) for N in _LANE_KW["N_list"] for t in range(2)]
+
+
+def test_lane_count_is_at_most_two_and_the_cores():
+    cores = len(os.sched_getaffinity(0))
+    assert T._lane_count(17) == min(2, cores)
+    assert T._lane_count(1) == 1
+
+
+@pytest.mark.parametrize("failure", ["fork_eagain", "worker_exits_1"])
+def test_a_lane_without_a_worker_is_solved_here(monkeypatch, forks, failure):
+    want = _lane_run()
+    real = os.fork
+
+    def fork():
+        if failure == "fork_eagain":
+            raise OSError(errno.EAGAIN, "stubbed: no process")
+        pid = real()
+        if pid == 0:
+            os._exit(1)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    got = _lane_run()
+    _no_child_left()
+    assert got["rows"] == want["rows"]
+    assert got["proxy_error_estimate"] == want["proxy_error_estimate"]
+
+
+@pytest.mark.parametrize("lane", [0, 1])
+def test_a_failed_lane_raises_here_and_leaves_no_child(monkeypatch, forks, lane):
+    # lane 0 holds the proxies' Hungarian solve; when it fails, the worker,
+    # stalled here, is killed rather than waited for. The worker's exception
+    # comes back with its type and message.
+    parent, real = os.getpid(), T.linear_sum_assignment
+
+    def lsa(*args, **kwargs):
+        if (os.getpid() == parent) == (lane == 0):
+            raise TransportError(f"stubbed failure in lane {lane}")
+        if lane == 0:
+            time.sleep(60)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(T, "linear_sum_assignment", lsa)
+    start = time.monotonic()
+    with pytest.raises(TransportError, match=f"^stubbed failure in lane {lane}$"):
+        _lane_run()
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _no_child_left()
