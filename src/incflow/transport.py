@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import signal
+import warnings
 
 import numpy as np
 from scipy import sparse
@@ -317,18 +319,20 @@ def _lane_count(pairs: int) -> int:
     return min(2, cores or 1, pairs)
 
 
-def _solve_lane(pairs) -> list[float]:
-    return [w1_exact(mu, nu).w1 for mu, nu in pairs]
-
-
 def _fork_lane(pairs):
-    """A forked worker that solves ``pairs``, writes the pickled list of their
-    w1, or the exception it raised, to a pipe and exits. Returns its pid and
-    the pipe's read end, or None when no worker could be started."""
+    """A forked worker that solves ``pairs`` in order and writes each w1, or
+    the exception that stops it, pickled to a pipe as it comes, then exits.
+    Returns its pid and the pipe's read end, or None when no worker could be
+    started."""
     fds = ()
     try:
         fds = r, w = os.pipe()
-        pid = os.fork()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork in a process with more than one OS
+            # thread, here OpenBLAS's pool, whose own atfork handler makes the
+            # fork safe; the worker runs only w1_exact and leaves by os._exit
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except OSError:  # out of file descriptors, processes or memory
         for fd in fds:
             os.close(fd)
@@ -336,53 +340,68 @@ def _fork_lane(pairs):
     if pid == 0:
         try:
             os.close(r)
-            try:
-                out = _solve_lane(pairs)
-            except BaseException as e:
-                out = e
             with os.fdopen(w, "wb") as fh:
-                pickle.dump(out, fh)
+                for mu, nu in pairs:
+                    try:
+                        item = w1_exact(mu, nu).w1
+                    except Exception as e:
+                        item = e
+                    pickle.dump(item, fh)
+                    fh.flush()
+                    if isinstance(item, Exception):
+                        break
         finally:
             os._exit(0)  # never returns into the caller's frames
     os.close(w)
     return pid, os.fdopen(r, "rb")
 
 
+def _received(fh):
+    """The items a worker sent, in order, up to the end of its stream or the
+    first that does not load."""
+    while True:
+        try:
+            item = pickle.load(fh)
+        except Exception:  # the worker died, or sent what does not load
+            return
+        yield item
+
+
 def _w1_lanes(pairs) -> list[float]:
     """``w1_exact(mu, nu).w1`` of every pair, pair k solved in lane k % L with
     L = _lane_count(len(pairs)): lane 0 in this process, lane 1 in one forked
-    worker, which is reaped before this returns or raises. A worker's exception
-    is raised here; a lane whose worker could not start or ended without a
-    result is solved here, to the same bits."""
+    worker, which is reaped before this returns or raises. The exception raised
+    is the first failing pair's, as in a serial solve, with its type and
+    message; a pair the worker could not start or left without a result is
+    solved here, to the same bits."""
     worker = _fork_lane(pairs[1::2]) if _lane_count(len(pairs)) == 2 else None
     if worker is None:
-        return _solve_lane(pairs)
+        return [w1_exact(mu, nu).w1 for mu, nu in pairs]
     pid, fh = worker
+    w1, failure, stop = [None] * len(pairs), None, len(pairs)
     try:
-        head = _solve_lane(pairs[::2])
-        data = fh.read()  # to the worker's exit
-    except BaseException:
-        import signal
-
         try:
-            os.kill(pid, signal.SIGKILL)  # lane 0 failed: lane 1 is not needed
-        except ProcessLookupError:  # reaped already, as where SIGCHLD is ignored
-            pass
-        raise
+            for k in range(0, len(pairs), 2):
+                w1[k] = w1_exact(*pairs[k]).w1
+        except Exception as e:
+            failure, stop = e, k
+        # lane 1's pairs before lane 0's first failure, so an earlier one of
+        # its own failures is the one raised
+        received = _received(fh)
+        for k in range(1, stop, 2):
+            item = next(received, None)
+            if isinstance(item, BaseException):
+                raise item
+            w1[k] = w1_exact(*pairs[k]).w1 if item is None else item
     finally:
-        fh.close()
-        try:
+        try:  # every result needed is read; the worker may still be solving
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        except ChildProcessError:
+        except (ProcessLookupError, ChildProcessError):  # reaped where SIGCHLD is ignored
             pass
-    try:
-        tail = pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):  # no whole result
-        tail = _solve_lane(pairs[1::2])
-    if isinstance(tail, BaseException):
-        raise tail
-    w1 = [None] * len(pairs)
-    w1[::2], w1[1::2] = head, tail
+        fh.close()
+    if failure is not None:
+        raise failure
     return w1
 
 

@@ -3,6 +3,8 @@ import itertools
 import math
 import os
 import time
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -520,24 +522,72 @@ def test_lane_count_is_at_most_two_and_the_cores():
     assert T._lane_count(1) == 1
 
 
-@pytest.mark.parametrize("failure", ["fork_eagain", "worker_exits_1"])
-def test_a_lane_without_a_worker_is_solved_here(monkeypatch, forks, failure):
+@pytest.mark.parametrize("solved", [0, 2])
+def test_a_lane_without_a_worker_is_solved_here(monkeypatch, forks, solved):
+    # the worker calls os._exit(1) after sending `solved` results; the caller
+    # solves the rest of its lane
     want = _lane_run()
-    real = os.fork
+    parent, real, calls = os.getpid(), T.w1_exact, []
 
-    def fork():
-        if failure == "fork_eagain":
-            raise OSError(errno.EAGAIN, "stubbed: no process")
-        pid = real()
-        if pid == 0:
-            os._exit(1)
-        return pid
+    def w1_exact(mu, nu):
+        if os.getpid() != parent:
+            if len(calls) == solved:
+                os._exit(1)
+            calls.append(1)
+        return real(mu, nu)
 
-    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(T, "w1_exact", w1_exact)
     got = _lane_run()
     _no_child_left()
+    assert len(forks) == 2
     assert got["rows"] == want["rows"]
     assert got["proxy_error_estimate"] == want["proxy_error_estimate"]
+
+
+def test_a_fork_that_warns_still_gives_the_lanes(monkeypatch, forks):
+    # Python >= 3.12 warns in the caller after forking a process with more
+    # than one OS thread; under warnings-as-errors that warning must not lose
+    # the worker
+    want = _lane_run()
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        got = _lane_run()
+    _no_child_left()
+    assert len(forks) == 2
+    assert got["rows"] == want["rows"]
+    assert got["proxy_error_estimate"] == want["proxy_error_estimate"]
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("first", [1, 2, 5])
+def test_the_first_failing_pair_is_raised(monkeypatch, forks, lanes, first):
+    # every pair from `first` on fails, in both lanes, each lane with its own
+    # type; the one raised is the one a serial solve stops at
+    monkeypatch.setattr(T, "_lane_count", lambda pairs: min(lanes, pairs))
+    errors = (ValueError, TransportError)
+
+    def w1_exact(k, _):
+        if k >= first:
+            raise errors[k % 2](f"pair {k}")
+        return SimpleNamespace(w1=float(k))
+
+    monkeypatch.setattr(T, "w1_exact", w1_exact)
+    assert T._w1_lanes([(k, None) for k in range(first)]) == [float(k) for k in range(first)]
+    before = len(forks)
+    with pytest.raises(errors[first % 2], match=f"^pair {first}$"):
+        T._w1_lanes([(k, None) for k in range(8)])
+    assert len(forks) - before == lanes - 1
+    _no_child_left()
 
 
 @pytest.mark.parametrize("lane", [0, 1])
