@@ -90,7 +90,7 @@ _SCHEMAS = {
         "grid_n": (int, 33, 2, 257),
         "k_max": (int, 4, 1, 16),
         "contraction_radius": (float, 0.01, math.ulp(0.0)),  # the least float > 0
-        "fit": ({"enabled": (bool, False), "budget": (int, 20_000, 1, 1_000_000),
+        "fit": ({"enabled": (bool, False), "budget": (int, 20_000, 2, 1_000_000),
                  "n_grid": (int, 4, 1, 16)}, {}),
         "out_dir": (str, _REQUIRED),
     },

@@ -25,24 +25,22 @@ of their column potentials, which is exactly feasible, so the gap bounds
 the cost's distance from the optimum; the Hungarian path reports none.
 Entropic approximations are out of scope.
 
-The solves of a concentration experiment run in up to two process lanes:
-neither solver releases the GIL, so threads cannot overlap them, while a
-forked worker can. The split is static and every solve is deterministic,
-so the results keep their bits whichever lane solves a pair.
+The solves of a concentration experiment run in the process lanes of
+``lanes.run``: neither solver releases the GIL, so threads cannot overlap
+them, while a forked worker can. Every solve is deterministic, so the
+results keep their bits whichever lane solves a pair.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import warnings
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
+
+from . import lanes
 
 __all__ = [
     "EmpiricalMeasure",
@@ -310,99 +308,9 @@ def w1_exact(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> TransportReport:
     return TransportReport(w1, i, j, mass, resid, gap)
 
 
-def _lane_count(pairs: int) -> int:
-    """Process lanes for ``pairs`` independent solves: at most 2, one per
-    usable core, and 1 where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(2, cores or 1, pairs)
-
-
-def _fork_lane(pairs):
-    """A forked worker that solves ``pairs`` in order and writes each w1, or
-    the exception that stops it, pickled to a pipe as it comes, then exits.
-    Returns its pid and the pipe's read end, or None when no worker could be
-    started."""
-    fds = ()
-    try:
-        fds = r, w = os.pipe()
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on fork in a process with more than one OS
-            # thread, here OpenBLAS's pool, whose own atfork handler makes the
-            # fork safe; the worker runs only w1_exact and leaves by os._exit
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # out of file descriptors, processes or memory
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid == 0:
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as fh:
-                for mu, nu in pairs:
-                    try:
-                        item = w1_exact(mu, nu).w1
-                    except Exception as e:
-                        item = e
-                    pickle.dump(item, fh)
-                    fh.flush()
-                    if isinstance(item, Exception):
-                        break
-        finally:
-            os._exit(0)  # never returns into the caller's frames
-    os.close(w)
-    return pid, os.fdopen(r, "rb")
-
-
-def _received(fh):
-    """The items a worker sent, in order, up to the end of its stream or the
-    first that does not load."""
-    while True:
-        try:
-            item = pickle.load(fh)
-        except Exception:  # the worker died, or sent what does not load
-            return
-        yield item
-
-
-def _w1_lanes(pairs) -> list[float]:
-    """``w1_exact(mu, nu).w1`` of every pair, pair k solved in lane k % L with
-    L = _lane_count(len(pairs)): lane 0 in this process, lane 1 in one forked
-    worker, which is reaped before this returns or raises. The exception raised
-    is the first failing pair's, as in a serial solve, with its type and
-    message; a pair the worker could not start or left without a result is
-    solved here, to the same bits."""
-    worker = _fork_lane(pairs[1::2]) if _lane_count(len(pairs)) == 2 else None
-    if worker is None:
-        return [w1_exact(mu, nu).w1 for mu, nu in pairs]
-    pid, fh = worker
-    w1, failure, stop = [None] * len(pairs), None, len(pairs)
-    try:
-        try:
-            for k in range(0, len(pairs), 2):
-                w1[k] = w1_exact(*pairs[k]).w1
-        except Exception as e:
-            failure, stop = e, k
-        # lane 1's pairs before lane 0's first failure, so an earlier one of
-        # its own failures is the one raised
-        received = _received(fh)
-        for k in range(1, stop, 2):
-            item = next(received, None)
-            if isinstance(item, BaseException):
-                raise item
-            w1[k] = w1_exact(*pairs[k]).w1 if item is None else item
-    finally:
-        try:  # every result needed is read; the worker may still be solving
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # reaped where SIGCHLD is ignored
-            pass
-        fh.close()
-    if failure is not None:
-        raise failure
-    return w1
+def _w1_value(mu, nu) -> float:
+    """The W1 value alone, which pickles, of one pair of a process lane."""
+    return w1_exact(mu, nu).w1
 
 
 def cor_bound(lipschitz: float, d: int, N: int, delta: float,
@@ -455,7 +363,7 @@ def concentration_experiment(
     depend on how trials are batched: every trial's noise is pushed
     through the generator in one call, which maps rows independently, and
     the W1 solves, the proxies' first, run in the process lanes of
-    ``_w1_lanes``.
+    ``lanes.run``.
     """
     N_list = [int(N) for N in N_list]
     if any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -478,7 +386,7 @@ def concentration_experiment(
     pushed = pushforward(gen, EmpiricalMeasure(np.vstack([mu.points for mu in noise])))
     splits = np.cumsum([mu.n for mu in noise])[:-1]
     bounds = {N: cor_bound(L, d, N, delta, C, epsilon) for N in N_list}
-    proxy_error, *w1 = _w1_lanes([(proxy, proxy_b)] + [
+    proxy_error, *w1 = lanes.run(_w1_value, [(proxy, proxy_b)] + [
         (proxy, EmpiricalMeasure(points, mu.weights))
         for mu, points in zip(noise, np.split(pushed.points, splits))])
     rows = []

@@ -1,5 +1,4 @@
 import copy
-import errno
 import json
 import math
 import os
@@ -12,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import no_child_left, no_fork
 
 import incflow
 from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, _write_csv, main
@@ -157,6 +158,8 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                   "N_list": [4], "delta": 10**400}),
     # a center of the wrong length
     ("approx-flow", {"stages": [{"id": "squeeze_clipped", "params": {"center": []}}], "n": 2}),
+    # one evaluation per restart: the fit's least budget is 2
+    ("probe-flowability", {"fit": {"enabled": True, "budget": 1}}),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, cfg):
     out = tmp_path / "run"
@@ -534,29 +537,40 @@ def test_failed_transport_lp_is_a_numeric_failure(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert err.startswith("numeric failure") and len(err.splitlines()) == 1
     assert "stubbed solver failure" in err
-    with pytest.raises(ChildProcessError):  # the W1 solves left no worker behind
-        os.waitpid(-1, os.WNOHANG)
+    no_child_left()  # the W1 solves left no worker behind
 
 
-def test_generate_without_a_worker_process_writes_the_same_bytes(tmp_path, monkeypatch):
+def test_generate_without_a_worker_process_writes_the_same_bytes(tmp_path, monkeypatch, forks):
     # a fork that fails leaves every W1 solve to this process, to the same bits
-    import incflow.transport as T
-
-    monkeypatch.setattr(T, "_lane_count", lambda pairs: min(2, pairs))
     runs = []
     for k in range(2):
         if k:
-            def fork():
-                raise OSError(errno.EAGAIN, "stubbed: no process")
-            monkeypatch.setattr(os, "fork", fork)
+            monkeypatch.setattr(os, "fork", no_fork)
         out = tmp_path / f"run{k}"
         assert main(["generate", write_cfg(tmp_path, f"gen{k}.json", {
             "generator": {"builtin": "counterexample"}, "seed": 5, "M": 64, "trials": 2,
             "N_list": [4, 6, 32], "out_dir": str(out)})]) == 0
         runs.append([(out / name).read_bytes()
                      for name in ("manifest.json", "metrics.csv", "acceptance.json")])
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        no_child_left()
+    assert len(forks) == 1
+    assert runs[0] == runs[1]
+
+
+def test_probe_without_a_worker_process_writes_the_same_bytes(tmp_path, monkeypatch, forks):
+    # a fork that fails leaves both fits to this process, to the same bits
+    runs = []
+    for k in range(2):
+        if k:
+            monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / f"run{k}"
+        assert main(["probe-flowability", write_cfg(tmp_path, f"probe{k}.json", {
+            "seed": 3, "grid_n": 9, "k_max": 2, "fit": {"enabled": True, "budget": 120},
+            "out_dir": str(out)})]) == 0
+        runs.append([(out / name).read_bytes()
+                     for name in ("fitgap.json", "orbits.csv", "contraction.csv")])
+        no_child_left()
+    assert len(forks) == 1
     assert runs[0] == runs[1]
 
 

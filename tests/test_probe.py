@@ -1,10 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from conftest import no_child_left, no_fork
+
 from incflow.fields import builtin_field, lattice
-from incflow.flow import FlowMap, builtin_generator, integrate
+from incflow.flow import FlowMap, IncrementalGenerator, builtin_generator, integrate
+import incflow.lanes as lanes
 import incflow.probe as probe
 from incflow.probe import (
     OrbitRecord,
@@ -13,6 +17,7 @@ from incflow.probe import (
     classify_orbit,
     contraction_audit,
     detect_periodic,
+    fit_gap_experiment,
     fit_single_flow,
 )
 
@@ -439,6 +444,66 @@ def test_fit_poll_screen_flows_under_half_the_rows():
 def test_fit_validation():
     with pytest.raises(ValueError):
         fit_single_flow(lambda X: X, budget=0)
+    # each restart evaluates its start point, so a budget of 1 would be overspent
+    with pytest.raises(ValueError, match="budget must be >= 2"):
+        fit_single_flow(lambda X: X, n_grid=2, budget=1)
+    assert fit_single_flow(lambda X: X, n_grid=2, budget=2).evaluations == 2
+
+
+# a small fit-gap run: both fits take a few hundred milliseconds
+_GAP_KW = dict(seed=3, budget=120, n_grid=2)
+
+
+@pytest.fixture(scope="module")
+def one_lane_gap():
+    mp = pytest.MonkeyPatch()
+    mp.setattr(lanes, "_lane_count", lambda items: 1)
+    try:
+        return fit_gap_experiment(**_GAP_KW)
+    finally:
+        mp.undo()
+
+
+def test_fit_gap_lanes_keep_every_bit(monkeypatch, forks, one_lane_gap):
+    # with two lanes this process runs one fit, the composite's; the
+    # self-recovery result can only have come from the worker
+    parent, real, here = os.getpid(), probe.fit_single_flow, []
+
+    def fit_single_flow(*args):
+        if os.getpid() == parent:
+            here.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(probe, "fit_single_flow", fit_single_flow)
+    got = fit_gap_experiment(**_GAP_KW)
+    no_child_left()
+    assert len(forks) == 1
+    assert len(here) == 1 and isinstance(here[0], IncrementalGenerator)
+    assert got == one_lane_gap
+
+
+def test_fit_gap_without_a_worker_is_fitted_here(monkeypatch, forks, one_lane_gap):
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert fit_gap_experiment(**_GAP_KW) == one_lane_gap
+    assert not forks
+    no_child_left()
+
+
+def test_a_failed_worker_fit_raises_here(monkeypatch, forks):
+    # the self-recovery fit, lane 1's, fails in the worker; its exception
+    # comes back with its type and message
+    parent, real = os.getpid(), probe.fit_single_flow
+
+    def fit_single_flow(*args):
+        if os.getpid() != parent:
+            raise ArithmeticError("stubbed fit failure in the worker")
+        return real(*args)
+
+    monkeypatch.setattr(probe, "fit_single_flow", fit_single_flow)
+    with pytest.raises(ArithmeticError, match="^stubbed fit failure in the worker$"):
+        fit_gap_experiment(**_GAP_KW)
+    assert len(forks) == 1
+    no_child_left()
 
 
 def test_detect_periodic_validation(composite):

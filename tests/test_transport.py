@@ -1,4 +1,3 @@
-import errno
 import itertools
 import math
 import os
@@ -11,10 +10,13 @@ import pytest
 from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
+from conftest import no_child_left
+
 from incflow.fields import builtin_field, lattice, rotation_field
 from incflow.flow import (
     FlowMap, approximate_generator, builtin_generator, load_generator, save_generator,
 )
+import incflow.lanes as lanes
 import incflow.transport as T
 from incflow.transport import (
     EmpiricalMeasure,
@@ -481,32 +483,11 @@ def _lane_run():
                                     **_LANE_KW)
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Two lanes whatever the core count, and the number of forks this process made."""
-    monkeypatch.setattr(T, "_lane_count", lambda pairs: min(2, pairs))
-    real, count = os.fork, []
-
-    def fork():
-        pid = real()
-        if pid:
-            count.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return count
-
-
 def test_process_lanes_keep_every_bit(monkeypatch, forks, solver_calls):
     two = _lane_run()
     assert len(forks) == 1
-    _no_child_left()
-    monkeypatch.setattr(T, "_lane_count", lambda pairs: 1)
+    no_child_left()
+    monkeypatch.setattr(lanes, "_lane_count", lambda items: 1)
     one = _lane_run()
     assert len(forks) == 1
     assert solver_calls["linear_sum_assignment"] > 0 and solver_calls["linprog"] > 0
@@ -518,8 +499,8 @@ def test_process_lanes_keep_every_bit(monkeypatch, forks, solver_calls):
 
 def test_lane_count_is_at_most_two_and_the_cores():
     cores = len(os.sched_getaffinity(0))
-    assert T._lane_count(17) == min(2, cores)
-    assert T._lane_count(1) == 1
+    assert lanes._lane_count(17) == min(2, cores)
+    assert lanes._lane_count(1) == 1
 
 
 @pytest.mark.parametrize("solved", [0, 2])
@@ -538,7 +519,7 @@ def test_a_lane_without_a_worker_is_solved_here(monkeypatch, forks, solved):
 
     monkeypatch.setattr(T, "w1_exact", w1_exact)
     got = _lane_run()
-    _no_child_left()
+    no_child_left()
     assert len(forks) == 2
     assert got["rows"] == want["rows"]
     assert got["proxy_error_estimate"] == want["proxy_error_estimate"]
@@ -562,18 +543,18 @@ def test_a_fork_that_warns_still_gives_the_lanes(monkeypatch, forks):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         got = _lane_run()
-    _no_child_left()
+    no_child_left()
     assert len(forks) == 2
     assert got["rows"] == want["rows"]
     assert got["proxy_error_estimate"] == want["proxy_error_estimate"]
 
 
-@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("n_lanes", [1, 2])
 @pytest.mark.parametrize("first", [1, 2, 5])
-def test_the_first_failing_pair_is_raised(monkeypatch, forks, lanes, first):
+def test_the_first_failing_pair_is_raised(monkeypatch, forks, n_lanes, first):
     # every pair from `first` on fails, in both lanes, each lane with its own
     # type; the one raised is the one a serial solve stops at
-    monkeypatch.setattr(T, "_lane_count", lambda pairs: min(lanes, pairs))
+    monkeypatch.setattr(lanes, "_lane_count", lambda items: min(n_lanes, items))
     errors = (ValueError, TransportError)
 
     def w1_exact(k, _):
@@ -582,12 +563,13 @@ def test_the_first_failing_pair_is_raised(monkeypatch, forks, lanes, first):
         return SimpleNamespace(w1=float(k))
 
     monkeypatch.setattr(T, "w1_exact", w1_exact)
-    assert T._w1_lanes([(k, None) for k in range(first)]) == [float(k) for k in range(first)]
+    pairs = [(k, None) for k in range(first)]
+    assert lanes.run(T._w1_value, pairs) == [float(k) for k in range(first)]
     before = len(forks)
     with pytest.raises(errors[first % 2], match=f"^pair {first}$"):
-        T._w1_lanes([(k, None) for k in range(8)])
-    assert len(forks) - before == lanes - 1
-    _no_child_left()
+        lanes.run(T._w1_value, [(k, None) for k in range(8)])
+    assert len(forks) - before == n_lanes - 1
+    no_child_left()
 
 
 @pytest.mark.parametrize("lane", [0, 1])
@@ -610,4 +592,4 @@ def test_a_failed_lane_raises_here_and_leaves_no_child(monkeypatch, forks, lane)
         _lane_run()
     assert time.monotonic() - start < 30
     assert len(forks) == 1
-    _no_child_left()
+    no_child_left()
