@@ -24,10 +24,7 @@ from .fields import (
     grid_relu_approximate,
     grid_to_mlp,
     lift_field,
-    radial_bump_clip,
-    rotation_field,
     sin_bump_field,
-    squeeze_field,
     zero_field,
 )
 from .flow import (

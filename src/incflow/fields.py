@@ -38,9 +38,6 @@ __all__ = [
     "VectorField",
     "ApproximationReport",
     "zero_field",
-    "rotation_field",
-    "squeeze_field",
-    "radial_bump_clip",
     "sin_bump_field",
     "lift_field",
     "grid_field",
@@ -409,26 +406,19 @@ def zero_field(dim: int = 2) -> VectorField:
     )
 
 
-def rotation_field(center=(0.5, 0.5), rate: float = math.pi) -> VectorField:
-    """Planar rotation about ``center`` at angular speed ``rate``."""
+def _rotation_field(center=(0.5, 0.5), rate: float = math.pi) -> VectorField:
+    """Planar rotation about ``center`` at angular speed ``rate``, the field
+    of ``rotation_clipped``."""
     c = np.asarray(center, dtype=float)
     if c.shape != (2,):
-        raise ValueError("rotation_field is two-dimensional")
+        raise ValueError("the rotation is two-dimensional")
     w = np.array([-rate, rate], dtype=float)
 
     def ev(X):
         # (-rate (y - c_1), rate (x - c_0))
         return (X - c)[:, ::-1] * w
 
-    return VectorField(
-        2,
-        ev,
-        abs(rate),
-        support_box=None,
-        ref={"backend": "analytic", "id": "rotation",
-             "params": {"center": c.tolist(), "rate": rate}},
-        flow=lambda X, t: _rotate(X, c, t * rate),
-    )
+    return VectorField(2, ev, abs(rate), flow=lambda X, t: _rotate(X, c, t * rate))
 
 
 def _rotate(X, c, angle):
@@ -443,8 +433,9 @@ def _rotate(X, c, angle):
     return out
 
 
-def squeeze_field(line_x: float = 0.5) -> VectorField:
-    """Contraction of the plane onto the vertical line x = line_x."""
+def _squeeze_field(line_x: float = 0.5) -> VectorField:
+    """Contraction of the plane onto the vertical line x = line_x, the field
+    of ``squeeze_clipped``."""
 
     def ev(X):
         out = np.zeros(X.shape)
@@ -456,17 +447,10 @@ def squeeze_field(line_x: float = 0.5) -> VectorField:
         out[:, 0] = line_x + (X[:, 0] - line_x) * math.exp(-t)
         return out
 
-    return VectorField(
-        2,
-        ev,
-        1.0,
-        support_box=None,
-        ref={"backend": "analytic", "id": "squeeze", "params": {"line_x": line_x}},
-        flow=flow,
-    )
+    return VectorField(2, ev, 1.0, flow=flow)
 
 
-def radial_bump_clip(
+def _radial_bump_clip(
     field: VectorField, center, r_inner: float, r_outer: float, max_abs: float
 ) -> VectorField:
     """Pointwise product with a piecewise-linear radial cutoff.
@@ -547,20 +531,47 @@ def _plateau(t):
     return np.minimum((t - 0.125) * 4.0, (0.875 - t) * 4.0).clip(0.0, 1.0)
 
 
-def _bisect(lo, hi, above):
-    """Per row, the float its root rounds to, bisecting from the bracket
-    [lo, hi] (overwritten). ``above(mid, act)`` says for the rows ``act``
-    whether the root lies above their ``mid``. A row stops when no float
-    lies strictly between its ends, so its result does not depend on its
-    batch."""
+def _newton(lo, hi, residual):
+    """Per row, the float its root rounds to, by safeguarded Newton steps
+    inside the bracket [lo, hi] (overwritten), as Numerical Recipes'
+    ``rtsafe``. ``residual(x, act)`` returns, for the rows ``act``, whether
+    the root lies above their x (its tie rule; a NaN residual is not above)
+    and the Newton step at x, the residual over its derivative.
+
+    Each point x becomes an end of its row's bracket. A Newton point at or
+    past an end goes to the float next to that end. It is taken when it
+    lies within one float of x (Newton has converged there) or when the
+    step is at most half the step before last; a NaN or longer step
+    bisects instead. Where a converged probe next to x left the root on the
+    same side, the next one goes twice as far, so a residual that stays 0
+    cannot hold a row to one float a round. A row stops when no float lies
+    strictly between its ends and returns their midpoint; every operation
+    is per row, so its result does not depend on its batch.
+    """
+    x = 0.5 * (lo + hi)
+    last, before = hi - lo, hi - lo
+    probe = np.zeros_like(lo)  # a row's last converged step, 0 after any other
+    side = np.zeros(len(lo), dtype=bool)  # whether its last point was below the root
     while True:
         mid = 0.5 * (lo + hi)
         act = np.flatnonzero((lo < mid) & (mid < hi))
         if act.size == 0:
             return mid
-        up = above(mid[act], act)
-        lo[act] = np.where(up, mid[act], lo[act])
-        hi[act] = np.where(up, hi[act], mid[act])
+        xa = x[act]
+        up, step = residual(xa, act)
+        lo[act] = l = np.where(up, xa, lo[act])
+        hi[act] = h = np.where(up, hi[act], xa)
+        l1, h1 = np.nextafter(l, h), np.nextafter(h, l)
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn = np.clip(xa - step, l1, h1)
+            near = np.where(up, xn <= l1, xn >= h1)
+            # a converged probe that left the root on the same side: twice as far
+            again = near & (probe[act] > 0) & (up == side[act])
+            xn[again] = np.clip(xa + np.where(up, 2.0, -2.0) * probe[act], l1, h1)[again]
+            newton = near | (2.0 * np.abs(step) <= before[act])
+        x[act] = xn = np.where(newton, xn, 0.5 * (l + h))
+        before[act], last[act] = last[act], np.abs(xn - xa)
+        probe[act], side[act] = np.where(near, last[act], 0.0), up
 
 
 # the Gauss-Legendre rule of the sin_bump flow's ramp integral, on [-1, 1]
@@ -611,9 +622,9 @@ def sin_bump_field(amplitude: float = 0.2) -> VectorField:
       nearest [1/8, 3/8] are s = 0 and 1/2, a Bernstein ellipse of
       rho = 2 + sqrt 3, so the rule errs by about rho^-40 ~ 1e-23.
 
-    A bisection on x inverts Phi on the ramp; each row stops when its
-    bracket holds no float between its ends, so a row's result does not
-    depend on its batch.
+    Safeguarded Newton steps on x, with dPhi/dx = 1/f, invert Phi on the
+    ramp (:func:`_newton`); each row stops when its bracket holds no float
+    between its ends, so a row's result does not depend on its batch.
     """
 
     def ev(X):
@@ -635,8 +646,13 @@ def sin_bump_field(amplitude: float = 0.2) -> VectorField:
         v[flat] = 0.5 - np.arctan(_TAN_PI_8 * np.exp(-2 * np.pi * target[flat])) / np.pi
         ramp = ~flat
         goal = target[ramp]
-        v[ramp] = _bisect(np.full_like(goal, 0.125), np.full_like(goal, 0.375),
-                          lambda mid, act: _sin_bump_ramp_phi(mid) < goal[act])
+
+        def residual(x, act):
+            # Phi - goal, whose derivative is 1/f with f = sin(2 pi x) 4 (x - 1/8)
+            r = _sin_bump_ramp_phi(x) - goal[act]
+            return r < 0, r * (np.sin(2 * np.pi * x) * (4.0 * (x - 0.125)))
+
+        v[ramp] = _newton(np.full_like(goal, 0.125), np.full_like(goal, 0.375), residual)
         out[live, 0] = np.where(upper, 1.0 - v, v)
         return out
 
@@ -986,8 +1002,8 @@ def _build_rotation_clipped(center=(0.5, 0.5), rate=math.pi, r_inner=0.125, r_ou
     """The rotation times the radial profile p. The rotation is tangent to
     the circles about c, so |x - c| and with it p stay fixed along each
     trajectory: the flow turns x about c by t rate p(|x - c|)."""
-    base = rotation_field(center, rate)
-    f = radial_bump_clip(base, center, r_inner, r_outer, max_abs=abs(rate) * r_outer)
+    base = _rotation_field(center, rate)
+    f = _radial_bump_clip(base, center, r_inner, r_outer, max_abs=abs(rate) * r_outer)
     f.ref = {"backend": "analytic", "id": "rotation_clipped", "params": {
         "center": list(center), "rate": rate, "r_inner": r_inner, "r_outer": r_outer}}
     c = np.asarray(center, dtype=float)
@@ -1000,7 +1016,7 @@ def _build_squeeze_clipped(center=(0.5, 0.5), r_inner=0.125, r_outer=0.25):
     radial profile, with its closed-form flow."""
     if np.shape(center) != (2,):
         raise ValueError("squeeze_clipped is two-dimensional")
-    f = radial_bump_clip(squeeze_field(center[0]), center, r_inner, r_outer, max_abs=r_outer)
+    f = _radial_bump_clip(_squeeze_field(center[0]), center, r_inner, r_outer, max_abs=r_outer)
     f.ref = {"backend": "analytic", "id": "squeeze_clipped", "params": {
         "center": list(center), "r_inner": r_inner, "r_outer": r_outer}}
     f.flow = _squeeze_disc_flow(np.asarray(center, dtype=float), r_inner, r_outer)
@@ -1020,9 +1036,10 @@ def _squeeze_disc_flow(c, r_inner, r_outer):
         G = ln(s - |b|)/(2(R - |b|)) + ln(s + |b|)/(2(R + |b|)) - R ln(R - s)/(R^2 - b^2).
 
     G is evaluated with s - |b| = v^2/(s + |b|): the subtraction would give
-    ln(0) once v^2 falls below an ulp of b^2. A bisection on v inverts the
-    time; each row stops when its bracket holds no float between its ends,
-    so a row's result does not depend on its batch.
+    ln(0) once v^2 falls below an ulp of b^2. Safeguarded Newton steps on
+    v, with dG/dv = 1/(v (R - s)), invert the time (:func:`_newton`); each
+    row stops when its bracket holds no float between its ends, so a row's
+    result does not depend on its batch.
     """
     R, w = float(r_outer), float(r_outer - r_inner)
 
@@ -1036,9 +1053,15 @@ def _squeeze_disc_flow(c, r_inner, r_outer):
         lies between -1 and -p forward, between 0 and p backward."""
         lo = np.maximum(v * np.minimum(np.exp(-tau), 1.0), v_in)
         hi, g0 = v * np.exp(-tau * p), G(v, a)
-        # the root lies above mid while mid is short of the time tau (a
-        # mid past the rim, a NaN, is not)
-        return _bisect(lo, hi, lambda mid, act: w * (g0[act] - G(mid, a[act])) >= tau[act])
+
+        def residual(x, act):
+            # the root lies above x while x is short of the time tau (an x
+            # past the rim, a NaN, is not); d(T - tau)/dx = -w/(x (R - s))
+            b = a[act]
+            T = w * (g0[act] - G(x, b))
+            return T >= tau[act], (tau[act] - T) * x * (R - np.sqrt(x * x + b * b)) / w
+
+        return _newton(lo, hi, residual)
 
     def flow(X, t):
         out = X.copy()
@@ -1077,8 +1100,6 @@ def _squeeze_disc_flow(c, r_inner, r_outer):
 # parameter is a TypeError
 BUILTIN_FIELDS = {
     "zero": zero_field,
-    "rotation": rotation_field,
-    "squeeze": squeeze_field,
     "rotation_clipped": _build_rotation_clipped,
     "squeeze_clipped": _build_squeeze_clipped,
     "sin_bump": sin_bump_field,

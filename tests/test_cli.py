@@ -16,7 +16,7 @@ from conftest import no_child_left, no_fork
 
 import incflow
 from incflow.cli import _REQUIRED, _SCHEMAS, ConfigError, _check, _write_csv, main
-from incflow.fields import GridInterpolant, builtin_field, lattice
+from incflow.fields import BUILTIN_FIELDS, GridInterpolant, _rotation_field, builtin_field, lattice
 from incflow.flow import (
     ErrorCertificate,
     FlowMap,
@@ -120,6 +120,7 @@ def test_malformed_config_exits_2_without_artifacts(tmp_path):
                                  "params": {"r_inner": 0.3, "r_outer": 0.2}}], "n": 2}),
     ("approx-flow", {"stages": [{"id": "squeeze_clipped", "params": {"center": [0.1, 0.1]}}],
                      "n": 2}),
+    # the unclipped rotation and squeeze are no builtin ids
     ("approx-flow", {"stages": [{"id": "rotation"}], "n": 2}),
     ("approx-flow", {"stages": [{"id": "squeeze"}], "n": 2}),
     ("approx-flow", {"stages": [{"id": "zero", "params": {"dim": 3}}, {"id": "sin_bump"}],
@@ -632,17 +633,18 @@ def _damage_manifest(run, defect):
                                          "params": {"center": [math.nan, 0.5]}}
         elif defect == "lipschitz_bound_infinity":
             doc["lipschitz_bound"] = -math.inf
-        # a builtin stage that leaves the cube, which approx-flow refuses, with
-        # the generator's Lipschitz bound restated to match it
+        # a stage that leaves the cube, with the generator's Lipschitz bound
+        # restated to match it: a builtin that approx-flow refuses, and the
+        # unclipped rotation, which is no builtin id
         elif defect.startswith("off_cube_"):
             field = {"off_cube_rotation_clipped": {"id": "rotation_clipped",
                                                    "params": {"center": [0.1, 0.5]}},
                      "off_cube_rotation": {"id": "rotation",
                                            "params": {"center": [0.5, 0.5], "rate": 0.7}},
                      }[defect]
+            build = {**BUILTIN_FIELDS, "rotation": _rotation_field}[field["id"]]
             doc["stages"][0]["field"] = dict(field, backend="analytic")
-            doc["lipschitz_bound"] = math.exp(
-                builtin_field(field["id"], field["params"]).lipschitz_bound)
+            doc["lipschitz_bound"] = math.exp(build(**field["params"]).lipschitz_bound)
         else:
             doc["stages"] = 5
         manifest.write_text(json.dumps(doc))
@@ -678,8 +680,10 @@ def test_malformed_manifest_exits_2_from_both_readers(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("config error") and len(err.splitlines()) == 1
     assert not out.exists()
-    if defect.startswith("off_cube_"):
-        assert f"stage 0 ({defect[len('off_cube_'):]})" in err
+    if defect == "off_cube_rotation_clipped":
+        assert "stage 0 (rotation_clipped)" in err
+    elif defect == "off_cube_rotation":
+        assert "unknown field id 'rotation'" in err
 
 
 def test_exact_sin_bump_manifest_reads_as_its_closed_form(tmp_path, capsys):

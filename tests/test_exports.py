@@ -109,8 +109,8 @@ def test_trace_field_measure_reads_every_field_kind():
     # the tracer's fields.eval measure reads each field's support box; a
     # field kind the CLI evaluates that lost the attribute fails here first
     from incflow.fields import (
-        GridInterpolant, builtin_field, grid_field, lift_field,
-        radial_bump_clip, rotation_field,
+        GridInterpolant, _radial_bump_clip, _rotation_field, builtin_field, grid_field,
+        lift_field,
     )
 
     measure = _load_perfbench("tracing")._eval_rows
@@ -119,8 +119,8 @@ def test_trace_field_measure_reads_every_field_kind():
     grid = grid_field(GridInterpolant((2, 2), rng.standard_normal((9, 2))))
     boxed = {
         "builtin": builtin_field("sin_bump"),
-        "radial_clip": radial_bump_clip(rotation_field(), (0.5, 0.5), 0.1, 0.2,
-                                        max_abs=0.2 * np.pi),
+        "radial_clip": _radial_bump_clip(_rotation_field(), (0.5, 0.5), 0.1, 0.2,
+                                         max_abs=0.2 * np.pi),
     }
     boxless = {
         "grid": grid,

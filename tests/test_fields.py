@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 from incflow.fields import (
+    BUILTIN_FIELDS,
     GridInterpolant,
     VectorField,
     builtin_field,
@@ -17,11 +18,9 @@ from incflow.fields import (
     grid_relu_approximate,
     grid_to_mlp,
     lattice,
-    radial_bump_clip,
-    rotation_field,
     sin_bump_field,
-    squeeze_field,
 )
+from incflow.fields import _radial_bump_clip, _rotation_field, _squeeze_field
 from incflow.flow import approximate_generator
 from incflow.mlp import _EVAL_ROWS, relu
 from incflow.probe import _grid_field_from_theta
@@ -54,7 +53,7 @@ def kuhn_oracle(values, ns, X):
 
 
 def test_rotation_field_values():
-    f = rotation_field([0.5, 0.5], math.pi)
+    f = _rotation_field([0.5, 0.5], math.pi)
     v = f.eval(np.array([0.75, 0.5]))
     assert np.allclose(v, [0.0, 0.25 * math.pi], atol=1e-15)
     assert np.array_equal(f.eval(np.array([0.5, 0.5])), [0.0, 0.0])
@@ -62,7 +61,7 @@ def test_rotation_field_values():
 
 
 def test_squeeze_field_values():
-    f = squeeze_field(0.5)
+    f = _squeeze_field(0.5)
     assert np.allclose(f.eval(np.array([0.75, 0.2])), [-0.25, 0.0], atol=1e-15)
     assert np.array_equal(f.eval(np.array([0.5, 0.9])), [0.0, 0.0])
     assert f.lipschitz_bound == 1.0
@@ -76,7 +75,7 @@ def test_radial_clip_zero_beyond_outer_radius():
 
 
 def test_radial_clip_identity_inside_inner_radius():
-    raw = rotation_field([0.5, 0.5], math.pi)
+    raw = _rotation_field([0.5, 0.5], math.pi)
     f = builtin_field("rotation_clipped")
     pt = np.array([0.6, 0.5])  # distance 0.1 < 1/8, profile is 1 there
     assert np.allclose(f.eval(pt), raw.eval(pt), atol=1e-15)
@@ -84,7 +83,7 @@ def test_radial_clip_identity_inside_inner_radius():
 
 def test_radial_clip_validation():
     with pytest.raises(ValueError):
-        radial_bump_clip(rotation_field([0.5, 0.5], 1.0), [0.5, 0.5], 0.3, 0.2, max_abs=0.2)
+        _radial_bump_clip(_rotation_field([0.5, 0.5], 1.0), [0.5, 0.5], 0.3, 0.2, max_abs=0.2)
 
 
 def assert_zero_outside_support(f, box, seed, n=5000):
@@ -162,6 +161,9 @@ def _former_sin_bump(amplitude=0.2):
     return ev
 
 
+# the builtins, and the rotation and squeeze behind the clipped ones
+_BUILDERS = {**BUILTIN_FIELDS, "rotation": _rotation_field, "squeeze": _squeeze_field}
+
 _FORMER_BUILTINS = {
     "zero": ({}, lambda X: np.zeros_like(X)),
     "rotation": ({}, _former_rotation()),
@@ -204,7 +206,7 @@ def _probe_rows():
 @pytest.mark.parametrize("name", sorted(_FORMER_BUILTINS))
 def test_lean_builtin_evaluators_keep_every_bit(name):
     params, former = _FORMER_BUILTINS[name]
-    f = builtin_field(name.removesuffix("_2"), params)
+    f = _BUILDERS[name.removesuffix("_2")](**params)
     X = _probe_rows()
     with np.errstate(all="ignore"):  # inf - inf, sin(inf) and the like
         got, want = f.eval(X), former(X)
@@ -218,8 +220,8 @@ def test_radial_clip_leaves_the_inner_array_unchanged():
     # scale a copy of it
     cached = np.arange(12.0).reshape(6, 2) - 5.0
     kept = cached.copy()
-    f = radial_bump_clip(VectorField(2, lambda X: cached, 1.0), (0.5, 0.5), 0.125, 0.25,
-                         max_abs=7.0)
+    f = _radial_bump_clip(VectorField(2, lambda X: cached, 1.0), (0.5, 0.5), 0.125, 0.25,
+                          max_abs=7.0)
     X = np.array([[0.5, 0.5], [0.6, 0.5], [0.7, 0.5], [0.9, 0.9], [0.5, 0.3], [2.0, 2.0]])
     out = f.eval(X)
     assert np.array_equal(cached, kept)
@@ -678,7 +680,7 @@ def test_modulus_bound_holds_for_every_builtin_field():
 
 def test_grid_approximate_rejects_unsupported_fields():
     with pytest.raises(ValueError):
-        grid_relu_approximate(rotation_field([0.5, 0.5], 1.0), 4)
+        grid_relu_approximate(_rotation_field([0.5, 0.5], 1.0), 4)
     f = sin_bump_field()
     with pytest.raises(ValueError):
         grid_relu_approximate(f, 0)

@@ -6,15 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
+from incflow import fields
 from incflow.fields import (
     BUILTIN_FIELDS,
     VectorField,
     builtin_field,
     builtin_suite,
+    _newton,
+    _radial_bump_clip,
+    _rotation_field,
+    _squeeze_field,
     lattice,
-    radial_bump_clip,
-    rotation_field,
-    squeeze_field,
     zero_field,
 )
 from incflow.flow import (
@@ -62,7 +64,7 @@ def test_zero_field_flow_is_bit_identical():
 
 
 def test_rotation_flow_matches_closed_form():
-    fl = FlowMap(rotation_field([0.5, 0.5], math.pi))
+    fl = FlowMap(_rotation_field([0.5, 0.5], math.pi))
     x = np.array([0.75, 0.5])
     expect = rotation_oracle(x, [0.5, 0.5], math.pi)[0]
     assert np.abs(fl.apply(x) - expect).max() <= 1e-8
@@ -70,7 +72,7 @@ def test_rotation_flow_matches_closed_form():
 
 
 def test_squeeze_flow_matches_closed_form():
-    fl = FlowMap(squeeze_field(0.5))
+    fl = FlowMap(_squeeze_field(0.5))
     x = np.array([0.75, 0.5])
     expect = np.array([0.5 + 0.25 * math.exp(-1.0), 0.5])
     assert np.abs(fl.apply(x) - expect).max() <= 1e-10
@@ -312,7 +314,7 @@ def test_empirical_lipschitz_below_certified_bound():
 
 
 def test_rk4_refinement_is_fourth_order():
-    f = rotation_field([0.5, 0.5], math.pi)  # smooth everywhere
+    f = _rotation_field([0.5, 0.5], math.pi)  # smooth everywhere
     rng = np.random.default_rng(3)
     X = rng.random((64, 2))
     a, b, c = (integrate(f.eval, X, steps) for steps in (32, 64, 128))
@@ -350,7 +352,7 @@ def test_flowmap_is_the_exact_flow_of_a_closed_form():
         with pytest.raises(TypeError):
             FlowMap(zero_field(2), **knob)
     # a radial clip of an off-center squeeze has no closed form, and no flow
-    clipped = radial_bump_clip(squeeze_field(0.55), (0.5, 0.5), 0.125, 0.25, max_abs=0.3)
+    clipped = _radial_bump_clip(_squeeze_field(0.55), (0.5, 0.5), 0.125, 0.25, max_abs=0.3)
     assert clipped.flow is None
     with pytest.raises(ValueError, match="no closed-form flow"):
         FlowMap(clipped)
@@ -400,6 +402,9 @@ def test_analytic_generator_manifest_roundtrip(tmp_path):
 # closed-form flows
 
 _CLOSED_FORMS = ("zero", "rotation", "squeeze", "rotation_clipped", "squeeze_clipped")
+# the builtins, and the rotation and squeeze behind the clipped ones
+_CLOSED_FORM_BUILDERS = {**BUILTIN_FIELDS, "rotation": _rotation_field,
+                         "squeeze": _squeeze_field}
 
 
 def _random_params(fid, rng):
@@ -423,7 +428,7 @@ def _closed_form_case(fid, seed):
     and the center line and with |y - c_1| at and beyond r_inner."""
     rng = np.random.default_rng([seed, _CLOSED_FORMS.index(fid)])
     params = _random_params(fid, rng) if seed else {}
-    f = builtin_field(fid, params)
+    f = _CLOSED_FORM_BUILDERS[fid](**params)
     X = np.vstack([lattice([17] * f.dim), rng.random((100, f.dim))])
     if fid.endswith("_clipped"):
         c = np.asarray(params.get("center", (0.5, 0.5)))
@@ -495,7 +500,8 @@ def test_builtin_suite_reference_flows_are_exact():
 
 
 # ---------------------------------------------------------------------------
-# the sin_bump closed form: a quadrature of the time along x and a bisection
+# the sin_bump closed form: a quadrature of the time along x and Newton steps
+# that invert it
 
 
 def _sin_bump_case(seed):
@@ -509,7 +515,7 @@ def _sin_bump_case(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sin_bump_closed_form_matches_fine_rk4(seed):
-    # the quadrature errs by ~1e-23 and the bisection by an ulp; RK4 with
+    # the quadrature errs by ~1e-23 and the root solve by an ulp; RK4 with
     # 4096 steps is within ~1e-9 of the flow, so 1e-7 leaves a margin
     f, X = _sin_bump_case(seed)
     exact = FlowMap(f)
@@ -564,6 +570,191 @@ def test_sin_bump_closed_form_at_a_large_amplitude_stays_in_the_cube():
         for t in (1.0, -1.0):
             Y = f.flow(X, t)
             assert ((Y >= 0.0) & (Y <= 1.0)).all() and np.array_equal(Y[:, 1], X[:, 1]), t
+
+
+# ---------------------------------------------------------------------------
+# the safeguarded Newton solver that inverts the sin_bump and squeeze ramps
+
+
+def _bisect(lo, hi, above):
+    """The bisection the Newton solver replaced, as the oracle: per row, the
+    float its root rounds to, from the bracket [lo, hi] (overwritten)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        act = np.flatnonzero((lo < mid) & (mid < hi))
+        if act.size == 0:
+            return mid
+        up = above(mid[act], act)
+        lo[act] = np.where(up, mid[act], lo[act])
+        hi[act] = np.where(up, hi[act], mid[act])
+
+
+def _bisection(lo, hi, residual):
+    return _bisect(lo, hi, lambda x, act: residual(x, act)[0])
+
+
+def _solved(monkeypatch, solver, flow, X, t):
+    """``flow(X, t)`` with its root solves run by ``solver``, and the rows
+    their residuals evaluated."""
+    rows = []
+
+    def solve(lo, hi, residual):
+        def counted(x, act):
+            rows.append(len(x))
+            return residual(x, act)
+
+        return solver(lo, hi, counted)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "_newton", solve)
+        return flow(X, t), sum(rows)
+
+
+def _cube_root(c, noise=0.0):
+    """A residual for x^3 = c per row, with the strict tie rule; ``noise``
+    adds a term that flips the sign back and forth within a few ulps of the
+    root, as rounding does in the closed forms."""
+    def residual(x, act):
+        r = x * x * x - c[act] + noise * np.sin(1e17 * x)
+        return r < 0, r / (3 * x * x)
+
+    return residual
+
+
+def _adjacent(lo, hi):
+    return np.array_equal(np.nextafter(lo, np.inf), hi)
+
+
+def test_newton_stops_on_adjacent_floats_at_the_sign_change():
+    rng = np.random.default_rng(38)
+    c = np.concatenate([rng.uniform(0.0, 8.0, 2000), [0.0, 1e-300, 1.0, 0.125, 8.0]])
+    lo, hi = np.zeros_like(c), np.full_like(c, 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _newton(lo, hi, _cube_root(c))
+        # x^3 rounds monotonically, so the sign change is one float pair
+        want = _bisect(np.zeros_like(c), np.full_like(c, 2.0), lambda x, act: x * x * x < c[act])
+    assert _adjacent(lo, hi)
+    assert np.array_equal(got, 0.5 * (lo + hi)) and np.array_equal(got, want)
+    assert ((lo == 0) | (lo * lo * lo < c)).all() and ((hi == 2) | (hi * hi * hi >= c)).all()
+
+
+def test_newton_rows_do_not_depend_on_their_batch():
+    rng = np.random.default_rng(39)
+    c = rng.uniform(0.1, 8.0, 300)
+    residual = _cube_root(c, noise=1e-15)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        batch = _newton(np.zeros_like(c), np.full_like(c, 2.0), residual)
+        alone = [_newton(np.zeros(1), np.full(1, 2.0),
+                         lambda x, act, i=i: residual(x, act + i))[0] for i in range(len(c))]
+        odd = _newton(np.zeros(150), np.full(150, 2.0), lambda x, act: residual(x, 2 * act + 1))
+    assert np.array_equal(batch, alone) and np.array_equal(batch[1::2], odd)
+
+
+def test_newton_counts_a_nan_residual_as_not_above():
+    # sqrt(1 - x) = c past x = 1 is NaN, as the squeeze's time is past the
+    # disc's rim: the root lies below every NaN point
+    rng = np.random.default_rng(40)
+    c = np.concatenate([rng.uniform(0.0, 1.0, 500), [-1.0, 0.0]])
+
+    def residual(x, act):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.sqrt(1.0 - x) - c[act]
+            return r > 0, -2.0 * r * np.sqrt(1.0 - x)
+
+    lo, hi = np.zeros_like(c), np.full_like(c, 3.0)
+    got = _newton(lo, hi, residual)
+    want = _bisect(np.zeros_like(c), np.full_like(c, 3.0), lambda x, act: residual(x, act)[0])
+    assert _adjacent(lo, hi) and np.array_equal(got, want)
+    # at c = -1 every point short of the first NaN is above, at c = 0 the root is 1
+    assert lo[-2] == 1.0 and hi[-2] == np.nextafter(1.0, 2.0)
+    assert lo[-1] == np.nextafter(1.0, 0.0) and hi[-1] == 1.0
+
+
+def test_newton_keeps_each_tie_rule():
+    # a residual exactly 0 at x = c: the strict rule puts the root below c,
+    # the other one above it
+    c = np.array([0.3, 0.25, 1.0 / 3.0, 1e-3])
+    for strict in (True, False):
+        def residual(x, act):
+            r = x - c[act]
+            return (r < 0) if strict else (r <= 0), r
+
+        lo, hi = np.zeros_like(c), np.ones_like(c)
+        _newton(lo, hi, residual)
+        assert np.array_equal(hi if strict else lo, c), strict
+        assert _adjacent(lo, hi), strict
+
+
+def _residual_of(monkeypatch, flow, X, t):
+    """The residual of the one root solve of ``flow(X, t)``."""
+    seen = []
+
+    def spy(lo, hi, residual):
+        seen.append(residual)
+        return _newton(lo, hi, residual)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "_newton", spy)
+        flow(X, t)
+    (solve,) = seen
+    return solve
+
+
+def test_closed_form_residuals_keep_their_tie_rules(monkeypatch):
+    # sin_bump at t = 0 inverts Phi at its own start: strict <, not above
+    u = np.array([0.13, 0.2, 0.3, 0.37])
+    X = np.stack([u, np.full(4, 0.5)], axis=1)
+    residual = _residual_of(monkeypatch, builtin_field("sin_bump").flow, X, 0.0)
+    up, step = residual(u, np.arange(4))
+    assert not up.any() and (step == 0).all()
+    # the squeeze on the ramp, for exactly the time from |u| = v to |u| = x: >=, above
+    f, R, w, x = builtin_field("squeeze_clipped"), 0.25, 0.125, 0.15
+    X = np.array([[0.68, 0.55]])
+    v, a = np.abs(X[0] - 0.5)  # |u| and |b| as the flow takes them
+
+    def G(v):  # _squeeze_disc_flow's G, term for term
+        s = np.sqrt(v * v + a * a)
+        return np.log(v) / (R - a) - (a * np.log(s + a) + R * np.log(R - s)) / (R * R - a * a)
+
+    tau = float(w * (G(v) - G(x)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = _residual_of(monkeypatch, f.flow, X, tau)
+        up, step = residual(np.array([x]), np.array([0]))
+    assert up.all() and (step == 0).all()
+
+
+def _ulps(a, b):
+    return np.abs(a.view(np.int64) - b.view(np.int64)).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_newton_is_within_2_ulp_of_bisection(monkeypatch, seed):
+    # both end on a sign change of the same residual; rounding flips its sign
+    # back and forth within an ulp or two of the root, so a row may end on
+    # another change than bisection's
+    f, X = _sin_bump_case(seed)
+    g, Y = _closed_form_case("squeeze_clipped", seed)
+    for flow, rows in ((f.flow, X), (g.flow, Y)):
+        for t in (1.0, -1.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton, _ = _solved(monkeypatch, _newton, flow, rows, t)
+                bisection, _ = _solved(monkeypatch, _bisection, flow, rows, t)
+            assert _ulps(newton, bisection) <= 2, t
+
+
+def test_newton_evaluates_a_third_of_bisection_rows_or_fewer(monkeypatch):
+    # Newton's few steps against bisection's 53-54 per row; on a steep ramp,
+    # where Newton keeps leaving the disc, never more than bisection
+    steep = builtin_field("squeeze_clipped", {"r_inner": 0.2499})
+    cases = [(_sin_bump_case(0), (1.0, -1.0), 3),
+             (_closed_form_case("squeeze_clipped", 0), (1.0, -1.0), 3),
+             ((steep, _closed_form_case("squeeze_clipped", 0)[1]), (-1.0,), 1)]
+    for (f, X), times, factor in cases:
+        for t in times:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _, newton = _solved(monkeypatch, _newton, f.flow, X, t)
+                _, bisection = _solved(monkeypatch, _bisection, f.flow, X, t)
+            assert bisection > 0 and factor * newton <= bisection, (f.ref, t, newton, bisection)
 
 
 # ---------------------------------------------------------------------------
@@ -705,8 +896,8 @@ def _closed_form_fields():
     def ramp(X):
         return np.maximum(X[:, 0] - 0.5, 0.0)
 
-    fields = [(zero_field(2), True), (rotation_field([0.5, 0.5], math.pi), False),
-              (squeeze_field(0.5), False), (lift_field([ramp], 1, [1.0]), False),
+    fields = [(zero_field(2), True), (_rotation_field([0.5, 0.5], math.pi), False),
+              (_squeeze_field(0.5), False), (lift_field([ramp], 1, [1.0]), False),
               (lift_field(grid_realize(ramp, 1, 4, 1.0), 1), False)]
     for f in builtin_suite().values():
         stage = approximate_generator([f], 8).stages[0]

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from conftest import no_child_left
 
-from incflow.fields import builtin_field, lattice, rotation_field
+from incflow.fields import _rotation_field, builtin_field, lattice
 from incflow.flow import (
     FlowMap, approximate_generator, builtin_generator, load_generator, save_generator,
 )
@@ -68,7 +68,7 @@ def test_pushforward_rotation_oracle():
     c = np.array([0.5, 0.5])
     pts = c + np.array([[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0], [0.0, -0.1]])
     mu = EmpiricalMeasure(pts)
-    fl = FlowMap(rotation_field(c, math.pi / 2))
+    fl = FlowMap(_rotation_field(c, math.pi / 2))
     out = pushforward(fl, mu)
     expect = c + np.array([[0.0, 0.1], [-0.1, 0.0], [0.0, -0.1], [0.1, 0.0]])
     assert np.abs(out.points - expect).max() <= 1e-9
